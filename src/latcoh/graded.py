@@ -16,10 +16,11 @@ tie is broken by id, which provably does not change the resulting multiset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError, ValidationError
 from .semigroup import NumericalSemigroup, enumerate_plane_branch_semigroups
-from .weight1d import WeightSequence, sublevel_components
+from .weight1d import WeightSequence
 
 
 @dataclass(frozen=True)
@@ -114,35 +115,62 @@ class TowerModule:
         return max([self.base] + [t for _m, t in self.towers])
 
 
+def _merge_tree(weights: list[int], neighbors: list, top: int) -> GradedRoot:
+    """Merge tree of the sublevel sets of ``weights`` on a graph, up to ``top``.
+
+    The join-tree sweep of Carr-Snoeyink-Axen (2003): points are bucketed by
+    weight once, each joins at its level and is united with its neighbours
+    already present, by smallest index, so a component's root is its smallest
+    point.  At each level n the live roots, ascending, become the vertices at
+    n, each with one edge to the root holding it at n + 1; ids thus run by
+    (n, smallest point index).  Cost: near-linear in points, graph edges and
+    levels, plus O(log k) per vertex for k live components.
+    """
+    parent = list(range(len(weights)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    at: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        at.setdefault(w, []).append(i)
+    live: set[int] = set()
+    vertices: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
+    below: dict[int, int] = {}  # root at the previous level -> its vertex id
+    for n in range(min(at), top + 1):
+        live.update(at.get(n, ()))
+        for i in at.get(n, ()):
+            for j in neighbors[i]:
+                if weights[j] <= n:
+                    a, b = find(i), find(j)
+                    if a > b:
+                        a, b = b, a
+                    if a != b:
+                        parent[b] = a
+                        live.discard(b)
+        here = {root: len(vertices) + off for off, root in enumerate(sorted(live))}
+        vertices.extend((vid, n) for vid in here.values())
+        edges.extend((vid, here[find(root)]) for root, vid in below.items())
+        below = here
+    return GradedRoot(tuple(vertices), tuple(edges), top)
+
+
 def root_from_weight(W: WeightSequence) -> GradedRoot:
     """Graded root of a weight sequence.
 
     Levels run from min w0 up to T = max(1, max w0); above T the root is a
-    single chain and is not materialized.
+    single chain and is not materialized.  It is the merge tree of the path
+    graph on [0, c], from one union-find sweep: O(c) plus O(log k) per vertex.
     """
-    b = min(W.values)
-    T = max(1, max(W.values))
-    keyed = []  # (chi, leftmost) per component, plus interval for containment
-    comps = {}
-    for n in range(b, T + 1):
-        cs = sublevel_components(W, n)
-        comps[n] = cs
-        for c in cs:
-            keyed.append((n, c.start))
-    keyed.sort()
-    ids = {key: i for i, key in enumerate(keyed)}
-    vertices = tuple((ids[key], key[0]) for key in keyed)
-    edges = []
-    for n in range(b, T):
-        for c in comps[n]:
-            for d in comps[n + 1]:
-                if d.start <= c.start and c.end <= d.end:
-                    edges.append((ids[(n, c.start)], ids[(n + 1, d.start)]))
-                    break
-            else:
-                raise ValidationError("component without an upward neighbor")
-    vertices = tuple(sorted(vertices))
-    return GradedRoot(vertices, tuple(sorted(edges)), T)
+    c = W.conductor
+    path = [(l - 1, l + 1) for l in range(c + 1)]
+    path[0] = path[0][1:]
+    path[c] = path[c][:-1]
+    return _merge_tree(list(W.values), path, max(1, max(W.values)))
 
 
 def module_from_root(R: GradedRoot, tie_policy: str = "close-larger-id") -> TowerModule:
@@ -189,17 +217,29 @@ def rank_profile(M: TowerModule, up_to: int | None = None) -> dict[int, tuple[in
     """Per-level (rank, kernel rank) from base up to max(1, top tower level).
 
     Above the returned range the module is the bare infinite tower: rank 1,
-    kernel rank 0.
+    kernel rank 0.  Built in one difference-array pass: O(towers + levels).
     """
     hi = max(1, M.top_level) if up_to is None else up_to
-    return {n: (M.rank(n), M.kernel_rank(n)) for n in range(M.base, hi + 1)}
+    opened = [1] + [0] * max(0, hi - M.base + 1)  # rank(n) - rank(n - 1) from base up
+    born = opened[:]  # the infinite tower is born at base
+    for m, t in M.towers:
+        lo, top = max(m, M.base), min(t, hi)
+        if lo <= top:
+            opened[lo - M.base] += 1
+            opened[top - M.base + 1] -= 1
+        if M.base <= m <= hi:
+            born[m - M.base] += 1
+    return dict(zip(range(M.base, hi + 1), zip(accumulate(opened), born)))
 
 
-def _canonical_encoding(R: GradedRoot):
-    """Hashable encoding invariant under relabeling.
+def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
+    """AHU canonical label of R, from a label table shared between roots.
 
-    The tree is read from the lowest level at which everything above is a
-    single chain; the uniform chain higher up carries no information.
+    The tree is read from the lowest level t* at which everything above is a
+    single chain; the uniform chain higher up carries no information.  Levels
+    are labelled bottom-up (Aho-Hopcroft-Ullman, 1974): a vertex's label is
+    the table index of (chi, sorted child labels), a flat tuple of ints, so
+    neither the labelling nor hashing recurses.
     """
     by = R.levels()
     lvls = sorted(by)
@@ -210,17 +250,22 @@ def _canonical_encoding(R: GradedRoot):
         else:
             break
     kids = R.children()
-    chi = R.chi()
-
-    def enc(v):
-        return (chi[v], tuple(sorted(enc(k) for k in kids[v])))
-
-    return enc(by[t_star][0])
+    label: dict[int, int] = {}
+    for n in lvls[: lvls.index(t_star) + 1]:
+        for v in by[n]:
+            key = (n, tuple(sorted(label[k] for k in kids[v])))
+            label[v] = table.setdefault(key, len(table))
+    return label[by[t_star][0]]
 
 
 def roots_isomorphic(R1: GradedRoot, R2: GradedRoot) -> bool:
-    """Level-preserving tree isomorphism (truncation chains disregarded)."""
-    return _canonical_encoding(R1) == _canonical_encoding(R2)
+    """Level-preserving tree isomorphism (truncation chains disregarded).
+
+    Both roots are labelled level by level with one shared AHU label table
+    and their labels at t* compared: O(V log V) for V vertices, iterative.
+    """
+    table: dict[tuple, int] = {}
+    return _canonical_label(R1, table) == _canonical_label(R2, table)
 
 
 @dataclass(frozen=True)

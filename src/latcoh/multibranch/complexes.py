@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InputError, ValidationError
-from ..graded import GradedRoot, TowerModule, module_from_root
+from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
 from .hilbert import WeightGrid, weight_grid_extend
 from .parametrization import BranchParametrization
 
@@ -238,28 +238,14 @@ def cohomology(K: CubicalComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def root_from_grid(W: WeightGrid) -> GradedRoot:
     """Connected components of the sublevel filtration, as a graded tree.
 
-    Components are tracked level by level with a union-find over the box;
-    each component at level n gets a vertex, joined to the component that
-    absorbs it one level up.
+    The merge tree of the collared box's grid graph, built by the same
+    union-find sweep as the one-branch root over the points in lexicographic
+    order: each component at level n is a vertex ordered by (n, smallest
+    point), joined to the component that absorbs it one level up.  Cost:
+    O(p log p + r p) for p box points plus O(log k) per vertex of the root.
     """
     grid = weight_grid_extend(W)
     pts = sorted(grid.w0.keys())
@@ -271,44 +257,7 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
             if up in pidx:
                 neighbors[i].append(pidx[up])
                 neighbors[pidx[up]].append(i)
-    bottom = grid.min_w0
-    top = max(1, max(grid.w0.values()))
-    uf = _UnionFind(len(pts))
-    active = [False] * len(pts)
-    vertices: list[tuple[int, int]] = []  # (id, level)
-    edges: list[tuple[int, int]] = []
-    ids_at_prev: dict[int, int] = {}  # uf-rep at previous level -> vertex id
-    next_id = 0
-    id_level_rep: list[tuple[int, int, tuple[int, ...]]] = []
-    for n in range(bottom, top + 1):
-        for p, i in pidx.items():
-            if not active[i] and grid.w0[p] <= n:
-                active[i] = True
-        for i in range(len(pts)):
-            if active[i]:
-                for j in neighbors[i]:
-                    if active[j]:
-                        uf.union(i, j)
-        reps: dict[int, tuple[int, ...]] = {}
-        for i in range(len(pts)):
-            if active[i]:
-                root = uf.find(i)
-                cur = reps.get(root)
-                if cur is None or pts[i] < cur:
-                    reps[root] = pts[i]
-        ordered = sorted(reps.items(), key=lambda kv: kv[1])
-        ids_now: dict[int, int] = {}
-        for root, rep in ordered:
-            vid = next_id
-            next_id += 1
-            vertices.append((vid, n))
-            ids_now[root] = vid
-            id_level_rep.append((vid, n, rep))
-        if ids_at_prev:
-            for prev_root, prev_id in ids_at_prev.items():
-                edges.append((prev_id, ids_now[uf.find(prev_root)]))
-        ids_at_prev = ids_now
-    return GradedRoot(tuple(vertices), tuple(sorted(edges)), top)
+    return _merge_tree([grid.w0[p] for p in pts], neighbors, max(1, max(grid.w0.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
-from .graded import GradedRoot, TowerModule, module_from_root, root_from_weight
+from .graded import GradedRoot, TowerModule, module_from_root, rank_profile, root_from_weight
 from .semigroup import (
     NumericalSemigroup,
     from_generators as _from_generators,
@@ -64,12 +64,13 @@ def initial_part(M: TowerModule) -> InitialPart:
     e = compute_e(M)
     if e > 0:
         raise ValidationError("inconsistent module: positive initial level")
-    delta = sum(M.rank(n) for n in range(M.base, 1)) - 1
+    profile = rank_profile(M, up_to=0)
+    delta = sum(r for r, _k in profile.values()) - 1
     s = 0
     elements: list[int] = []
     s_k_table: dict[int, tuple[int, int]] = {}
     for n in range(0, e - 1, -1):
-        r = M.rank(n)
+        r = profile[n][0]
         if r <= 0:
             raise ValidationError("inconsistent module: vanishing rank at level %d" % n)
         k = r // 2
@@ -134,9 +135,10 @@ def multiplicity_from_module(M: TowerModule) -> int:
     """
     if M.base > 0:
         raise ValidationError("not a branch module")
+    profile = rank_profile(M, up_to=0)
     if M.base == 0:
-        return 1 if M.rank(0) == 1 else 2
-    shallowest = max(n for n in range(M.base, 0) if M.kernel_rank(n) > 0)
+        return 1 if profile[0][0] == 1 else 2
+    shallowest = max(n for n in range(M.base, 0) if profile[n][1] > 0)
     return 2 - shallowest
 
 
@@ -148,7 +150,8 @@ def detect_lg1_equals_2(M: TowerModule) -> bool:
     """
     if M.base % 2 != 0:
         return False
-    return all(M.rank(n) == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
+    profile = rank_profile(M, up_to=0)
+    return all(profile[n][0] == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
 
 
 def _prefix_conductor(prefix: tuple[int, ...]) -> tuple[int, int]:
@@ -179,8 +182,10 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
                 raise ValidationError("non-integral top generator")
             gens = [m, 2 * delta // (m - 1) + 1]
     else:
-        sums = {a + b for a in positive for b in positive}
-        P = tuple(x for x in positive if x not in sums)
+        bits, sums = sum(1 << x for x in positive), 0
+        for a in positive:
+            sums |= bits << a  # bit x set: x = a + b with a, b in positive
+        P = tuple(x for x in positive if not sums >> x & 1)
         g0 = math.gcd(*P)
         if g0 == 1:
             gens = list(P)

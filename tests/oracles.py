@@ -8,6 +8,7 @@ inputs.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 
@@ -62,6 +63,64 @@ def naive_components(values, n):
     if start is not None:
         runs.append((start, len(values) - 1))
     return runs
+
+
+def naive_root(values):
+    """Graded root of a weight walk, rebuilt level by level.
+
+    Every level n from min(values) to max(1, max(values)) is rescanned with
+    naive_components; each run is a vertex, ids sorted by (n, run start), and
+    each run gets one edge to the run one level up that contains it.
+    Returns (vertices, edges, truncation level) as sorted tuples.
+    """
+    top = max(1, max(values))
+    runs = {n: naive_components(values, n) for n in range(min(values), top + 1)}
+    ids = {key: i for i, key in enumerate(sorted((n, a) for n in runs for a, _b in runs[n]))}
+    edges = []
+    for n in range(min(values), top):
+        for a, b in runs[n]:
+            (up,) = [c for c, d in runs[n + 1] if c <= a and b <= d]
+            edges.append((ids[(n, a)], ids[(n + 1, up)]))
+    return tuple((i, n) for (n, _a), i in ids.items()), tuple(sorted(edges)), top
+
+
+def naive_grid_root(w0):
+    """Graded root of a weight function on a box, by breadth-first search.
+
+    w0 maps lattice points (tuples) to weights.  At every level n from the
+    minimum weight to max(1, max weight) the points of weight <= n are split
+    into components along unit steps by a fresh search; each component is a
+    vertex, ids sorted by (n, lexicographically smallest point), with one
+    edge to the component one level up that holds its smallest point.
+    Returns (vertices, edges, truncation level) as sorted tuples.
+    """
+    top = max(1, max(w0.values()))
+    comps = {}
+    for n in range(min(w0.values()), top + 1):
+        low = {p for p, w in w0.items() if w <= n}
+        seen, comps[n] = set(), []
+        for p in sorted(low):
+            if p in seen:
+                continue
+            seen.add(p)
+            comp, queue = {p}, deque([p])
+            while queue:
+                q = queue.popleft()
+                for axis in range(len(q)):
+                    for step in (-1, 1):
+                        nb = q[:axis] + (q[axis] + step,) + q[axis + 1 :]
+                        if nb in low and nb not in seen:
+                            seen.add(nb)
+                            comp.add(nb)
+                            queue.append(nb)
+            comps[n].append((p, comp))
+    ids = {key: i for i, key in enumerate(sorted((n, p) for n in comps for p, _c in comps[n]))}
+    edges = []
+    for n in range(min(w0.values()), top):
+        for p, _comp in comps[n]:
+            (up,) = [q for q, comp in comps[n + 1] if p in comp]
+            edges.append((ids[(n, p)], ids[(n + 1, up)]))
+    return tuple((i, n) for (n, _p), i in ids.items()), tuple(sorted(edges)), top
 
 
 def brute_force_symmetric_semigroups(max_conductor):

@@ -1,4 +1,6 @@
-"""Acceptance gate: eleven end-to-end criteria with wall-clock budgets.
+"""Acceptance gate: eleven end-to-end criteria with wall-clock budgets, plus
+a timed round trip at conductor 40400 that holds the one-branch pipeline to
+near-linear time.
 
 Each test prints one pass/fail line under `pytest -v`.  Expected values are
 the frozen hand-checked references from fixtures.py; time budgets are the
@@ -246,4 +248,14 @@ def test_criterion_11_module_collision_sweep_reports_findings():
     for a, b in report.hits:
         print("finding: equal modules, non-isomorphic roots: %s vs %s" % (a, b))
     assert isinstance(report.hits, tuple)
+    done()
+
+
+def test_large_branch_round_trip_within_budget():
+    # conductor 40400: a root rebuilt level by level needs about half a minute
+    done = _timed(5.0)
+    S = from_generators([201, 203])
+    assert S.conductor == 40400
+    M = module_from_root(root_from_weight(weight_sequence(S)))
+    assert reconstruct_semigroup(M).min_gens == (201, 203)
     done()

@@ -389,6 +389,17 @@ def test_cli_root_iso(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_root_iso_on_a_deep_root(tmp_path, capsys):
+    # 961 levels: deeper than the interpreter's recursion limit
+    R = root_from_weight(weight_sequence(from_generators([61, 67])))
+    assert len(R.levels()) > 900
+    r = tmp_path / "r.json"
+    r.write_text(formats.to_json(formats.root_to_dict(R)))
+    code, stdout, _ = run_cli(["root-iso", str(r), str(r)], capsys)
+    assert code == 0
+    assert stdout.strip() == "isomorphic"
+
+
 def test_cli_roundtrip(capsys):
     code, stdout, _ = run_cli(["roundtrip", "--max-conductor", "0"], capsys)
     assert code == 0

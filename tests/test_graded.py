@@ -18,6 +18,7 @@ from latcoh import (
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS, example_root_pair
+from oracles import naive_root
 
 
 def pipeline(S):
@@ -75,6 +76,14 @@ def test_root_validates():
     for gens in [(2, 3), (4, 11), (6, 15, 31), (5, 7, 9)]:
         _, R, _ = pipeline(from_generators(gens))
         R.validate()
+
+
+def test_root_from_weight_matches_level_by_level_oracle():
+    sets = list(enumerate_plane_branch_semigroups(60)) + [from_generators([43, 47])]
+    sets.append(from_members(SPRIME_MEMBERS, SPRIME_CONDUCTOR, verify_closed=False))
+    for S in sets:
+        W = weight_sequence(S)
+        assert root_from_weight(W) == GradedRoot(*naive_root(W.values)), S
 
 
 def test_rank_and_kernel_rank_profile():
@@ -162,6 +171,9 @@ def test_isomorphism_distinguishes_known_trees():
     _, R2, _ = pipeline(from_generators([6, 10, 31]))
     assert not roots_isomorphic(R1, R2)
     assert roots_isomorphic(R1, R1)
+    # the same tree one level up: isomorphisms preserve levels
+    up = GradedRoot(tuple((v, n + 1) for v, n in R1.vertices), R1.edges, R1.truncation_level + 1)
+    assert not roots_isomorphic(R1, up)
 
 
 def test_validate_rejects_broken_trees():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latcoh import (
+    GradedRoot,
     InputError,
     TowerModule,
     ValidationError,
@@ -37,7 +38,7 @@ from fixtures import (
     monomial_branch,
     pair_family,
 )
-from oracles import naive_betti, naive_hilbert_grid
+from oracles import naive_betti, naive_grid_root, naive_hilbert_grid
 
 
 NODE = [
@@ -383,6 +384,16 @@ def test_one_branch_grid_root_equals_sequence_root():
         assert R_grid == R_seq
         M_grid = lattice_cohomology(W).module
         assert M_grid == module_from_root(R_seq)
+
+
+def test_grid_root_matches_breadth_first_oracle():
+    parametrizations = [P for n in (2, 3) for P in pair_family(n)]
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations += [curve(CURVE_SIX_COORD), triple_point, monomial_branch([4, 11])]
+    for P in parametrizations:
+        W = hilbert_from_parametrization(P)
+        expected = GradedRoot(*naive_grid_root(weight_grid_extend(W).w0))
+        assert root_from_grid(W) == expected, W.conductor
 
 
 def test_euler_delta_identity():
