@@ -68,12 +68,15 @@ class GradedRoot:
         if len(set(ids)) != len(ids):
             raise InputError("duplicate vertex id")
         chi = self.chi()
+        par: dict[int, int] = {}
         for lo, hi in self.edges:
             if lo not in chi or hi not in chi:
                 raise InputError("edge endpoint %s is not a vertex" % ((lo, hi),))
             if chi[hi] != chi[lo] + 1:
                 raise InputError("edge (%d, %d) does not span consecutive levels" % (lo, hi))
-        self.parent()  # at most one upward neighbor
+            if lo in par:
+                raise InputError("vertex %d has two upward neighbors" % lo)
+            par[lo] = hi
         by = self.levels()
         lvls = sorted(by)
         if lvls != list(range(lvls[0], lvls[-1] + 1)):
@@ -83,7 +86,6 @@ class GradedRoot:
         if len(by[lvls[-1]]) != 1:
             raise InputError("top level must hold a single vertex")
         # connectivity: every non-top vertex needs an upward neighbor
-        par = self.parent()
         top = by[lvls[-1]][0]
         for v, ch in self.vertices:
             if v != top and v not in par:

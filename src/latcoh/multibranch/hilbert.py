@@ -1,16 +1,14 @@
 """Exact multigraded Hilbert functions of curve germs from parametrizations.
 
-Everything here is exact integer linear algebra.  The local algebra of the
-germ is approximated by the span of all truncated monomials in the
-coordinate functions; within a large enough truncation window the
-codimension counts are exactly the Hilbert function values h(l), because a
-truncated representative of order >= l lifts to an honest element of order
->= l (tails beyond the window sit above l automatically).
-
-Vectors are stored as numpy int64 arrays when that is safe and available,
-and as plain Python integer lists otherwise; every operation guards against
-int64 overflow and falls back to exact big-integer arithmetic, so results
-never depend on which representation was used.
+Everything here is exact integer linear algebra on plain Python integers.
+The local algebra of the germ is approximated by the span of all truncated
+monomials in the coordinate functions.  The truncation window is certified
+rather than guessed: once the window-pure orders of every branch contain a
+run of multiplicity length right after the candidate conductor, Nakayama's
+lemma proves that the conductor ideal lies in the local ring, the span is
+exactly the local ring modulo the window, and its codimension counts are
+exactly the Hilbert function values h(l) on the conductor box (the proof is
+in :func:`hilbert_from_parametrization`).
 """
 from __future__ import annotations
 
@@ -25,127 +23,57 @@ from ..semigroup import from_members as _semigroup_from_members
 from ..weight1d import WeightSequence, weight_sequence
 from .parametrization import BranchParametrization
 
-try:  # optional accelerator; all arithmetic stays exact either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-_INT64_SAFE = 2**62
-
 
 # ---------------------------------------------------------------------------
-# exact integer vectors (numpy fast path, big-int fallback)
+# exact integer row echelon form
 # ---------------------------------------------------------------------------
 
 
-def _vec_zeros(n: int):
-    if _np is not None:
-        return _np.zeros(n, dtype=_np.int64)
-    return [0] * n
-
-
-def _vec_from_list(xs: list[int]):
-    if _np is not None and all(abs(x) < _INT64_SAFE for x in xs):
-        return _np.array(xs, dtype=_np.int64)
-    return list(xs)
-
-
-def _vec_max(v) -> int:
-    if _np is not None and isinstance(v, _np.ndarray):
-        return int(_np.abs(v).max()) if v.size else 0
-    return max((abs(x) for x in v), default=0)
-
-
-def _vec_list(v) -> list[int]:
-    if _np is not None and isinstance(v, _np.ndarray):
-        return [int(x) for x in v]
-    return list(v)
-
-
-def _vec_axpy(p: int, vec, q: int, row):
-    """p*vec - q*row, exactly."""
-    if (
-        _np is not None
-        and isinstance(vec, _np.ndarray)
-        and isinstance(row, _np.ndarray)
-        and abs(p) * _vec_max(vec) + abs(q) * _vec_max(row) < _INT64_SAFE
-    ):
-        return p * vec - q * row
-    a = _vec_list(vec)
-    b = _vec_list(row)
-    return [p * x - q * y for x, y in zip(a, b)]
-
-
-def _vec_lead(v) -> int:
+def _lead(v: list[int]) -> int:
     """Index of the first nonzero entry, or -1."""
-    if _np is not None and isinstance(v, _np.ndarray):
-        nz = _np.flatnonzero(v)
-        return int(nz[0]) if nz.size else -1
-    for i, x in enumerate(v):
-        if x:
-            return i
-    return -1
+    return next((i for i, x in enumerate(v) if x), -1)
 
 
-def _vec_normalize(v, lead: int):
+def _normalize(v: list[int], lead: int) -> list[int]:
     """Divide out the content and make the leading entry positive."""
-    if _np is not None and isinstance(v, _np.ndarray):
-        g = int(_np.gcd.reduce(_np.abs(v)))
-        if g > 1:
-            v = v // g
-        if int(v[lead]) < 0:
-            v = -v
-        return v
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        v = [x // g for x in v]
+    g = gcd(*v)
     if v[lead] < 0:
-        v = [-x for x in v]
-    return v
-
-
-def _vec_permute(v, perm: list[int]):
-    if _np is not None and isinstance(v, _np.ndarray):
-        return v[perm]
-    return [v[i] for i in perm]
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
 class _Echelon:
     """Integer row echelon form, rows kept sorted by leading index."""
 
     def __init__(self) -> None:
-        self.rows: list[tuple[int, int, object]] = []  # (lead, pivot, vector)
+        self.rows: list[tuple[int, int, list[int]]] = []  # (lead, pivot, vector)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec):
+    def reduce(self, vec: list[int]):
         """Fully reduce vec; return (lead, pivot, vec) or None if it vanishes."""
         steps = 0
         for lead, piv, row in self.rows:
-            c = int(vec[lead])
+            c = vec[lead]
             if c:
-                vec = _vec_axpy(piv, vec, c, row)
+                vec = [piv * x - c * y for x, y in zip(vec, row)]
                 steps += 1
                 if steps % 16 == 0:
-                    lv = _vec_lead(vec)
+                    lv = _lead(vec)
                     if lv < 0:
                         return None
-                    vec = _vec_normalize(vec, lv)
-        lv = _vec_lead(vec)
+                    vec = _normalize(vec, lv)
+        lv = _lead(vec)
         if lv < 0:
             return None
-        vec = _vec_normalize(vec, lv)
-        return (lv, int(vec[lv]), vec)
+        vec = _normalize(vec, lv)
+        return (lv, vec[lv], vec)
 
     def insert(self, triple) -> None:
         insort(self.rows, triple, key=lambda t: t[0])
 
-    def add(self, vec):
+    def add(self, vec: list[int]):
         """Reduce and insert; return the inserted triple or None."""
         triple = self.reduce(vec)
         if triple is not None:
@@ -194,93 +122,59 @@ def _integer_coordinates(P: BranchParametrization) -> list[list[tuple[tuple[int,
     return out
 
 
-def _mult_coordinate(vec, terms_per_branch, offs: list[int], bounds: tuple[int, ...]):
+def _mult_coordinate(vec: list[int], terms_per_branch, offs: list[int]) -> list[int]:
     """Truncated product of a window vector with one coordinate function."""
-    n = offs[-1]
-    use_np = _np is not None and isinstance(vec, _np.ndarray)
-    if use_np:
-        m = _vec_max(vec)
-        worst = sum(
-            abs(c) for terms in terms_per_branch for _, c in terms
-        )
-        if m * max(worst, 1) >= _INT64_SAFE:
-            use_np = False
-    if use_np:
-        res = _np.zeros(n, dtype=_np.int64)
-        for j, terms in enumerate(terms_per_branch):
-            off, top = offs[j], offs[j + 1]
-            nj = top - off
-            if not terms:
-                continue
-            block = vec[off:top]
-            for exp, c in terms:
-                if exp >= nj:
-                    continue
-                res[off + exp : top] += c * block[: nj - exp]
-        return res
-    xs = _vec_list(vec)
-    res = [0] * n
+    res = [0] * offs[-1]
     for j, terms in enumerate(terms_per_branch):
-        off, top = offs[j], offs[j + 1]
-        nj = top - off
+        top = offs[j + 1]
         for exp, c in terms:
-            for a in range(nj - exp):
-                x = xs[off + a]
+            for a in range(offs[j], top - exp):
+                x = vec[a]
                 if x:
-                    res[off + exp + a] += c * x
-    return _vec_from_list(res)
+                    res[a + exp] += c * x
+    return res
 
 
-def _monomial_span(coords, r: int, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]]:
+def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]]:
     """Echelon basis of the span of all truncated coordinate monomials.
 
     Closure by repeated multiplication: every basis row is multiplied by
     every coordinate, new directions are inserted and queued, so the final
-    span contains the truncation of every monomial.
+    span contains the truncation of every monomial.  Branch blocks are laid
+    out in the order of ``bounds`` and of each coordinate's term lists.
     """
     offs = [0]
     for nj in bounds:
         offs.append(offs[-1] + nj)
     ech = _Echelon()
     queue: deque = deque()
-    one = _vec_zeros(offs[-1])
-    for j in range(r):
-        one[offs[j]] = 1
+    one = [0] * offs[-1]
+    for off in offs[:-1]:
+        one[off] = 1
     added = ech.add(one)
     if added is not None:
         queue.append(added[2])
     while queue:
         v = queue.popleft()
         for terms_per_branch in coords:
-            prod = _mult_coordinate(v, terms_per_branch, offs, bounds)
-            added = ech.add(prod)
+            added = ech.add(_mult_coordinate(v, terms_per_branch, offs))
             if added is not None:
                 queue.append(added[2])
     return ech, offs
 
 
 # ---------------------------------------------------------------------------
-# per-branch pure orders and conductor detection
+# window-pure orders and the conductor certificate
 # ---------------------------------------------------------------------------
 
 
-def _pure_orders(ech: _Echelon, offs: list[int], r: int, j: int) -> set[int]:
-    """Orders on branch j of span elements vanishing on every other branch.
+def _last_block_orders(ech: _Echelon, offs: list[int]) -> frozenset[int]:
+    """Orders on the last block of span elements vanishing on all others.
 
-    Echelon with the other branches' columns first: rows whose leading
-    entry lands inside branch j's block are exactly (a basis of) the
-    elements that reduce to zero on all other branches within the window.
+    Rows whose leading entry lands inside the last block are exactly (a
+    basis of) the elements that are zero on every earlier block.
     """
-    if r == 1:
-        return set(ech.leads())
-    perm = []
-    for i in range(r):
-        if i != j:
-            perm.extend(range(offs[i], offs[i + 1]))
-    zone = len(perm)
-    perm.extend(range(offs[j], offs[j + 1]))
-    permuted = _echelon_of(_vec_permute(v, perm) for _, _, v in ech.rows)
-    return {lead - zone for lead in permuted.leads() if lead >= zone}
+    return frozenset(lead - offs[-2] for lead in ech.leads() if lead >= offs[-2])
 
 
 @dataclass(frozen=True)
@@ -289,42 +183,42 @@ class _Analysis:
     offs: list[int]
     ech: _Echelon
     pure: tuple[frozenset[int], ...]
-    candidates: tuple[int, ...] | None
 
 
-def _candidate_conductor(
-    pure: frozenset[int], mult: int, nj: int
-) -> int | None:
-    """Last-gap-plus-one, certified by a full run of length mult with room.
+def _analyze(coords, r: int, bounds: tuple[int, ...]) -> _Analysis:
+    """The span in branch order, and the window-pure orders of every branch.
 
-    Pure orders are closed under adding the branch multiplicity, so a run
-    of `mult` consecutive pure orders right after the last gap proves every
-    later order is pure too — provided the run and one extra step fit in
-    the window.
+    Branch j's window-pure orders come from the span closed again with
+    branch j's block last.  Closing from the monomials keeps the integers
+    smaller: re-eliminating the first span's rows in the new column order
+    let them grow, and made three-branch grids at two and four times the
+    certified window 2-5x slower.
     """
-    gaps = [x for x in range(nj) if x not in pure]
-    c = (gaps[-1] + 1) if gaps else 0
-    if c + mult > nj or c + 2 > nj:
-        return None
-    if any(c + t not in pure for t in range(mult)):
-        return None
-    return c
+    ech, offs = _monomial_span(coords, bounds)
+    pure = []
+    for j in range(r - 1):
+        order = [i for i in range(r) if i != j] + [j]
+        ech_j, offs_j = _monomial_span(
+            [[terms[i] for i in order] for terms in coords],
+            tuple(bounds[i] for i in order),
+        )
+        pure.append(_last_block_orders(ech_j, offs_j))
+    pure.append(_last_block_orders(ech, offs))
+    return _Analysis(bounds, offs, ech, tuple(pure))
 
 
-def _analyze(
-    coords, r: int, mults: tuple[int, ...], bounds: tuple[int, ...]
-) -> _Analysis:
-    ech, offs = _monomial_span(coords, r, bounds)
-    pure = tuple(
-        frozenset(_pure_orders(ech, offs, r, j)) for j in range(r)
-    )
-    cand: list[int] = []
-    for j in range(r):
-        c = _candidate_conductor(pure[j], mults[j], bounds[j])
-        if c is None:
-            return _Analysis(bounds, offs, ech, pure, None)
-        cand.append(c)
-    return _Analysis(bounds, offs, ech, pure, tuple(cand))
+def _candidate_conductor(pure: frozenset[int], nj: int) -> int:
+    """One past the last order below nj that is not window-pure (0 if none)."""
+    return next((x + 1 for x in range(nj - 1, -1, -1) if x not in pure), 0)
+
+
+def _certifies(pure: frozenset[int], c: int, mult: int, nj: int) -> bool:
+    """Orders c .. c+mult-1 are window-pure, and the box up to c+1 fits.
+
+    Holding on every branch at once, this proves t^c Ō ⊆ O; see
+    :func:`hilbert_from_parametrization`.
+    """
+    return c + max(mult, 2) <= nj and all(c + t in pure for t in range(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +243,12 @@ def _h_grid_r2(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int
     zero).  Sweeping the branch-1 threshold downward only ever activates
     more rows; each newly active row contributes its branch-2 block to an
     incremental echelon whose pivot positions tell, for every branch-2
-    threshold, the codimension within the active span.
+    threshold, the codimension within the active span.  That echelon needs
+    only the branch-2 columns below the box: the codimension at l2 is the
+    rank of the projection onto the columns below l2.
     """
     n1 = an.bounds[0]
-    off2, top2 = an.offs[1], an.offs[2]
+    off2 = an.offs[1]
     dim = len(an.ech)
     rows = sorted(
         an.ech.rows,
@@ -361,19 +257,14 @@ def _h_grid_r2(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int
     )
     h: dict[tuple[int, ...], int] = {}
     proj = _Echelon()
-    pivot_count = [0] * (an.bounds[1] + 1)
+    pivot_count = [0] * box[1]
     active = 0
     idx = 0
     for l1 in range(box[0], -1, -1):
         while idx < len(rows) and (
             rows[idx][0] >= n1 or rows[idx][0] >= l1
         ):
-            block = rows[idx][2][off2:top2]
-            if _np is not None and isinstance(block, _np.ndarray):
-                block = block.copy()
-            else:
-                block = list(block)
-            triple = proj.add(block)
+            triple = proj.add(rows[idx][2][off2 : off2 + box[1]])
             if triple is not None:
                 pivot_count[triple[0]] += 1
             active += 1
@@ -382,7 +273,7 @@ def _h_grid_r2(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int
         for l2 in range(box[1] + 1):
             # F = active - pivots below l2; h = dim - F
             h[(l1, l2)] = dim - (active - prefix)
-            if l2 <= an.bounds[1] - 1:
+            if l2 < box[1]:
                 prefix += pivot_count[l2]
     return h
 
@@ -394,22 +285,13 @@ def _h_grid_general(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...]
     that branch's order, and for each threshold recurse on the suffix of
     still-active rows over the remaining branches.
     """
-    dim = len(an.ech)
     r = len(an.bounds)
 
     def rec(vectors, layout: list[tuple[int, int, int]], axis: int):
         # layout: (branch, offset, width) segments of the current vectors
         br, off, width = next(s for s in layout if s[0] == axis)
         if axis == r - 1:
-            projections = []
-            for v in vectors:
-                block = v[off : off + width]
-                if _np is not None and isinstance(block, _np.ndarray):
-                    block = block.copy()
-                else:
-                    block = list(block)
-                projections.append(block)
-            ech = _echelon_of(projections)
+            ech = _echelon_of(v[off : off + width] for v in vectors)
             leads = ech.leads()
             zero_rows = len(vectors) - len(ech.rows)
             out = {}
@@ -428,7 +310,7 @@ def _h_grid_general(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...]
             perm.extend(range(o2, o2 + w2))
             new_layout.append((b2, pos, w2))
             pos += w2
-        ech = _echelon_of(_vec_permute(v, perm) for v in vectors)
+        ech = _echelon_of([v[i] for i in perm] for v in vectors)
         items = sorted(
             ((lead if lead < width else width + box[axis] + 1, v) for lead, _, v in ech.rows),
             key=lambda t: t[0],
@@ -449,9 +331,13 @@ def _h_grid_general(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...]
                 out[(l,) + rest] = f
         return out
 
-    layout = [(j, an.offs[j], an.bounds[j]) for j in range(r)]
-    fvals = rec([v for _, _, v in an.ech.rows], layout, 0)
-    return {l: dim - f for l, f in fvals.items()}
+    # h(l) is the rank of the span's projection onto the columns below l, so
+    # the sweep runs on the projection onto the columns below the box
+    cols = [i for off, b in zip(an.offs, box) for i in range(off, off + b)]
+    proj = _echelon_of([v[i] for i in cols] for _, _, v in an.ech.rows)
+    layout = [(j, sum(box[:j]), box[j]) for j in range(r)]
+    fvals = rec([v for _, _, v in proj.rows], layout, 0)
+    return {l: len(proj) - f for l, f in fvals.items()}
 
 
 def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -587,10 +473,6 @@ def weight_grid_extend(W: WeightGrid) -> WeightGrid:
 # ---------------------------------------------------------------------------
 
 
-def _double(bounds: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(2 * n for n in bounds)
-
-
 def _grid_from_analysis(
     an: _Analysis, conductor: tuple[int, ...], r: int
 ) -> WeightGrid:
@@ -615,6 +497,12 @@ def _normalize_bound(degree_bound, r: int) -> tuple[int, ...]:
     return bs
 
 
+# Windows grow by at least half each round, so the last window tried is at
+# least 8 * 1.5**12 ≈ 1000 orders per branch.  A germ that never certifies
+# (two equal branches, say) fails after about 1.5 s on a 2-core VM.
+_MAX_ROUNDS = 13
+
+
 def hilbert_from_parametrization(
     P: BranchParametrization,
     degree_bound: object = "auto",
@@ -622,67 +510,91 @@ def hilbert_from_parametrization(
 ) -> WeightGrid:
     """Exact Hilbert grid of a parametrized germ, with certified conductor.
 
-    With ``degree_bound="auto"`` the truncation window starts at four times
-    the total coordinate order of each branch and doubles until two
-    consecutive windows agree on both the detected conductor and every h
-    value on the box; a window cap turns persistent disagreement into
-    ``ValidationError("truncation not stabilized")``.  An explicit bound
-    (int, or one int per branch) is used as-is with no doubling.  Passing
-    ``conductor`` skips detection but every certificate that does not need
-    a second window is still checked.
+    Write O for the local ring of the germ, Ō = ⊕ C{t_j} for its
+    normalization, m for the maximal ideal of O, m_j for the multiplicity
+    of branch j, and n = (n_j) for the truncation window.  The span computed
+    here is the image V of O in Ō/t^n Ō.  An order k < n_j is *window-pure*
+    on branch j when some element of V vanishes on every other branch and
+    has order k on branch j.  The certificate for c is: on every branch,
+    c_j + max(m_j, 2) <= n_j and the orders c_j .. c_j+m_j-1 are
+    window-pure.  It is exact, by these four steps.
+
+    1. Window-pure orders include every truly pure order below the window:
+       an element of O that vanishes on the other branches truncates to
+       one of V.
+    2. The certificate gives t^c Ō ⊆ O.  Each window-pure order k in the
+       run comes from an element of O that has order k on branch j and
+       order >= n_i >= c_i + m_i on every other branch i.  Those elements
+       span t^c Ō modulo t^{c+m} Ō, so t^c Ō ⊆ O + t^{c+m} Ō.  As m Ō is
+       ⊕ t_j^{m_j} C{t_j}, t^{c+m} Ō = m·t^c Ō, and Nakayama's lemma on
+       the finite O-module (t^c Ō + O)/O gives t^c Ō ⊆ O.
+    3. Once t^c Ō ⊆ O and n >= c, window-pure and truly pure orders
+       agree: the tail of a window-pure element on the other branches lies
+       in t^c Ō ⊆ O and can be subtracted.  So if c_j - 1 is not
+       window-pure, it is a true gap, and c is the conductor: not larger,
+       since c_j - 1 is not pure, and not smaller, since t^c Ō ⊆ O.
+    4. Then O ∩ t^n Ō = t^n Ō, so V = O/t^n Ō, and h on the box up to
+       c + 1 is exact since n >= c + 2.
+
+    With ``degree_bound="auto"`` one window is analysed at a time.  The
+    first is max(8, 2 m_j + 4) per branch; its candidate c_j is one past the
+    last order that is not window-pure, so the run after it is window-pure
+    by construction and the certificate only needs room.  The first window
+    that certifies its candidate on every branch gives the grid.  Otherwise
+    each window grows to max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); after a
+    fixed number of rounds the result is
+    ``ValidationError("truncation not stabilized")``.  A window past the
+    true conductor by max(m_j, 2) always certifies, by step 1.
+
+    An explicit bound (int, or one int per branch) is analysed as-is.
+    Passing ``conductor`` analyses the window c_j + max(m_j, 2) (or the
+    explicit bound), requires the certificate on every branch and rejects
+    the hint when some c_j - 1 is window-pure; by steps 2 and 3 a hint is
+    accepted exactly when it is the conductor.
     """
     r = P.r
     mults = tuple(P.branch_multiplicity(j) for j in range(r))
     coords = _integer_coordinates(P)
-    base = tuple(
-        max(8, 4 * sum(s[0][1] for s in P.branches[j] if s), 2 * mults[j] + 4)
-        for j in range(r)
-    )
 
     if conductor is not None:
         cand = tuple(int(c) for c in conductor)
         if len(cand) != r or any(c < 0 for c in cand):
             raise InputError("conductor needs one nonnegative entry per branch")
         if degree_bound == "auto":
-            bounds = tuple(
-                max(b, 2 * (c + 2)) for b, c in zip(base, cand)
-            )
+            bounds = tuple(c + max(m, 2) for c, m in zip(cand, mults))
         else:
             bounds = _normalize_bound(degree_bound, r)
-        an = _analyze(coords, r, mults, bounds)
+        an = _analyze(coords, r, bounds)
         for j in range(r):
-            c = cand[j]
-            if c + mults[j] > bounds[j] or c + 2 > bounds[j]:
+            if cand[j] + max(mults[j], 2) > bounds[j]:
                 raise ValidationError("truncation not stabilized")
-            if any(c + t not in an.pure[j] for t in range(mults[j])):
+            if not _certifies(an.pure[j], cand[j], mults[j], bounds[j]):
                 raise ValidationError(
                     "conductor not confirmed within the truncation window"
                     " on branch %d" % j
                 )
-            if c > 0 and (c - 1) in an.pure[j]:
+        for j in range(r):
+            if cand[j] > 0 and (cand[j] - 1) in an.pure[j]:
                 raise ValidationError(
                     "conductor not minimal on branch %d" % j
                 )
         return _grid_from_analysis(an, cand, r)
 
-    if degree_bound != "auto":
+    if degree_bound == "auto":
+        bounds = tuple(max(8, 2 * m + 4) for m in mults)
+        rounds = _MAX_ROUNDS
+    else:
         bounds = _normalize_bound(degree_bound, r)
-        an = _analyze(coords, r, mults, bounds)
-        if an.candidates is None:
-            raise ValidationError("truncation not stabilized")
-        return _grid_from_analysis(an, an.candidates, r)
-
-    bounds = base
-    prev = _analyze(coords, r, mults, bounds)
-    for _ in range(6):
-        nxt_bounds = _double(bounds)
-        nxt = _analyze(coords, r, mults, nxt_bounds)
-        if prev.candidates is not None and prev.candidates == nxt.candidates:
-            grid_prev = _grid_from_analysis(prev, prev.candidates, r)
-            grid_next = _grid_from_analysis(nxt, nxt.candidates, r)
-            if grid_prev.h == grid_next.h:
-                return grid_next
-        prev, bounds = nxt, nxt_bounds
+        rounds = 1
+    for _ in range(rounds):
+        an = _analyze(coords, r, bounds)
+        cand = tuple(_candidate_conductor(p, n) for p, n in zip(an.pure, bounds))
+        if all(map(_certifies, an.pure, cand, mults, bounds)):
+            return _grid_from_analysis(an, cand, r)
+        bounds = tuple(
+            max(c + max(m, 2) + 1, -(-3 * n // 2))
+            for c, m, n in zip(cand, mults, bounds)
+        )
     raise ValidationError("truncation not stabilized")
 
 

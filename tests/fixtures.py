@@ -6,7 +6,9 @@ counting) before the library existed; tests compare against them verbatim.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import gcd
 
 from latcoh import BranchParametrization, GradedRoot, make_parametrization
 
@@ -88,6 +90,42 @@ def curve(branch_terms) -> BranchParametrization:
 def monomial_branch(gens) -> BranchParametrization:
     """The single branch (t^g1, t^g2, ...)."""
     return curve([[[(1, g)] for g in gens]])
+
+
+# ---------------------------------------------------------------------------
+# Seeded random space curves in three coordinates for window-independence
+# checks.  Each branch has its lowest order (2 or 3) on its own coordinate,
+# so the branches have distinct tangents and the curve is reduced; the
+# exponents of a branch have gcd 1, so each branch is primitive.  Leading
+# orders are at most 7, a third of the coordinates carry a second term one
+# or two orders higher, and coefficients are drawn from -9..9 without 0.
+# Every fourth curve has three branches.
+
+def random_space_curves(seed, count: int) -> list:
+    """``count`` reduced curves as term lists for :func:`curve`."""
+    rng = random.Random(seed)
+    coeffs = [c for c in range(-9, 10) if c]
+    curves = []
+    for k in range(count):
+        r = 3 if k % 4 == 3 else 2
+        branches = []
+        for axis in rng.sample(range(3), r):
+            while True:
+                m = rng.choice((2, 3))
+                orders = rng.sample(range(m + 1, 8), 2)
+                orders.insert(axis, m)
+                exps = [
+                    [e] + ([e + rng.randint(1, 2)] if rng.random() < 0.3 else [])
+                    for e in orders
+                ]
+                if gcd(*(e for coord in exps for e in coord)) == 1:
+                    break
+            branches.append([[(rng.choice(coeffs), e) for e in coord] for coord in exps])
+        curves.append(branches)
+    return curves
+
+
+ORACLE_SEED = "hilbert-oracle"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Acceptance gate: eleven end-to-end criteria with wall-clock budgets, plus
 a timed round trip at conductor 40400 that holds the one-branch pipeline to
-near-linear time.
+near-linear time, and timed Hilbert grids for twenty random space curves
+that hold the truncation window to the certified one.
 
 Each test prints one pass/fail line under `pytest -v`.  Expected values are
 the frozen hand-checked references from fixtures.py; time budgets are the
@@ -39,6 +40,7 @@ from latcoh.formats import weights_tsv
 from fixtures import (
     CURVE_FIVE_COORD,
     CURVE_SIX_COORD,
+    ORACLE_SEED,
     PAIR_FAMILY_DELTA,
     SPRIME_CONDUCTOR,
     SPRIME_MEMBERS,
@@ -47,6 +49,7 @@ from fixtures import (
     curve,
     monomial_branch,
     pair_family,
+    random_space_curves,
 )
 
 
@@ -258,4 +261,15 @@ def test_large_branch_round_trip_within_budget():
     assert S.conductor == 40400
     M = module_from_root(root_from_weight(weight_sequence(S)))
     assert reconstruct_semigroup(M).min_gens == (201, 203)
+    done()
+
+
+def test_random_space_curve_grids_within_budget():
+    # on a shared 2-core VM: 90 s when a grid needed two agreeing doubled
+    # windows, about 0.1 s with the certified window
+    curves = [curve(branches) for branches in random_space_curves(ORACLE_SEED, 20)]
+    done = _timed(1.5)
+    for P in curves:
+        W = hilbert_from_parametrization(P)
+        assert len(W.conductor) == P.r and W.is_extended
     done()

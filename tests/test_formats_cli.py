@@ -389,6 +389,24 @@ def test_cli_root_iso(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_root_iso_rejects_a_vertex_with_two_parents(tmp_path, capsys):
+    # malformed input (exit 2), not a property violation (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        formats.to_json(
+            {
+                "vertices": [{"id": 0, "chi": 0}, {"id": 1, "chi": 1}, {"id": 2, "chi": 1}, {"id": 3, "chi": 2}],
+                "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+                "truncation_level": 2,
+            }
+        )
+    )
+    code, stdout, stderr = run_cli(["root-iso", str(bad), str(bad)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "two upward neighbors" in stderr
+
+
 def test_cli_root_iso_on_a_deep_root(tmp_path, capsys):
     # 961 levels: deeper than the interpreter's recursion limit
     R = root_from_weight(weight_sequence(from_generators([61, 67])))

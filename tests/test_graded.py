@@ -192,6 +192,9 @@ def test_validate_rejects_broken_trees():
     with pytest.raises(InputError):
         # two vertices on the top level
         GradedRoot(((0, 0), (1, 0)), (), 0).validate()
+    with pytest.raises(InputError):
+        # vertex 0 has two upward neighbors
+        GradedRoot(((0, 0), (1, 1), (2, 1), (3, 2)), ((0, 1), (0, 2), (1, 3), (2, 3)), 2).validate()
 
 
 def test_sweep_small():

@@ -28,6 +28,7 @@ from latcoh import (
 from fixtures import (
     CURVE_FIVE_COORD,
     CURVE_SIX_COORD,
+    ORACLE_SEED,
     PAIR_FAMILY_CONDUCTORS,
     PAIR_FAMILY_DELTA,
     SUBLEVEL_SHAPE_FIVE_COORD,
@@ -37,6 +38,7 @@ from fixtures import (
     curve,
     monomial_branch,
     pair_family,
+    random_space_curves,
 )
 from oracles import naive_betti, naive_grid_root, naive_hilbert_grid
 
@@ -200,12 +202,50 @@ def test_doubling_the_window_changes_nothing():
     assert W2.h == W4.h == W.h
 
 
+def oracle_batch():
+    """The seeded random curves with their auto grids and multiplicities."""
+    batch = []
+    for branches in random_space_curves(ORACLE_SEED, 20):
+        P = curve(branches)
+        mults = [P.branch_multiplicity(j) for j in range(P.r)]
+        batch.append((branches, P, mults, hilbert_from_parametrization(P)))
+    return batch
+
+
+def test_certified_window_agrees_with_larger_windows():
+    batch = oracle_batch()
+    assert sorted(P.r for _, P, _, _ in batch) == [2] * 15 + [3] * 5
+    for _, P, mults, W in batch:
+        bound = tuple(2 * (c + max(mults) + 2) for c in W.conductor)
+        for bigger in (bound, tuple(2 * b for b in bound)):
+            Wb = hilbert_from_parametrization(P, degree_bound=bigger)
+            assert Wb.conductor == W.conductor, bigger
+            assert Wb.h == W.h, bigger
+    # the smallest boxes also against the dense rational oracle
+    smallest = sorted(batch, key=lambda item: len(item[3].h))[:3]
+    for branches, _, mults, W in smallest:
+        frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+        bounds = [2 * (c + max(mults) + 2) for c in W.conductor]
+        assert naive_hilbert_grid(frac, bounds, W.box) == W.h, W.conductor
+
+
 def test_conductor_hint_agrees_with_auto():
     P = curve(CURVE_SIX_COORD)
     auto = hilbert_from_parametrization(P)
     hinted = hilbert_from_parametrization(P, conductor=(4, 4))
     assert hinted.conductor == auto.conductor
     assert hinted.h == auto.h
+    # the hint window is c + max(m, 2) on every branch: nothing to spare
+    for _, P, mults, W in oracle_batch():
+        tight = tuple(c + max(m, 2) for c, m in zip(W.conductor, mults))
+        for bound in ("auto", tight):
+            hinted = hilbert_from_parametrization(P, bound, conductor=W.conductor)
+            assert hinted.conductor == W.conductor
+            assert hinted.h == W.h
+        for j in range(P.r):
+            short = tight[:j] + (tight[j] - 1,) + tight[j + 1 :]
+            with pytest.raises(ValidationError, match="not stabilized"):
+                hilbert_from_parametrization(P, short, conductor=W.conductor)
 
 
 def test_wrong_conductor_hints_are_rejected():
@@ -214,6 +254,17 @@ def test_wrong_conductor_hints_are_rejected():
         hilbert_from_parametrization(P, conductor=(5, 5))  # not minimal
     with pytest.raises(ValidationError):
         hilbert_from_parametrization(P, conductor=(3, 3))  # not confirmed
+    # one branch off by one either way, each in its own tight window
+    for _, P, _, W in oracle_batch():
+        c = W.conductor
+        for j in range(P.r):
+            above = c[:j] + (c[j] + 1,) + c[j + 1 :]
+            with pytest.raises(ValidationError, match="not minimal"):
+                hilbert_from_parametrization(P, conductor=above)
+            if c[j] > 0:
+                below = c[:j] + (c[j] - 1,) + c[j + 1 :]
+                with pytest.raises(ValidationError, match="not confirmed"):
+                    hilbert_from_parametrization(P, conductor=below)
 
 
 def test_too_small_explicit_window_is_detected():
