@@ -6,13 +6,16 @@ n.  Integral cohomology of a single level comes from Smith normal form of
 the coboundary matrices; the whole graded package (all levels at once, with
 the connecting-map ranks) comes from a persistence-style matrix reduction
 of the weight filtration, cross-checked on degree zero against the graded
-root route.
+root route and on every level against the Euler characteristic of the
+cubes.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..errors import InputError, ValidationError
 from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
@@ -30,13 +33,6 @@ class Cube:
     @property
     def dim(self) -> int:
         return len(self.axes)
-
-    def vertices(self):
-        for eps in itertools.product((0, 1), repeat=len(self.axes)):
-            v = list(self.base)
-            for e, a in zip(eps, self.axes):
-                v[a] += e
-            yield tuple(v)
 
     def faces(self):
         """Boundary faces with orientation signs: sum of sign*(upper - lower)."""
@@ -75,30 +71,97 @@ class CubicalComplex:
         return sum(len(qs) for qs in self.cubes.values())
 
 
-def _cube_weight(w0: dict[tuple[int, ...], int], cube: Cube) -> int:
-    return max(w0[v] for v in cube.vertices())
+class _Filtration:
+    """Every cube of a collared box, as integer ids sorted for persistence.
 
+    A cube is ``p << r | mask``: p is the lexicographic index of its base
+    point and bit a of mask says it spans axis a.  Its two faces along axis a
+    sit at the offsets ``-(1 << a)`` (lower) and ``-(1 << a) + (stride_a << r)``
+    (upper), so boundaries need no lookups.  A cube weighs the max of its
+    vertex weights, computed in one pass over the masks in increasing order as
+    the max over its two faces along its last axis.  ``ids`` lists the cubes
+    sorted by (weight, dim, base, axes), so the level-n sublevel complex is
+    the prefix of the cubes of weight <= n.
+    """
 
-def _all_box_cubes(box: tuple[int, ...]):
-    r = len(box)
-    axes_all = range(r)
-    for base in itertools.product(*(range(b + 1) for b in box)):
-        free = [a for a in axes_all if base[a] + 1 <= box[a]]
-        for size in range(len(free) + 1):
-            for axes in itertools.combinations(free, size):
-                yield Cube(base, axes)
+    def __init__(self, grid: WeightGrid) -> None:
+        r, box = grid.r, grid.box
+        points = list(itertools.product(*(range(b + 1) for b in box)))
+        npts, R = len(points), 1 << r
+        strides = [1] * r
+        for a in range(r - 2, -1, -1):
+            strides[a] = strides[a + 1] * (box[a + 1] + 1)
+        wt = [0] * (npts << r)
+        wt[::R] = [grid.w0[x] for x in points]
+        for mask in range(1, R):
+            a = mask.bit_length() - 1
+            lower = mask ^ (1 << a)
+            # ids of cells that leave the box get junk here; none is listed below
+            wt[mask : (npts - strides[a]) << r : R] = map(
+                max, wt[lower::R], wt[lower + (strides[a] << r) :: R]
+            )
+        self.axes = [tuple(a for a in range(r) if m >> a & 1) for m in range(R)]
+        by_dim = [
+            sorted((m for m in range(R) if m.bit_count() == q), key=self.axes.__getitem__)
+            for q in range(r + 1)
+        ]
+        blocked = [sum(1 << a for a in range(r) if x[a] == box[a]) for x in points]
+        ids = [
+            p << r | m
+            for masks in by_dim
+            for p in range(npts)
+            for m in masks
+            if not m & blocked[p]
+        ]
+        # (dim, base, axes) order, kept by the stable sort on weight
+        self.canon = [0] * (npts << r)
+        for i, c in enumerate(ids):
+            self.canon[c] = i
+        ids.sort(key=wt.__getitem__)
+        self.r = r
+        self.points = points
+        self.ids = ids
+        self.weights = [wt[c] for c in ids]
+        self.dims = [len(self.axes[c & (R - 1)]) for c in ids]
+        self.pos = [0] * (npts << r)
+        for j, c in enumerate(ids):
+            self.pos[c] = j
+        self.face_offsets = [
+            [
+                (off, s)
+                for k, a in enumerate(self.axes[m])
+                for off, s in (
+                    (-(1 << a) + (strides[a] << r), -1 if k % 2 else 1),
+                    (-(1 << a), 1 if k % 2 else -1),
+                )
+            ]
+            for m in range(R)
+        ]
+
+    def columns(self, q: int):
+        """Position and faces' (position, sign) of each q-cube, in order."""
+        pos, offsets, mask = self.pos, self.face_offsets, (1 << self.r) - 1
+        for j, c in enumerate(self.ids):
+            if self.dims[j] == q:
+                yield j, [(pos[c + off], s) for off, s in offsets[c & mask]]
+
+    def end(self, n: int) -> int:
+        """Number of cubes of weight <= n: the level-n prefix."""
+        return bisect_right(self.weights, n)
+
+    def complex(self, n: int) -> CubicalComplex:
+        """The level-n sublevel complex, as Cubes sorted within each degree."""
+        r = self.r
+        cubes: dict[int, list[Cube]] = {}
+        for c in sorted(self.ids[: self.end(n)], key=self.canon.__getitem__):
+            axes = self.axes[c & ((1 << r) - 1)]
+            cubes.setdefault(len(axes), []).append(Cube(self.points[c >> r], axes))
+        return CubicalComplex(r, n, {q: tuple(qs) for q, qs in cubes.items()})
 
 
 def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
     """All cubes of the (collared) box whose maximal vertex weight is <= n."""
-    grid = weight_grid_extend(W)
-    cubes: dict[int, list[Cube]] = {}
-    for cube in _all_box_cubes(grid.box):
-        if _cube_weight(grid.w0, cube) <= n:
-            cubes.setdefault(cube.dim, []).append(cube)
-    return CubicalComplex(
-        grid.r, n, {q: tuple(sorted(qs)) for q, qs in cubes.items()}
-    )
+    return _Filtration(weight_grid_extend(W)).complex(n)
 
 
 # ---------------------------------------------------------------------------
@@ -111,44 +174,46 @@ def _smith_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[int, list
 
     Greedy elimination on unit pivots (which is complete for cubical
     incidence matrices most of the time), then a classic Smith reduction on
-    whatever small block is left.
+    whatever small block is left.  Each round sweeps the rows once and
+    eliminates every unit it meets; an index from each column to the rows
+    holding it confines an elimination to the rows it changes.
     """
     rows = [dict(r) for r in rows if r]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
     rank = 0
-    # greedy unit pivots
     progress = True
     while progress:
         progress = False
-        pick = None
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                if v in (1, -1):
-                    pick = (i, c, v)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        i, c, v = pick
-        pivot_row = rows.pop(i)
-        rank += 1
-        progress = True
-        for row in rows:
-            x = row.get(c)
-            if x:
-                f = x // v  # exact since v = ±1
+        for i, pivot_row in enumerate(rows):
+            c = next((c for c, v in pivot_row.items() if v == 1 or v == -1), None)
+            if c is None:
+                continue
+            rank += 1
+            progress = True
+            rows[i] = {}
+            for cc in pivot_row:
+                holders[cc].discard(i)
+            v = pivot_row[c]
+            for k in holders[c].copy():
+                row = rows[k]
+                f = row[c] * v  # the quotient row[c] / v, exact since v = +-1
                 for cc, vv in pivot_row.items():
                     nv = row.get(cc, 0) - f * vv
                     if nv:
+                        if cc not in row:
+                            holders[cc].add(k)
                         row[cc] = nv
                     else:
-                        row.pop(cc, None)
-        rows = [r for r in rows if r]
+                        del row[cc]
+                        holders[cc].discard(k)
+    rows = [r for r in rows if r]
     if not rows:
         return rank, []
     # dense Smith reduction of the leftover block
     cols = sorted({c for r in rows for c in r})
-    cmap = {c: i for i, c in enumerate(cols)}
     M = [[r.get(c, 0) for c in cols] for r in rows]
     m, n = len(M), len(cols)
     factors: list[int] = []
@@ -195,9 +260,7 @@ def _smith_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[int, list
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
             if b % a:
-                from math import gcd as _gcd
-
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
         factors.sort()
@@ -265,69 +328,62 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _filtration(grid: WeightGrid) -> tuple[list[Cube], list[int]]:
-    cubes = list(_all_box_cubes(grid.box))
-    weights = [_cube_weight(grid.w0, c) for c in cubes]
-    order = sorted(range(len(cubes)), key=lambda i: (weights[i], cubes[i].dim, cubes[i]))
-    return [cubes[i] for i in order], [weights[i] for i in order]
+def _persistence_pairs_f2(filt: _Filtration):
+    """Persistence pairing over the two-element field, columns as sets.
 
-
-def _persistence_pairs_f2(cubes: list[Cube], cidx: dict[Cube, int]):
-    """Persistence pairing over the two-element field, columns as bitmasks."""
-    low_owner: dict[int, int] = {}
+    Columns are reduced top dimension first; a column whose cube is already
+    the pivot of a higher column would reduce to zero, so it is skipped
+    (clearing, Chen-Kerber 2011).  The pairs are those of the plain reduction.
+    """
+    owner: dict[int, set[int]] = {}
     pairs: list[tuple[int, int]] = []
-    zeroed: list[bool] = [False] * len(cubes)
-    for j, cube in enumerate(cubes):
-        col = 0
-        for f, _ in cube.faces():
-            col ^= 1 << cidx[f]
-        while col:
-            low = col.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            col ^= owner
-        if col:
-            low_owner[col.bit_length() - 1] = col
-            pairs.append((col.bit_length() - 1, j))
-        else:
-            zeroed[j] = True
-    paired_as_birth = {i for i, _ in pairs}
-    infinite = [j for j in range(len(cubes)) if zeroed[j] and j not in paired_as_birth]
-    return pairs, infinite
+    for q in range(filt.r, 0, -1):
+        for j, faces in filt.columns(q):
+            if j in owner:
+                continue
+            col = {i for i, _ in faces}
+            while col:
+                low = max(col)
+                prev = owner.get(low)
+                if prev is None:
+                    owner[low] = col
+                    pairs.append((low, j))
+                    break
+                col ^= prev
+    return pairs, _unpaired(len(filt.ids), pairs)
 
 
-def _persistence_pairs_q(cubes: list[Cube], cidx: dict[Cube, int]):
-    """Persistence pairing over the rationals, sparse columns."""
-    low_owner: dict[int, dict[int, Fraction]] = {}
+def _persistence_pairs_q(filt: _Filtration):
+    """Persistence pairing over the rationals, sparse columns, with clearing."""
+    owner: dict[int, dict[int, Fraction]] = {}
     pairs: list[tuple[int, int]] = []
-    zeroed = [False] * len(cubes)
-    for j, cube in enumerate(cubes):
-        col: dict[int, Fraction] = {}
-        for f, sign in cube.faces():
-            i = cidx[f]
-            col[i] = col.get(i, Fraction(0)) + sign
-        col = {i: v for i, v in col.items() if v}
-        while col:
-            low = max(col)
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            factor = col[low] / owner[low]
-            for i, v in owner.items():
-                nv = col.get(i, Fraction(0)) - factor * v
-                if nv:
-                    col[i] = nv
-                else:
-                    col.pop(i, None)
-        if col:
-            low_owner[max(col)] = col
-            pairs.append((max(col), j))
-        else:
-            zeroed[j] = True
-    paired_as_birth = {i for i, _ in pairs}
-    infinite = [j for j in range(len(cubes)) if zeroed[j] and j not in paired_as_birth]
-    return pairs, infinite
+    for q in range(filt.r, 0, -1):
+        for j, faces in filt.columns(q):
+            if j in owner:
+                continue
+            col = {i: Fraction(s) for i, s in faces}
+            while col:
+                low = max(col)
+                prev = owner.get(low)
+                if prev is None:
+                    owner[low] = col
+                    pairs.append((low, j))
+                    break
+                factor = col[low] / prev[low]
+                for i, v in prev.items():
+                    nv = col.get(i, 0) - factor * v
+                    if nv:
+                        col[i] = nv
+                    else:
+                        col.pop(i, None)
+    return pairs, _unpaired(len(filt.ids), pairs)
+
+
+def _unpaired(count: int, pairs: list[tuple[int, int]]) -> list[int]:
+    paired = [False] * count
+    for i, j in pairs:
+        paired[i] = paired[j] = True
+    return [j for j in range(count) if not paired[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +412,7 @@ class LatticeCohomology:
     module: TowerModule
     per_q: tuple[QCohomology, ...]
     torsion: dict[tuple[int, int], tuple[int, ...]]
+    snf_levels: tuple[int, ...] = ()  # levels checked by Smith normal form
 
     def rank(self, q: int, n: int) -> int:
         if 0 <= q < len(self.per_q):
@@ -366,6 +423,26 @@ class LatticeCohomology:
 _VERIFY_CUBE_LIMIT = 2600
 
 
+def _check_level_euler(filt: _Filtration, per_q: list[QCohomology], bottom: int, top: int) -> None:
+    """Euler characteristic of every level from its cube counts and its ranks.
+
+    At each level n the alternating count of the cubes of weight <= n (a
+    prefix of the sorted filtration) must equal the alternating sum of the
+    ranks; the counts share nothing with the reduction that gave the ranks.
+    """
+    chi, done = 0, 0
+    for n in range(bottom, top + 1):
+        end = filt.end(n)
+        chi += sum(-1 if q & 1 else 1 for q in filt.dims[done:end])
+        done = end
+        from_ranks = sum(-qc.ranks[n] if qc.q & 1 else qc.ranks[n] for qc in per_q)
+        if chi != from_ranks:
+            raise ValidationError(
+                "cohomology routes disagree: Euler characteristic at level %d is"
+                " %d from the cubes, %d from the ranks" % (n, chi, from_ranks)
+            )
+
+
 def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     """Cohomology of every sublevel complex, graded by level, per degree.
 
@@ -374,25 +451,27 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     through connected components and the graded root, and the two routes
     must agree.  On small grids (and always for three or more branches) the
     ranks are additionally verified level by level against integral Smith
-    normal form cohomology, which also reports any torsion.
+    normal form cohomology, which also reports any torsion; those levels are
+    recorded in ``snf_levels``.  On every grid the Euler characteristic of
+    each level is checked against its cube counts.
     """
     grid = weight_grid_extend(W)
-    cubes, weights = _filtration(grid)
-    cidx = {c: i for i, c in enumerate(cubes)}
+    filt = _Filtration(grid)
+    weights, dims = filt.weights, filt.dims
     if grid.r <= 2:
-        pairs, infinite = _persistence_pairs_f2(cubes, cidx)
+        pairs, infinite = _persistence_pairs_f2(filt)
     else:
-        pairs, infinite = _persistence_pairs_q(cubes, cidx)
+        pairs, infinite = _persistence_pairs_q(filt)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
     for i, j in pairs:
         birth, death = weights[i], weights[j]
         if death > birth:
-            towers.setdefault(cubes[i].dim, []).append((birth, death - 1))
+            towers.setdefault(dims[i], []).append((birth, death - 1))
     inf_by_q: dict[int, list[int]] = {}
     for j in infinite:
-        inf_by_q.setdefault(cubes[j].dim, []).append(weights[j])
+        inf_by_q.setdefault(dims[j], []).append(weights[j])
     if sorted(inf_by_q.keys()) != [0] or len(inf_by_q[0]) != 1:
         raise ValidationError(
             "cohomology routes disagree: box complex must have exactly one"
@@ -426,12 +505,14 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
             ranks[n] = alive
             u_ranks[n] = holding
         per_q.append(QCohomology(q, tq, ranks, u_ranks, "exact"))
+    _check_level_euler(filt, per_q, bottom, top_report)
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
-    if grid.r >= 3 or len(cubes) <= _VERIFY_CUBE_LIMIT:
-        for n in range(bottom, top_report + 1):
-            K = sublevel_complex(grid, n)
-            hq = cohomology(K)
+    snf_levels: tuple[int, ...] = ()
+    if grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT:
+        snf_levels = tuple(range(bottom, top_report + 1))
+        for n in snf_levels:
+            hq = cohomology(filt.complex(n))
             for q in range(grid.r):
                 free, invs = hq.get(q, (0, ()))
                 if free != per_q[q].ranks[n]:
@@ -448,7 +529,9 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
                         " degree %d" % q
                     )
 
-    return LatticeCohomology(grid.r, bottom, root, module, tuple(per_q), torsion)
+    return LatticeCohomology(
+        grid.r, bottom, root, module, tuple(per_q), torsion, snf_levels
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def make_parametrization(branches: object) -> BranchParametrization:
     pairs.  Constant terms are allowed in the input but every branch must
     share the same constant in each coordinate (the branches must pass
     through one common point); the common point is translated to the origin.
+
+    Two branches that are equal, or equal after t -> -t, describe one branch
+    twice: the germ is not reduced, so it has no conductor, and they raise
+    ``InputError``.  Other reparametrizations of a repeated branch (t -> 2t,
+    t -> t + t^2, ...) are not detected here; the Hilbert grid of such a germ
+    never stabilizes, and ``hilbert_from_parametrization`` raises
+    ``ValidationError("truncation not stabilized")``.
     """
     try:
         branch_list = list(branches)  # type: ignore[arg-type]
@@ -137,5 +144,11 @@ def make_parametrization(branches: object) -> BranchParametrization:
             raise InputError(
                 "zero branch: branch %d has no coordinate of positive order" % j
             )
+        flipped = tuple(tuple((-c if e % 2 else c, e) for c, e in s) for s in branch)
+        for k, earlier in enumerate(shifted):
+            if earlier in (branch, flipped):
+                raise InputError(
+                    "branches %d and %d are the same branch (up to t -> -t)" % (k, j)
+                )
         shifted.append(branch)
     return BranchParametrization(tuple(shifted))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,44 @@ def frac_rank(rows):
     return rank
 
 
+def _det(rows):
+    """Determinant of a square Fraction matrix by elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return det
+
+
+def naive_invariant_factors(dense):
+    """Invariant factors of an integer matrix from its determinantal divisors.
+
+    d_k is the gcd of all k x k minors; the k-th factor is d_k / d_(k-1), for
+    every k up to the rank.  Exponential in the size; small matrices only.
+    """
+    m, n = len(dense), len(dense[0])
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                minor = _det([[Fraction(dense[i][j]) for j in cs] for i in rs])
+                d = gcd(d, int(minor))
+        if d == 0:
+            break
+        divisors.append(d)
+    return [divisors[k] // divisors[k - 1] for k in range(1, len(divisors))]
+
+
 # ---------------------------------------------------------------------------
 # Hilbert grids, the slow way: brute-force monomials, dense Fractions
 
@@ -267,6 +306,86 @@ def naive_hilbert_grid(branches, bounds, box):
 # ---------------------------------------------------------------------------
 # Cubical cohomology, the slow way: dense coboundaries over Q
 
+def _cube_faces(base, axes):
+    """Faces of the cube (base, axes) with incidence signs, from scratch."""
+    out = []
+    for pos, a in enumerate(axes):
+        rest = tuple(x for x in axes if x != a)
+        sign = -1 if pos % 2 else 1
+        upper = tuple(b + (1 if i == a else 0) for i, b in enumerate(base))
+        out.append(((upper, rest), sign))
+        out.append(((base, rest), -sign))
+    return out
+
+
+def naive_box_cubes(w0):
+    """Every cube (base, axes) of the box under w0, with its weight.
+
+    w0 maps each point of a box [0, b_1] x ... x [0, b_r] to its weight.  A
+    cube's weight is the max of w0 over its 2^dim vertices, each vertex
+    listed explicitly.  Returned sorted by (weight, dim, base, axes).
+    """
+    r = len(next(iter(w0)))
+    box = tuple(max(p[a] for p in w0) for a in range(r))
+    out = []
+    for base in sorted(w0):
+        free = [a for a in range(r) if base[a] < box[a]]
+        for size in range(len(free) + 1):
+            for axes in itertools.combinations(free, size):
+                verts = [
+                    tuple(b + (1 if a in step else 0) for a, b in enumerate(base))
+                    for k in range(size + 1)
+                    for step in itertools.combinations(axes, k)
+                ]
+                out.append(((base, axes), max(w0[v] for v in verts)))
+    out.sort(key=lambda cw: (cw[1], len(cw[0][1]), cw[0]))
+    return out
+
+
+def naive_sublevel_cubes(w0, n):
+    """The cubes of weight <= n, as dict q -> sorted list of (base, axes)."""
+    out = {}
+    for cube, weight in naive_box_cubes(w0):
+        if weight <= n:
+            out.setdefault(len(cube[1]), []).append(cube)
+    return {q: sorted(cs) for q, cs in out.items()}
+
+
+def naive_persistence_towers(w0):
+    """Finite towers per degree of the sublevel filtration of w0.
+
+    Columns are the boundaries of naive_box_cubes in filtration order,
+    reduced over Q left to right against every earlier column, with no
+    clearing and no shortcut.  A pair (i, j) with weight(j) > weight(i) is the
+    tower [weight(i), weight(j) - 1] in degree dim(i).  Returns (towers, the
+    (degree, weight) of each unpaired cube), towers as q -> sorted tuple.
+    """
+    cubes = naive_box_cubes(w0)
+    index = {cube: i for i, (cube, _w) in enumerate(cubes)}
+    owner, paired = {}, set()
+    towers = {}
+    for j, (cube, weight) in enumerate(cubes):
+        col = {}
+        for face, sign in _cube_faces(*cube):
+            col[index[face]] = col.get(index[face], 0) + Fraction(sign)
+        col = {i: v for i, v in col.items() if v}
+        while col and max(col) in owner:
+            prev = owner[max(col)]
+            factor = col[max(col)] / prev[max(prev)]
+            for i, v in prev.items():
+                col[i] = col.get(i, 0) - factor * v
+            col = {i: v for i, v in col.items() if v}
+        if col:
+            low = max(col)
+            owner[low] = col
+            paired.update((low, j))
+            birth = cubes[low][1]
+            if weight > birth:
+                towers.setdefault(len(cubes[low][0][1]), []).append((birth, weight - 1))
+    unpaired = [(len(c[1]), w) for j, (c, w) in enumerate(cubes) if j not in paired]
+    return {q: tuple(sorted(t)) for q, t in towers.items()}, unpaired
+
+
 def naive_betti(cubes_by_dim, max_q):
     """Rational Betti numbers of a cubical complex.
 
@@ -275,16 +394,6 @@ def naive_betti(cubes_by_dim, max_q):
     q-cube: all (q+1)-cubes having it as a face, with the incidence signs
     recomputed here from scratch.
     """
-    def faces(base, axes):
-        out = []
-        for pos, a in enumerate(axes):
-            rest = tuple(x for x in axes if x != a)
-            sign = -1 if pos % 2 else 1
-            upper = tuple(b + (1 if i == a else 0) for i, b in enumerate(base))
-            out.append(((upper, rest), sign))
-            out.append(((base, rest), -sign))
-        return out
-
     betti = {}
     ranks = {}
     for q in range(max_q + 1):
@@ -293,7 +402,7 @@ def naive_betti(cubes_by_dim, max_q):
         mat = []
         for big in cols:
             row = [Fraction(0)] * len(rows_idx)
-            for face, sign in faces(*big):
+            for face, sign in _cube_faces(*big):
                 row[rows_idx[face]] += sign
             mat.append(row)
         ranks[q] = frac_rank(mat) if mat and rows_idx else 0

@@ -1,7 +1,9 @@
 """Acceptance gate: eleven end-to-end criteria with wall-clock budgets, plus
 a timed round trip at conductor 40400 that holds the one-branch pipeline to
-near-linear time, and timed Hilbert grids for twenty random space curves
-that hold the truncation window to the certified one.
+near-linear time, timed Hilbert grids for twenty random space curves
+that hold the truncation window to the certified one, and a timed lattice
+cohomology of a 146k-cube grid that holds the cube filtration and its
+persistence reduction to near-linear time.
 
 Each test prints one pass/fail line under `pytest -v`.  Expected values are
 the frozen hand-checked references from fixtures.py; time budgets are the
@@ -272,4 +274,17 @@ def test_random_space_curve_grids_within_budget():
     for P in curves:
         W = hilbert_from_parametrization(P)
         assert len(W.conductor) == P.r and W.is_extended
+    done()
+
+
+def test_large_grid_cohomology_within_budget():
+    # pair_family(10), first member: 191 x 191 points, 146k cubes.  On a
+    # shared 2-core VM: 11.6 s with Cube objects and bitmask columns, about
+    # 0.8 s with integer cube ids and clearing
+    W = hilbert_from_parametrization(pair_family(10)[0])
+    done = _timed(4.0)
+    H = lattice_cohomology(W)
+    assert H.min_w0 == W.min_w0 and H.snf_levels == ()
+    lengths = [sum(t - m + 1 for m, t in qc.towers) for qc in H.per_q]
+    assert -H.min_w0 + lengths[0] - lengths[1] == W.delta
     done()

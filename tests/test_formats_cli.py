@@ -1,5 +1,6 @@
 """Serialization round trips, renderings, and command-line behavior."""
 import json
+import time
 
 import pytest
 
@@ -363,6 +364,19 @@ def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):
     code, _, stderr = run_cli(["curve", "--in", str(c), "--conductor", "2,2"], capsys)
     assert code == 2
     assert "--conductor" in stderr
+
+
+def test_cli_curve_rejects_a_repeated_branch(tmp_path, capsys):
+    # (t^2, t^3) twice is not a reduced germ: malformed input, exit 2 at once
+    # (it used to grow the window for about 2 s and exit 1)
+    c = tmp_path / "twice.json"
+    cusp = {"coords": [[{"c": 1, "e": 2}], [{"c": 1, "e": 3}]]}
+    c.write_text(json.dumps({"branches": [cusp, cusp]}))
+    start = time.monotonic()
+    code, stdout, stderr = run_cli(["curve", "--in", str(c)], capsys)
+    assert code == 2
+    assert "same branch" in stderr and not stdout
+    assert time.monotonic() - start < 0.5
 
 
 def test_cli_curve_bad_file(tmp_path, capsys):

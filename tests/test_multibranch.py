@@ -1,4 +1,5 @@
 """Hilbert grids, weight grids, sublevel complexes, and graded cohomology."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,16 @@ from fixtures import (
     pair_family,
     random_space_curves,
 )
-from oracles import naive_betti, naive_grid_root, naive_hilbert_grid
+from latcoh.multibranch import complexes
+from oracles import (
+    frac_rank,
+    naive_betti,
+    naive_grid_root,
+    naive_hilbert_grid,
+    naive_invariant_factors,
+    naive_persistence_towers,
+    naive_sublevel_cubes,
+)
 
 
 NODE = [
@@ -74,6 +84,18 @@ def test_make_parametrization_errors():
         curve([[[(0, 2)]]])
     with pytest.raises(InputError):  # booleans are not numbers here
         make_parametrization([[[(True, 2)]]])
+
+
+def test_repeated_branches_are_rejected():
+    cusp = [[(1, 2)], [(1, 3)]]
+    with pytest.raises(InputError, match="branches 0 and 1 are the same branch"):
+        curve([cusp, cusp])
+    # t -> -t flips the sign of every odd-order term
+    with pytest.raises(InputError, match="branches 1 and 2 are the same branch"):
+        curve([[[(1, 1)], []], [[(3, 2), (5, 4)], [(2, 3), (1, 6)]], [[(3, 2), (5, 4)], [(-2, 3), (1, 6)]]])
+    # an odd-order term that does not flip with the others: another branch
+    P = curve([[[(1, 2)], [(1, 3), (1, 5)]], [[(1, 2)], [(-1, 3), (1, 5)]]])
+    assert P.r == 2
 
 
 def test_common_constant_terms_are_stripped():
@@ -390,6 +412,15 @@ def test_sublevel_complexes_are_contractible_at_positive_levels():
             assert betti[0] == 1 and betti[1] == 0 and betti[2] == 0
 
 
+def test_sublevel_complex_matches_vertex_max_enumeration():
+    parametrizations = [curve(CURVE_FIVE_COORD), curve(NODE), pair_family(2)[1]]
+    parametrizations.append(curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(2, 1)]]]))
+    for P in parametrizations:
+        W = weight_grid_extend(hilbert_from_parametrization(P))
+        for n in range(W.min_w0 - 1, max(W.w0.values()) + 1):
+            assert collect_cubes(sublevel_complex(W, n)) == naive_sublevel_cubes(W.w0, n), (W.conductor, n)
+
+
 def test_empty_sublevel_below_minimum():
     W = hilbert_from_parametrization(curve(CURVE_FIVE_COORD))
     K = sublevel_complex(W, W.min_w0 - 1)
@@ -425,6 +456,75 @@ def test_cohomology_rank_bookkeeping():
     # the connecting map dies exactly where towers start
     assert q0.u_ranks[-4] == 1
     assert q0.u_ranks[0] == 1
+
+
+def test_persistence_towers_match_the_plain_reduction_oracle():
+    parametrizations = [P for n in (2, 3) for P in pair_family(n)]
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
+    for P in parametrizations:
+        W = weight_grid_extend(hilbert_from_parametrization(P))
+        towers, unpaired = naive_persistence_towers(W.w0)
+        H = lattice_cohomology(W)
+        assert unpaired == [(0, W.min_w0)], W.conductor
+        assert max(towers, default=0) < W.r
+        for qc in H.per_q:
+            assert qc.towers == towers.get(qc.q, ()), (W.conductor, qc.q)
+
+
+def test_snf_levels_are_recorded():
+    # small two-branch grids and every three-branch grid are checked by SNF
+    for P in (curve(CURVE_SIX_COORD), curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])):
+        H = lattice_cohomology(hilbert_from_parametrization(P))
+        assert H.snf_levels == tuple(range(H.min_w0, 2))
+    # 30 x 30 points, 3481 cubes: over the limit, so only the Euler check runs
+    W = hilbert_from_parametrization(pair_family(4)[0])
+    assert W.box == (29, 29)
+    assert lattice_cohomology(W).snf_levels == ()
+
+
+def test_forged_tower_trips_the_level_euler_check(monkeypatch):
+    real = complexes._persistence_pairs_f2
+
+    def forged(filt):
+        # one degree-1 pair that dies at once now lives until the last cube
+        pairs, infinite = real(filt)
+        k = next(
+            k for k, (i, j) in enumerate(pairs)
+            if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1
+        )
+        pairs[k] = (pairs[k][0], len(filt.ids) - 1)
+        return pairs, infinite
+
+    W = hilbert_from_parametrization(pair_family(4)[0])
+    assert lattice_cohomology(W).per_q[1].towers == ()
+    monkeypatch.setattr(complexes, "_persistence_pairs_f2", forged)
+    with pytest.raises(ValidationError, match="Euler characteristic at level"):
+        lattice_cohomology(W)
+
+
+def test_smith_invariants_on_hand_checked_matrices():
+    # d1 = gcd of the entries = 2, d1 d2 = |det| = 8
+    assert complexes._smith_invariants([{0: 2, 1: 4}, {0: 6, 1: 8}], 2) == (2, [2, 4])
+    # one unit pivot, then diag(2, 3) ~ diag(1, 6)
+    rows = [{0: 1, 1: 1}, {1: 2}, {2: 3}, {}]
+    assert complexes._smith_invariants(rows, 3) == (3, [6])
+    # the boundary of the projective plane's 2-cell wraps its 1-cell twice
+    assert complexes._smith_invariants([{0: 2}], 1) == (1, [2])
+    assert complexes._smith_invariants([{0: 1, 1: -1}, {0: -1, 1: 1}], 2) == (1, [])
+
+
+def test_smith_invariants_match_rank_and_determinantal_divisors():
+    rng = random.Random(ORACLE_SEED)
+    for trial in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        values = (-1, 0, 0, 1) if trial % 2 else tuple(range(-4, 5))
+        dense = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        rank, factors = complexes._smith_invariants(rows, n)
+        assert rank == frac_rank([[Fraction(v) for v in row] for row in dense]), dense
+        assert factors == [f for f in naive_invariant_factors(dense) if f > 1], dense
 
 
 def test_one_branch_grid_root_equals_sequence_root():
