@@ -175,18 +175,16 @@ def root_from_weight(W: WeightSequence) -> GradedRoot:
     return _merge_tree(list(W.values), path, max(1, max(W.values)))
 
 
-def module_from_root(R: GradedRoot, tie_policy: str = "close-larger-id") -> TowerModule:
+def module_from_root(R: GradedRoot) -> TowerModule:
     """Collapse a graded root into its module tower data.
 
     Walking levels upward, each leaf opens a branch; when several branches
     meet at a vertex, the one with the lowest-origin leaf survives and every
     other branch closes into a finite tower (origin, merge level - 1).  Ties
     between equally deep origins are closed preferring the larger leaf id
-    (``tie_policy="close-smaller-id"`` flips that; the resulting multiset is
-    the same, which the tests exercise).
+    (relabelling the leaves flips that; the resulting multiset is the same,
+    which the tests exercise).
     """
-    if tie_policy not in ("close-larger-id", "close-smaller-id"):
-        raise InputError("unknown tie policy %r" % tie_policy)
     chi = R.chi()
     kids = R.children()
     by_level = R.levels()
@@ -198,10 +196,7 @@ def module_from_root(R: GradedRoot, tie_policy: str = "close-larger-id") -> Towe
             if not branches:
                 alive[v] = (n, v)
                 continue
-            if tie_policy == "close-larger-id":
-                survivor = min(branches)
-            else:
-                survivor = min(branches, key=lambda br: (br[0], -br[1]))
+            survivor = min(branches)
             for br in branches:
                 if br is not survivor:
                     towers.append((br[0], n - 1))

@@ -4,17 +4,16 @@ The weight function on the box decomposes it into unit cubes; the level-n
 sublevel complex collects every cube whose maximal vertex weight is at most
 n.  Integral cohomology of a single level comes from Smith normal form of
 the coboundary matrices; the whole graded package (all levels at once, with
-the connecting-map ranks) comes from a persistence-style matrix reduction
-of the weight filtration, cross-checked on degree zero against the graded
-root route and on every level against the Euler characteristic of the
-cubes.
+the connecting-map ranks) comes from one persistence-style matrix reduction
+of the weight filtration over the rationals, on integer columns, for every
+branch count, cross-checked on degree zero against the graded root route
+and on every level against the Euler characteristic of the cubes.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from ..errors import InputError, ValidationError
@@ -71,6 +70,15 @@ class CubicalComplex:
         return sum(len(qs) for qs in self.cubes.values())
 
 
+def _box_layout(box: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The points of the box in lexicographic order, and each axis's index stride."""
+    points = list(itertools.product(*(range(b + 1) for b in box)))
+    strides = [1] * len(box)
+    for a in range(len(box) - 2, -1, -1):
+        strides[a] = strides[a + 1] * (box[a + 1] + 1)
+    return points, strides
+
+
 class _Filtration:
     """Every cube of a collared box, as integer ids sorted for persistence.
 
@@ -86,11 +94,8 @@ class _Filtration:
 
     def __init__(self, grid: WeightGrid) -> None:
         r, box = grid.r, grid.box
-        points = list(itertools.product(*(range(b + 1) for b in box)))
+        points, strides = _box_layout(box)
         npts, R = len(points), 1 << r
-        strides = [1] * r
-        for a in range(r - 2, -1, -1):
-            strides[a] = strides[a + 1] * (box[a + 1] + 1)
         wt = [0] * (npts << r)
         wt[::R] = [grid.w0[x] for x in points]
         for mask in range(1, R):
@@ -306,21 +311,20 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 
     The merge tree of the collared box's grid graph, built by the same
     union-find sweep as the one-branch root over the points in lexicographic
-    order: each component at level n is a vertex ordered by (n, smallest
-    point), joined to the component that absorbs it one level up.  Cost:
-    O(p log p + r p) for p box points plus O(log k) per vertex of the root.
+    order, where point i's neighbours along axis a are i +- stride_a: each
+    component at level n is a vertex ordered by (n, smallest point), joined
+    to the component that absorbs it one level up.  Cost: O(p log p + r p)
+    for p box points plus O(log k) per vertex of the root.
     """
     grid = weight_grid_extend(W)
-    pts = sorted(grid.w0.keys())
-    pidx = {p: i for i, p in enumerate(pts)}
-    neighbors: list[list[int]] = [[] for _ in pts]
-    for p, i in pidx.items():
-        for j in range(grid.r):
-            up = p[:j] + (p[j] + 1,) + p[j + 1 :]
-            if up in pidx:
-                neighbors[i].append(pidx[up])
-                neighbors[pidx[up]].append(i)
-    return _merge_tree([grid.w0[p] for p in pts], neighbors, max(1, max(grid.w0.values())))
+    points, strides = _box_layout(grid.box)
+    neighbors: list[list[int]] = [[] for _ in points]
+    for i, x in enumerate(points):
+        for a, s in enumerate(strides):
+            if x[a] < grid.box[a]:
+                neighbors[i].append(i + s)
+                neighbors[i + s].append(i)
+    return _merge_tree([grid.w0[x] for x in points], neighbors, max(1, max(grid.w0.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +332,23 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs_f2(filt: _Filtration):
-    """Persistence pairing over the two-element field, columns as sets.
+def _persistence_pairs(filt: _Filtration):
+    """Persistence pairing over the rationals, on sparse integer columns.
 
     Columns are reduced top dimension first; a column whose cube is already
     the pivot of a higher column would reduce to zero, so it is skipped
-    (clearing, Chen-Kerber 2011).  The pairs are those of the plain reduction.
+    (clearing, Chen-Kerber 2011).  To clear its low entry a column subtracts
+    k times the column owning that pivot when the pivot divides the entry,
+    and is scaled by the pivot first when it does not; scaling keeps every
+    column's low, so the pairs are those of the plain reduction over Q.
     """
-    owner: dict[int, set[int]] = {}
+    owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
     for q in range(filt.r, 0, -1):
         for j, faces in filt.columns(q):
             if j in owner:
                 continue
-            col = {i for i, _ in faces}
+            col = dict(faces)
             while col:
                 low = max(col)
                 prev = owner.get(low)
@@ -349,29 +356,12 @@ def _persistence_pairs_f2(filt: _Filtration):
                     owner[low] = col
                     pairs.append((low, j))
                     break
-                col ^= prev
-    return pairs, _unpaired(len(filt.ids), pairs)
-
-
-def _persistence_pairs_q(filt: _Filtration):
-    """Persistence pairing over the rationals, sparse columns, with clearing."""
-    owner: dict[int, dict[int, Fraction]] = {}
-    pairs: list[tuple[int, int]] = []
-    for q in range(filt.r, 0, -1):
-        for j, faces in filt.columns(q):
-            if j in owner:
-                continue
-            col = {i: Fraction(s) for i, s in faces}
-            while col:
-                low = max(col)
-                prev = owner.get(low)
-                if prev is None:
-                    owner[low] = col
-                    pairs.append((low, j))
-                    break
-                factor = col[low] / prev[low]
+                pivot = prev[low]
+                if col[low] % pivot:
+                    col = {i: v * pivot for i, v in col.items()}
+                k = col[low] // pivot
                 for i, v in prev.items():
-                    nv = col.get(i, 0) - factor * v
+                    nv = col.get(i, 0) - k * v
                     if nv:
                         col[i] = nv
                     else:
@@ -458,10 +448,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
-    if grid.r <= 2:
-        pairs, infinite = _persistence_pairs_f2(filt)
-    else:
-        pairs, infinite = _persistence_pairs_q(filt)
+    pairs, infinite = _persistence_pairs(filt)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}

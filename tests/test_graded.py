@@ -142,15 +142,18 @@ def test_tie_policy_does_not_change_the_module():
     for S in enumerate_plane_branch_semigroups(40):
         roots.append(pipeline(S)[1])
     for R in roots:
-        a = module_from_root(R, tie_policy="close-larger-id")
-        b = module_from_root(R, tie_policy="close-smaller-id")
-        assert a == b
-
-
-def test_module_from_root_rejects_unknown_policy():
-    R, _ = example_root_pair()
-    with pytest.raises(InputError):
-        module_from_root(R, tie_policy="whatever")
+        # reversing the ids within each level flips every tie between
+        # equally deep leaves
+        relabel = {}
+        for ids in R.levels().values():
+            relabel.update(zip(ids, reversed(ids)))
+        flipped = GradedRoot(
+            tuple(sorted((relabel[v], c) for v, c in R.vertices)),
+            tuple(sorted((relabel[lo], relabel[hi]) for lo, hi in R.edges)),
+            R.truncation_level,
+        )
+        flipped.validate()
+        assert module_from_root(flipped) == module_from_root(R)
 
 
 def test_isomorphism_is_label_independent():

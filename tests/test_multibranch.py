@@ -485,7 +485,7 @@ def test_snf_levels_are_recorded():
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
-    real = complexes._persistence_pairs_f2
+    real = complexes._persistence_pairs
 
     def forged(filt):
         # one degree-1 pair that dies at once now lives until the last cube
@@ -499,9 +499,29 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
 
     W = hilbert_from_parametrization(pair_family(4)[0])
     assert lattice_cohomology(W).per_q[1].towers == ()
-    monkeypatch.setattr(complexes, "_persistence_pairs_f2", forged)
+    monkeypatch.setattr(complexes, "_persistence_pairs", forged)
     with pytest.raises(ValidationError, match="Euler characteristic at level"):
         lattice_cohomology(W)
+
+
+class _StubFiltration:
+    """Three vertices 0, 1, 2 and two edges 3, 4 whose columns are not unimodular."""
+
+    r = 1
+    ids = range(5)
+
+    def columns(self, q):
+        yield 3, [(0, 1), (1, 2)]
+        yield 4, [(0, 1), (1, 3)]
+
+
+def test_persistence_scales_a_column_the_pivot_does_not_divide():
+    # column 3 owns row 1 with pivot 2; column 4 has 3 there, so it is
+    # doubled, loses 3 times column 3 and ends as {0: -1}: over Q,
+    # col4 - 3/2 col3 = {0: -1/2}
+    pairs, infinite = complexes._persistence_pairs(_StubFiltration())
+    assert pairs == [(1, 3), (0, 4)]
+    assert infinite == [2]
 
 
 def test_smith_invariants_on_hand_checked_matrices():
@@ -541,6 +561,7 @@ def test_grid_root_matches_breadth_first_oracle():
     parametrizations = [P for n in (2, 3) for P in pair_family(n)]
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     parametrizations += [curve(CURVE_SIX_COORD), triple_point, monomial_branch([4, 11])]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 5)]
     for P in parametrizations:
         W = hilbert_from_parametrization(P)
         expected = GradedRoot(*naive_grid_root(weight_grid_extend(W).w0))
