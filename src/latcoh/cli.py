@@ -31,6 +31,7 @@ from .graded import (
     GradedRoot,
     conjecture_sweep,
     module_from_root,
+    module_from_weight,
     root_from_weight,
     roots_isomorphic,
 )
@@ -350,29 +351,26 @@ def cmd_curve(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # roundtrip
 
-def _roundtrip_one(gens: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    S = from_generators(gens)
-    M = module_from_root(root_from_weight(weight_sequence(S)))
+def _roundtrip_one(S: NumericalSemigroup) -> tuple[tuple[int, ...], bool]:
+    M = module_from_weight(weight_sequence(S))
     try:
         back = reconstruct_semigroup(M)
     except ValidationError:
-        return gens, False
-    return gens, back == S
+        return S.min_gens, False
+    return S.min_gens, back == S
 
 
 def cmd_roundtrip(cfg: RunConfig) -> int:
     if cfg.max_conductor < 0:
         raise InputError("--max-conductor must be non-negative")
-    all_gens = [
-        S.min_gens for S in enumerate_plane_branch_semigroups(cfg.max_conductor)
-    ]
-    if cfg.threads > 1 and len(all_gens) > 1:
+    semigroups = enumerate_plane_branch_semigroups(cfg.max_conductor)
+    if cfg.threads > 1:
         import multiprocessing
 
         with multiprocessing.Pool(cfg.threads) as pool:
-            results = list(pool.imap(_roundtrip_one, all_gens, chunksize=16))
+            results = list(pool.imap(_roundtrip_one, semigroups, chunksize=16))
     else:
-        results = [_roundtrip_one(g) for g in all_gens]
+        results = [_roundtrip_one(S) for S in semigroups]
     failures = [gens for gens, ok in results if not ok]
     for gens in failures:
         sys.stdout.write("failed: %s\n" % ",".join(str(g) for g in gens))

@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .errors import InputError, ValidationError
 from .semigroup import NumericalSemigroup, enumerate_plane_branch_semigroups
-from .weight1d import WeightSequence
+from .weight1d import WeightSequence, weight_sequence
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,56 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     return TowerModule(base, tuple(sorted(towers)))
 
 
+def module_from_weight(W: WeightSequence) -> TowerModule:
+    """The module of ``root_from_weight(W)`` without building the root.
+
+    The degree-0 barcode of the sublevel filtration of the walk on [0, c],
+    read in one left-to-right stack pass by the elder rule
+    (Edelsbrunner-Harer, Computational Topology, 2010).  A branch opens at
+    every point lower than its left neighbour and no higher than its right
+    one (a local minimum, or the left end of a plateau).  The stack holds the
+    open branches, births not decreasing upward; ``high[i]`` is the highest
+    weight between branch i and the next one up (or the current point, for
+    the top).  A new branch at x closes every branch born above x: each dies
+    at the lower of its two barriers, the highest weight on the way to an
+    elder branch on either side, and leaves the tower (birth, death - 1)
+    unless that is empty.  Among equal births the left branch is the elder;
+    the multiset does not depend on that choice.  Past c the walk only
+    climbs, so branches still open at the end die at their left barrier, and
+    the bottom one is the infinite tower.  O(c).
+    """
+    vals = W.values
+    c = W.conductor
+    towers: list[tuple[int, int]] = []
+    births: list[int] = []
+    lefts: list[int | None] = []  # barrier to the elder branch on the left
+    high: list[int] = []
+    for l, x in enumerate(vals):
+        if (l and vals[l - 1] <= x) or (l < c and vals[l + 1] < x):
+            if high and x > high[-1]:
+                high[-1] = x
+            continue
+        right = x
+        while births and births[-1] > x:
+            h, left, birth = high.pop(), lefts.pop(), births.pop()
+            if h > right:
+                right = h
+            death = right if left is None or right < left else left
+            if death > birth:  # a plateau that runs on downhill opens no branch
+                towers.append((birth, death - 1))
+        if high:
+            if high[-1] > right:
+                right = high[-1]
+            high[-1] = right
+            lefts.append(right)
+        else:
+            lefts.append(None)
+        births.append(x)
+        high.append(x)
+    towers.extend((b, left - 1) for b, left in zip(births[1:], lefts[1:]))
+    return TowerModule(births[0], tuple(sorted(towers)))
+
+
 def rank_profile(M: TowerModule, up_to: int | None = None) -> dict[int, tuple[int, int]]:
     """Per-level (rank, kernel rank) from base up to max(1, top tower level).
 
@@ -278,31 +328,30 @@ class SweepReport:
 def conjecture_sweep(max_conductor: int) -> SweepReport:
     """Group plane-branch semigroups by module; check roots agree per group.
 
-    A pair with equal modules but non-isomorphic roots is recorded as a hit
-    (a finding to report, not an error).
+    Modules come from ``module_from_weight``; graded roots are built only
+    inside groups of two or more semigroups, and each member's root is
+    compared with the first member's.  A pair with equal modules but
+    non-isomorphic roots is recorded as a hit (a finding to report, not an
+    error).
     """
-    from .weight1d import weight_sequence
-
     tested = 0
-    groups: dict[tuple, list[tuple[tuple[int, ...], GradedRoot]]] = {}
+    groups: dict[TowerModule, list[NumericalSemigroup]] = {}
     for S in enumerate_plane_branch_semigroups(max_conductor):
-        W = weight_sequence(S)
-        R = root_from_weight(W)
-        M = module_from_root(R)
-        groups.setdefault((M.base, M.towers), []).append((S.min_gens, R))
+        groups.setdefault(module_from_weight(weight_sequence(S)), []).append(S)
         tested += 1
     shared = 0
     pairs = 0
     hits = []
-    for _key, members in groups.items():
+    for members in groups.values():
         if len(members) < 2:
             continue
         shared += 1
-        first_gens, first_root = members[0]
-        for gens, root in members[1:]:
+        first, *rest = members
+        first_root = root_from_weight(weight_sequence(first))
+        for S in rest:
             pairs += 1
-            if not roots_isomorphic(first_root, root):
-                hits.append((first_gens, gens))
+            if not roots_isomorphic(first_root, root_from_weight(weight_sequence(S))):
+                hits.append((first.min_gens, S.min_gens))
     return SweepReport(
         max_conductor=max_conductor,
         tested=tested,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
-from .graded import GradedRoot, TowerModule, module_from_root, rank_profile, root_from_weight
+from .graded import GradedRoot, TowerModule, module_from_root, module_from_weight, rank_profile
 from .semigroup import (
     NumericalSemigroup,
     from_generators as _from_generators,
@@ -209,7 +209,7 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
         raise ValidationError("validation failed: delta mismatch")
     if S.multiplicity != m:
         raise ValidationError("validation failed: multiplicity mismatch")
-    back = module_from_root(root_from_weight(weight_sequence(S)))
+    back = module_from_weight(weight_sequence(S))
     if back != M:
         raise ValidationError("validation failed: module mismatch after round trip")
     return S

@@ -13,6 +13,7 @@ structure builds the graded root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ValidationError
 from .semigroup import CofiniteSet
@@ -48,19 +49,19 @@ class WeightSequence:
 
 
 def weight_sequence(S: CofiniteSet) -> WeightSequence:
+    """w0 on [0, c] by the step recursion, checked against the direct count.
+
+    Membership is read from ``S.membership`` below the conductor; every
+    point at or past it is a member.
+    """
     c = S.conductor
-    vals = [0]
-    for l in range(c):
-        vals.append(vals[-1] + (1 if l in S else -1))
-    # cross-check against the direct counting formula
-    members = 0
-    for l in range(c + 1):
-        direct = members - (l - members)
-        if direct != vals[l]:
+    below = S.membership[:c]
+    vals = tuple(accumulate(map((-1, 1).__getitem__, below), initial=0))
+    # cross-check against the direct counting formula 2 * #members - l
+    for l, members in enumerate(accumulate(below, initial=0)):
+        if 2 * members - l != vals[l]:
             raise ValidationError("weight recursion disagrees with direct count at %d" % l)
-        if l in S:
-            members += 1
-    return WeightSequence(tuple(vals), c, S)
+    return WeightSequence(vals, c, S)
 
 
 def min_w0(W: WeightSequence) -> int:

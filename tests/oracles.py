@@ -42,6 +42,23 @@ def naive_conductor(mem):
     return last_gap + 1
 
 
+def naive_minimal_generators(gaps):
+    """Minimal generators of the numerical semigroup N minus ``gaps``.
+
+    A positive element is a minimal generator when it is not the sum of two
+    positive elements, tried here against every split.  With c = max gap + 1
+    the multiplicity m is at most c and anything from c + m on is m plus an
+    element, so every minimal generator lies below 2c + 2.
+    """
+    c = max(gaps) + 1 if gaps else 0
+    member = [x not in gaps for x in range(2 * c + 2)]
+    return tuple(
+        s
+        for s in range(1, 2 * c + 2)
+        if member[s] and not any(member[a] and member[s - a] for a in range(1, s))
+    )
+
+
 def naive_w0(members, l):
     """2 * #(members strictly below l) - l."""
     return 2 * sum(1 for s in members if s < l) - l

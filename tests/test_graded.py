@@ -1,10 +1,14 @@
 """Graded roots, tower modules, isomorphism, and the module-equality sweep."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latcoh.graded
 from latcoh import (
     GradedRoot,
     InputError,
     TowerModule,
+    WeightSequence,
     conjecture_sweep,
     enumerate_plane_branch_semigroups,
     from_generators,
@@ -12,6 +16,7 @@ from latcoh import (
     local_minima,
     min_w0,
     module_from_root,
+    module_from_weight,
     rank_profile,
     root_from_weight,
     roots_isomorphic,
@@ -84,6 +89,40 @@ def test_root_from_weight_matches_level_by_level_oracle():
     for S in sets:
         W = weight_sequence(S)
         assert root_from_weight(W) == GradedRoot(*naive_root(W.values)), S
+
+
+# the branch-ladder semigroups of the benchmark, conductors 1932 to 7216
+LADDER = ((43, 47), (61, 67), (83, 89), (44, 50, 1101))
+
+
+def assert_module_routes_agree(W):
+    """The stack barcode, the merge-tree route and the oracle's root agree."""
+    M = module_from_weight(W)
+    assert M == module_from_root(root_from_weight(W))
+    assert M == module_from_root(GradedRoot(*naive_root(W.values)))
+
+
+def test_module_from_weight_matches_root_route_and_oracle():
+    sets = list(enumerate_plane_branch_semigroups(200)) + [from_generators(g) for g in LADDER]
+    sets.append(from_members(SPRIME_MEMBERS, SPRIME_CONDUCTOR, verify_closed=False))
+    for S in sets:
+        assert_module_routes_agree(weight_sequence(S))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=40))
+def test_module_from_weight_on_arbitrary_cofinite_sets(bits):
+    """Walks that need not come from a semigroup: any membership on [1, c)."""
+    members = [0] + [x for x, b in enumerate(bits, 1) if b]
+    T = from_members(members, len(bits) + 1, verify_closed=False)
+    assert_module_routes_agree(weight_sequence(T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))
+def test_module_from_weight_on_walks_with_plateaus_and_jumps(values):
+    """Any integer sequence, not only unit-step walks: plateaus open one branch."""
+    assert_module_routes_agree(WeightSequence(tuple(values), len(values) - 1, None))
 
 
 def test_rank_and_kernel_rank_profile():
@@ -209,6 +248,23 @@ def test_sweep_small():
     # sanity: groups sharing a module account for the pairs checked
     assert rep.pairs_checked >= 0
     assert rep.shared_module_groups >= 0
+
+
+def test_sweep_compares_roots_inside_a_shared_module_group(monkeypatch):
+    """With every module equal, all semigroups fall into one group and each
+    root is compared with the first one's."""
+    monkeypatch.setattr(latcoh.graded, "module_from_weight", lambda W: TowerModule(0, ()))
+    rep = conjecture_sweep(30)
+    sets = list(enumerate_plane_branch_semigroups(30))
+    assert (rep.tested, rep.module_classes, rep.shared_module_groups) == (len(sets), 1, 1)
+    assert rep.pairs_checked == rep.tested - 1
+    first = root_from_weight(weight_sequence(sets[0]))
+    expect = tuple(
+        (sets[0].min_gens, S.min_gens)
+        for S in sets[1:]
+        if not roots_isomorphic(first, root_from_weight(weight_sequence(S)))
+    )
+    assert rep.hits == expect
 
 
 def test_module_euler_characteristic_counts_gaps():

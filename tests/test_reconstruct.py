@@ -1,4 +1,6 @@
 """Inverting the semigroup -> module pipeline, and rejecting impostors."""
+from math import gcd
+
 import pytest
 
 from latcoh import (
@@ -13,12 +15,14 @@ from latcoh import (
     initial_part,
     initial_part_from_root,
     module_from_root,
+    module_from_weight,
     multiplicity_from_module,
     reconstruct_semigroup,
     root_from_weight,
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS
+from oracles import naive_minimal_generators
 
 
 def module_of(S):
@@ -131,6 +135,54 @@ def test_rejects_structurally_sound_but_alien_modules():
     bad2 = TowerModule(-2, ((-2, 1),))
     with pytest.raises(ValidationError):
         reconstruct_semigroup(bad2)
+
+
+# Numerical semigroups of genus 0, 1, ..., 14 (Bras-Amoros, "Fibonacci-like
+# behavior of the number of numerical semigroups of a given genus", 2008).
+SEMIGROUPS_BY_GENUS = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693)
+
+
+def _zariski_plane(gens):
+    """Zariski's criterion on minimal generators b_0 < ... < b_g.
+
+    The gcds e_i = gcd(b_0, ..., b_i) fall strictly to 1 and
+    (e_{i-1} / e_i) * b_i < b_{i+1} for 1 <= i < g.
+    """
+    e = [gens[0]]
+    for b in gens[1:]:
+        e.append(gcd(e[-1], b))
+    if e[-1] != 1 or any(a <= b for a, b in zip(e, e[1:])):
+        return False
+    return all(e[i - 1] // e[i] * gens[i] < gens[i + 1] for i in range(1, len(gens) - 1))
+
+
+def test_every_semigroup_of_genus_at_most_14():
+    """Walk the semigroup tree (Bras-Amoros 2008; Fromentin-Hivert 2016):
+    the children of S are S minus each minimal generator above its Frobenius
+    number.  On every node the Apery generators equal the brute-force ones,
+    a plane module round-trips, and a non-plane module is rejected."""
+    by_genus = [0] * len(SEMIGROUPS_BY_GENUS)
+    plane = []
+    stack = [frozenset()]
+    while stack:
+        gaps = stack.pop()
+        by_genus[len(gaps)] += 1
+        c = max(gaps) + 1 if gaps else 0
+        gens = naive_minimal_generators(gaps)
+        S = from_members([x for x in range(c) if x not in gaps], c)
+        assert S.min_gens == gens
+        M = module_from_weight(weight_sequence(S))
+        if _zariski_plane(gens):
+            plane.append(gens)
+            assert reconstruct_semigroup(M) == S, gens
+        else:
+            with pytest.raises(ValidationError):
+                reconstruct_semigroup(M)
+        if len(gaps) < len(SEMIGROUPS_BY_GENUS) - 1:
+            stack.extend(gaps | {g} for g in gens if g >= c)
+    assert tuple(by_genus) == SEMIGROUPS_BY_GENUS
+    # plane semigroups are symmetric, so genus <= 14 means conductor <= 28
+    assert sorted(plane) == sorted(S.min_gens for S in enumerate_plane_branch_semigroups(28))
 
 
 def test_compute_e_reads_tower_spans():
