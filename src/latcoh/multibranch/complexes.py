@@ -2,12 +2,15 @@
 
 The weight function on the box decomposes it into unit cubes; the level-n
 sublevel complex collects every cube whose maximal vertex weight is at most
-n.  Integral cohomology of a single level comes from Smith normal form of
-the coboundary matrices; the whole graded package (all levels at once, with
-the connecting-map ranks) comes from one persistence-style matrix reduction
-of the weight filtration over the rationals, on integer columns, for every
-branch count, cross-checked on degree zero against the graded root route
-and on every level against the Euler characteristic of the cubes.
+n.  All cubes are integer ids in one filtration sorted by weight, so every
+level is a prefix of it.  The whole graded package (all levels at once,
+with the connecting-map ranks) comes from one persistence-style matrix
+reduction of that filtration over the rationals, on integer columns, for
+every branch count, cross-checked on degree zero against the graded root
+route and on every level against the Euler characteristic of the cubes.
+Integral cohomology of a single level comes from Smith normal form of the
+coboundary matrices of its prefix.  ``Cube`` objects are built only by
+``sublevel_complex``, the entry point of ``cohomology`` for the oracles.
 """
 from __future__ import annotations
 
@@ -118,11 +121,7 @@ class _Filtration:
             for m in masks
             if not m & blocked[p]
         ]
-        # (dim, base, axes) order, kept by the stable sort on weight
-        self.canon = [0] * (npts << r)
-        for i, c in enumerate(ids):
-            self.canon[c] = i
-        ids.sort(key=wt.__getitem__)
+        ids.sort(key=wt.__getitem__)  # stable: (dim, base, axes) within a weight
         self.r = r
         self.points = points
         self.ids = ids
@@ -154,19 +153,16 @@ class _Filtration:
         """Number of cubes of weight <= n: the level-n prefix."""
         return bisect_right(self.weights, n)
 
-    def complex(self, n: int) -> CubicalComplex:
-        """The level-n sublevel complex, as Cubes sorted within each degree."""
-        r = self.r
-        cubes: dict[int, list[Cube]] = {}
-        for c in sorted(self.ids[: self.end(n)], key=self.canon.__getitem__):
-            axes = self.axes[c & ((1 << r) - 1)]
-            cubes.setdefault(len(axes), []).append(Cube(self.points[c >> r], axes))
-        return CubicalComplex(r, n, {q: tuple(qs) for q, qs in cubes.items()})
-
 
 def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
-    """All cubes of the (collared) box whose maximal vertex weight is <= n."""
-    return _Filtration(weight_grid_extend(W)).complex(n)
+    """All cubes of the (collared) box whose maximal vertex weight is <= n, per degree."""
+    filt = _Filtration(weight_grid_extend(W))
+    r = filt.r
+    cubes: dict[int, list[Cube]] = {}
+    for c in filt.ids[: filt.end(n)]:
+        axes = filt.axes[c & ((1 << r) - 1)]
+        cubes.setdefault(len(axes), []).append(Cube(filt.points[c >> r], axes))
+    return CubicalComplex(r, n, {q: tuple(sorted(qs)) for q, qs in sorted(cubes.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +170,10 @@ def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
 # ---------------------------------------------------------------------------
 
 
-def _smith_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
+def _smith_invariants(rows: list[dict[int, int] | list[tuple[int, int]]]) -> tuple[int, list[int]]:
     """Rank and nontrivial invariant factors of an integer matrix.
 
+    A row is a dict or a list of (column, value) pairs, one pair per column.
     Greedy elimination on unit pivots (which is complete for cubical
     incidence matrices most of the time), then a classic Smith reduction on
     whatever small block is left.  Each round sweeps the rows once and
@@ -272,33 +269,32 @@ def _smith_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[int, list
     return rank, [f for f in factors if f > 1]
 
 
+def _cohomology_of(
+    counts: list[int], coboundaries: list[list]
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Free rank and invariant factors > 1 of H^q for q < len(counts).
+
+    ``counts[q]`` is the number of q-cubes and ``coboundaries[q]`` the rows
+    of D^q, one per (q+1)-cube, for every q below the top degree.
+    """
+    ranks, torsion = [0], [()]  # rank and factors of D^(q-1), from D^(-1) = 0
+    for rows in coboundaries:
+        rank, invs = _smith_invariants(rows)
+        ranks.append(rank)
+        torsion.append(tuple(invs))
+    ranks.append(0)
+    return {q: (count - ranks[q + 1] - ranks[q], torsion[q]) for q, count in enumerate(counts)}
+
+
 def cohomology(K: CubicalComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Integral cohomology per degree: (free rank, invariant factors > 1)."""
-    maxdim = max(K.cubes.keys(), default=-1)
-    index: dict[int, dict[Cube, int]] = {}
-    for q, qs in K.cubes.items():
-        index[q] = {c: i for i, c in enumerate(qs)}
-    rank_d: dict[int, int] = {}
-    torsion_of_d: dict[int, list[int]] = {}
-    for q in range(maxdim + 1):
-        qs = K.cubes.get(q, ())
-        higher = index.get(q + 1, {})
-        # coboundary D^q: rows indexed by (q+1)-cubes, columns by q-cubes
-        rows: dict[int, dict[int, int]] = {}
-        for c, j in higher.items():
-            row: dict[int, int] = {}
-            for f, sign in c.faces():
-                i = index[q][f]
-                row[i] = row.get(i, 0) + sign
-            rows[j] = {i: v for i, v in row.items() if v}
-        rank, invs = _smith_invariants(list(rows.values()), len(qs))
-        rank_d[q] = rank
-        torsion_of_d[q] = invs
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for q in range(maxdim + 1):
-        free = len(K.cubes.get(q, ())) - rank_d.get(q, 0) - rank_d.get(q - 1, 0)
-        out[q] = (free, tuple(torsion_of_d.get(q - 1, [])))
-    return out
+    degrees = range(max(K.cubes, default=-1) + 1)
+    index = [{c: i for i, c in enumerate(K.cubes.get(q, ()))} for q in degrees]
+    coboundaries = [
+        [[(index[q][f], sign) for f, sign in c.faces()] for c in K.cubes.get(q + 1, ())]
+        for q in degrees[:-1]
+    ]
+    return _cohomology_of([len(ix) for ix in index], coboundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,6 @@ class QCohomology:
     towers: tuple[tuple[int, int], ...]
     ranks: dict[int, int]
     u_ranks: dict[int, int]
-    fit: str
 
 
 @dataclass(frozen=True)
@@ -442,8 +437,10 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     must agree.  On small grids (and always for three or more branches) the
     ranks are additionally verified level by level against integral Smith
     normal form cohomology, which also reports any torsion; those levels are
-    recorded in ``snf_levels``.  On every grid the Euler characteristic of
-    each level is checked against its cube counts.
+    recorded in ``snf_levels``.  Each level is read as a prefix of the same
+    integer filtration, after one check that every face sorts before its
+    cube, so that every prefix is a complex.  On every grid the Euler
+    characteristic of each level is checked against its cube counts.
     """
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
@@ -491,30 +488,35 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
                 holding += 1
             ranks[n] = alive
             u_ranks[n] = holding
-        per_q.append(QCohomology(q, tq, ranks, u_ranks, "exact"))
+        per_q.append(QCohomology(q, tq, ranks, u_ranks))
     _check_level_euler(filt, per_q, bottom, top_report)
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
     if grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT:
         snf_levels = tuple(range(bottom, top_report + 1))
+        cols = [list(filt.columns(q + 1)) for q in range(grid.r)]
+        # every prefix is closed under faces exactly when each face sorts first
+        if any(i > j for qcols in cols for j, faces in qcols for i, _ in faces):
+            raise ValidationError("cube filtration is not ordered: a face sorts after its cube")
         for n in snf_levels:
-            hq = cohomology(filt.complex(n))
-            for q in range(grid.r):
-                free, invs = hq.get(q, (0, ()))
-                if free != per_q[q].ranks[n]:
+            end = filt.end(n)
+            counts = [dims[:end].count(q) for q in range(grid.r + 1)]
+            hq = _cohomology_of(counts, [[f for j, f in qcols if j < end] for qcols in cols])
+            for q, (free, invs) in hq.items():
+                if q == grid.r:
+                    if free or invs:
+                        raise ValidationError(
+                            "cohomology routes disagree: nonzero cohomology in"
+                            " degree %d" % q
+                        )
+                elif free != per_q[q].ranks[n]:
                     raise ValidationError(
                         "cohomology routes disagree: rank at degree %d level %d"
                         % (q, n)
                     )
-                if invs:
+                elif invs:
                     torsion[(q, n)] = invs
-            for q, (free, invs) in hq.items():
-                if q >= grid.r and (free or invs):
-                    raise ValidationError(
-                        "cohomology routes disagree: nonzero cohomology in"
-                        " degree %d" % q
-                    )
 
     return LatticeCohomology(
         grid.r, bottom, root, module, tuple(per_q), torsion, snf_levels
@@ -533,10 +535,9 @@ class EulerDeltaReport:
     equal: bool
     euler: int
     delta: int
-    conclusive: bool
 
     def __bool__(self) -> bool:
-        return self.equal and self.conclusive
+        return self.equal
 
 
 def euler_delta_check(W: WeightGrid, P: BranchParametrization) -> EulerDeltaReport:
@@ -551,12 +552,9 @@ def euler_delta_check(W: WeightGrid, P: BranchParametrization) -> EulerDeltaRepo
         raise InputError("parametrization and grid have different branch counts")
     coh = lattice_cohomology(W)
     total = 0
-    conclusive = True
     for qc in coh.per_q:
-        if qc.fit != "exact":
-            conclusive = False
         length = sum(t - m + 1 for m, t in qc.towers)
         total += length if qc.q % 2 == 0 else -length
     euler = -coh.min_w0 + total
     delta = W.delta
-    return EulerDeltaReport(euler == delta, euler, delta, conclusive)
+    return EulerDeltaReport(euler == delta, euler, delta)

@@ -128,18 +128,17 @@ def initial_part_from_root(R: GradedRoot) -> InitialPart:
 
 
 def multiplicity_from_module(M: TowerModule) -> int:
-    """Multiplicity of the branch, read from kernel ranks alone.
+    """Multiplicity of the branch, read from the tower starts alone.
 
-    The shallowest level below 0 carrying a kernel element sits at 2 - m.
-    Base level 0 means the branch is smooth or double.
+    The shallowest level below 0 carrying a kernel element, that is where a
+    tower (the infinite one included) starts, sits at 2 - m.  Base level 0
+    means the branch is smooth or double: rank 1 or 2 at level 0.
     """
     if M.base > 0:
         raise ValidationError("not a branch module")
-    profile = rank_profile(M, up_to=0)
     if M.base == 0:
-        return 1 if profile[0][0] == 1 else 2
-    shallowest = max(n for n in range(M.base, 0) if profile[n][1] > 0)
-    return 2 - shallowest
+        return 1 if M.rank(0) == 1 else 2
+    return 2 - max(m for m in (M.base, *(m for m, _t in M.towers)) if m < 0)
 
 
 def detect_lg1_equals_2(M: TowerModule) -> bool:

@@ -1,6 +1,7 @@
 """Serialization round trips, renderings, and command-line behavior."""
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +19,17 @@ from latcoh import (
 from latcoh import formats
 from latcoh.cli import main, parse_args
 from fixtures import (
+    CURVE_SIX_COORD,
+    ORACLE_SEED,
     SPRIME_CONDUCTOR,
     SPRIME_MEMBERS,
     curve,
     example_root_pair,
     monomial_branch,
+    random_space_curves,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +219,9 @@ def test_root_dot_is_valid_enough():
     dot = formats.root_dot(R)
     assert dot.startswith("graph ")
     assert dot.count("rank=same") == len(R.levels())
+    for n in {c for _v, c in R.vertices}:
+        ids = sorted(v for v, c in R.vertices if c == n)
+        assert "  { rank=same; %s; }\n" % "; ".join("n%d" % v for v in ids) in dot, n
     for a, b in R.edges:
         assert "n%d -- n%d;" % (a, b) in dot
     assert dot.rstrip().endswith("}")
@@ -354,6 +363,25 @@ def test_cli_curve_full_run(tmp_path, capsys):
     assert formats.module_from_dict(section["module"]) == module_from_root(
         root_from_weight(weight_sequence(from_generators([6, 15, 31])))
     )
+
+
+@pytest.mark.parametrize(
+    "branches,expected",
+    [
+        # 36 box points, 100 cubes: under the SNF limit, so every level is checked
+        (CURVE_SIX_COORD, "curve_six_coord.json"),
+        # three branches, conductor (8, 12, 6), with degree-1 towers
+        (random_space_curves(ORACLE_SEED, 20)[19], "curve_three_branch.json"),
+    ],
+    ids=["two-branch", "three-branch"],
+)
+def test_cli_curve_report_bytes(branches, expected, tmp_path, capsys):
+    c = tmp_path / "curve.json"
+    coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in branches]
+    c.write_text(json.dumps({"branches": [{"coords": cs} for cs in coords]}))
+    code, stdout, _ = run_cli(["curve", "--in", str(c)], capsys)
+    assert code == 0
+    assert stdout == (DATA / expected).read_text()
 
 
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):

@@ -2,6 +2,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcoh import (
     TowerModule,
@@ -17,6 +19,7 @@ from latcoh import (
     module_from_root,
     module_from_weight,
     multiplicity_from_module,
+    rank_profile,
     reconstruct_semigroup,
     root_from_weight,
     weight_sequence,
@@ -82,6 +85,31 @@ def test_multiplicity_from_module():
     for gens in [(1,), (2, 3), (2, 7), (3, 4), (4, 11), (6, 10, 31), (11, 14)]:
         S = from_generators(gens)
         assert multiplicity_from_module(module_of(S)) == S.multiplicity
+
+
+@st.composite
+def tower_modules(draw):
+    base = draw(st.integers(-12, 2))
+    starts = draw(st.lists(st.integers(base - 2, 2), max_size=8))
+    towers = sorted((m, m + draw(st.integers(0, 4))) for m in starts)
+    return TowerModule(base, tuple(towers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_modules())
+def test_multiplicity_from_tower_starts_matches_the_rank_profile_rule(M):
+    if M.base > 0:
+        with pytest.raises(ValidationError):
+            multiplicity_from_module(M)
+        return
+    # the kernel-rank rule it replaces: the shallowest level below 0 with a
+    # kernel element sits at 2 - m
+    profile = rank_profile(M, up_to=0)
+    if M.base == 0:
+        expected = 1 if profile[0][0] == 1 else 2
+    else:
+        expected = 2 - max(n for n in range(M.base, 0) if profile[n][1] > 0)
+    assert multiplicity_from_module(M) == expected
 
 
 def test_last_gcd_two_detector_matches_chain():
