@@ -15,8 +15,9 @@ Exit codes: 0 success (and "isomorphic" verdicts), 1 property violation,
 Reports go to stdout as canonical JSON; the same bytes land in ``--out``
 when given.  Side artifacts (weight tables, roots, modules) are chosen by
 flag, with root renderings picked by file extension (.dot, .json, or ASCII
-for anything else).  ``LATCOH_THREADS`` caps worker parallelism; output is
-assembled in input order either way, so runs are byte-identical.
+for anything else).  ``LATCOH_THREADS`` caps worker parallelism, at most one
+worker per usable CPU; output is assembled in input order either way, so runs
+are byte-identical.
 """
 from __future__ import annotations
 
@@ -86,6 +87,7 @@ def _int_tuple(text: str, what: str) -> tuple[int, ...]:
 
 
 def _threads_from_env() -> int:
+    """LATCOH_THREADS, clamped to 1 .. the CPUs this process may run on."""
     raw = os.environ.get("LATCOH_THREADS", "").strip()
     if not raw:
         return 1
@@ -93,7 +95,11 @@ def _threads_from_env() -> int:
         n = int(raw)
     except ValueError:
         raise InputError("LATCOH_THREADS: expected an integer, got %r" % raw)
-    return max(1, n)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n, cpus))
 
 
 def parse_args(argv) -> RunConfig:

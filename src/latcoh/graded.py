@@ -46,14 +46,6 @@ class GradedRoot:
             kids[v].sort()
         return kids
 
-    def parent(self) -> dict[int, int]:
-        par: dict[int, int] = {}
-        for lo, hi in self.edges:
-            if lo in par:
-                raise ValidationError("vertex %d has two upward neighbors" % lo)
-            par[lo] = hi
-        return par
-
     def levels(self) -> dict[int, list[int]]:
         by: dict[int, list[int]] = {}
         for v, ch in self.vertices:

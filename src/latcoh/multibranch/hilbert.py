@@ -13,7 +13,7 @@ in :func:`hilbert_from_parametrization`).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd, lcm
@@ -226,129 +226,82 @@ def _certifies(pure: frozenset[int], c: int, mult: int, nj: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _h_grid_r1(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    leads = an.ech.leads()  # sorted ascending
-    h: dict[tuple[int, ...], int] = {}
-    for l in range(box[0] + 1):
-        # rows with order >= l span the subspace of elements of order >= l
-        h[(l,)] = bisect_left(leads, l)
-    return h
-
-
-def _h_grid_r2(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Exact h on the box for two branches via one downward sweep.
-
-    The natural-order echelon already has branch 1's block first, so a row's
-    leading index is its branch-1 order (or +infinity when the block is
-    zero).  Sweeping the branch-1 threshold downward only ever activates
-    more rows; each newly active row contributes its branch-2 block to an
-    incremental echelon whose pivot positions tell, for every branch-2
-    threshold, the codimension within the active span.  That echelon needs
-    only the branch-2 columns below the box: the codimension at l2 is the
-    rank of the projection onto the columns below l2.
-    """
-    n1 = an.bounds[0]
-    off2 = an.offs[1]
-    dim = len(an.ech)
-    rows = sorted(
-        an.ech.rows,
-        key=lambda t: (t[0] if t[0] < n1 else n1 + box[0] + 1),
-        reverse=True,
-    )
-    h: dict[tuple[int, ...], int] = {}
-    proj = _Echelon()
-    pivot_count = [0] * box[1]
-    active = 0
-    idx = 0
-    for l1 in range(box[0], -1, -1):
-        while idx < len(rows) and (
-            rows[idx][0] >= n1 or rows[idx][0] >= l1
-        ):
-            triple = proj.add(rows[idx][2][off2 : off2 + box[1]])
-            if triple is not None:
-                pivot_count[triple[0]] += 1
-            active += 1
-            idx += 1
-        prefix = 0
-        for l2 in range(box[1] + 1):
-            # F = active - pivots below l2; h = dim - F
-            h[(l1, l2)] = dim - (active - prefix)
-            if l2 < box[1]:
-                prefix += pivot_count[l2]
-    return h
-
-
-def _h_grid_general(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Exact h for three or more branches (small inputs only).
-
-    Recursive sweep: put the current branch's block first, order rows by
-    that branch's order, and for each threshold recurse on the suffix of
-    still-active rows over the remaining branches.
-    """
-    r = len(an.bounds)
-
-    def rec(vectors, layout: list[tuple[int, int, int]], axis: int):
-        # layout: (branch, offset, width) segments of the current vectors
-        br, off, width = next(s for s in layout if s[0] == axis)
-        if axis == r - 1:
-            ech = _echelon_of(v[off : off + width] for v in vectors)
-            leads = ech.leads()
-            zero_rows = len(vectors) - len(ech.rows)
-            out = {}
-            for l in range(box[axis] + 1):
-                # rank of the projection onto columns below l
-                rank_lt = bisect_left(leads, l)
-                out[(l,)] = (len(ech.rows) - rank_lt) + zero_rows
-            return out
-        # move this axis's block to the front
-        perm = list(range(off, off + width))
-        new_layout = [(br, 0, width)]
-        pos = width
-        for b2, o2, w2 in layout:
-            if b2 == br:
-                continue
-            perm.extend(range(o2, o2 + w2))
-            new_layout.append((b2, pos, w2))
-            pos += w2
-        ech = _echelon_of([v[i] for i in perm] for v in vectors)
-        items = sorted(
-            ((lead if lead < width else width + box[axis] + 1, v) for lead, _, v in ech.rows),
-            key=lambda t: t[0],
-            reverse=True,
-        )
-        out: dict[tuple[int, ...], int] = {}
-        active: list = []
-        idx = 0
-        memo: dict[int, dict] = {}
-        for l in range(box[axis], -1, -1):
-            while idx < len(items) and items[idx][0] >= l:
-                active.append(items[idx][1])
-                idx += 1
-            key = len(active)
-            if key not in memo:
-                memo[key] = rec(list(active), new_layout, axis + 1)
-            for rest, f in memo[key].items():
-                out[(l,) + rest] = f
-        return out
-
-    # h(l) is the rank of the span's projection onto the columns below l, so
-    # the sweep runs on the projection onto the columns below the box
-    cols = [i for off, b in zip(an.offs, box) for i in range(off, off + b)]
-    proj = _echelon_of([v[i] for i in cols] for _, _, v in an.ech.rows)
-    layout = [(j, sum(box[:j]), box[j]) for j in range(r)]
-    fvals = rec([v for _, _, v in proj.rows], layout, 0)
-    return {l: len(proj) - f for l, f in fvals.items()}
-
-
 def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Exact h on the box, for every branch count, by one threshold sweep.
+
+    h(l) = dim V - F(l), where F(l) is the dimension of the subspace of the
+    span V vanishing below l_j on every branch j.  The sweep fixes the
+    thresholds one axis at a time, in branch order, each from the top of the
+    box down, so that every axis only ever activates more rows.  Each step
+    is exact for these reasons.
+
+    - Axis 0 reads the natural echelon of V.  A row's leading index in
+      block 0 is its order on branch 0, and a row leading in a later block
+      vanishes on all of block 0.  In an echelon form the rows leading at or
+      past l_0 span exactly the elements vanishing below l_0, so they are
+      the active rows.  Nothing is re-eliminated.
+    - At every later axis the active rows span the elements U vanishing
+      below the thresholds fixed so far.  Every threshold left lies inside
+      the box, so whether an element of U counts reads only the box columns
+      of the remaining blocks.  The kernel of U's projection onto those
+      columns (active rows minus the projection's rank) vanishes there and
+      always counts; the rest of F is the same count on the projection.  So
+      the sweep echelons the projection, adds its kernel and goes on with
+      its rows.  Blocks stay in branch order, so the next block comes first
+      and its leading indices are again orders.  The projection is redone
+      only when the active set grew.
+    - At the second-to-last axis one incremental echelon of the last
+      block's box columns grows with the active set.  The projection of the
+      active span onto the columns below l_last has rank equal to the
+      number of pivots below l_last, and the active elements vanishing
+      below l_last are its kernel: F = active - pivots below l_last.  With
+      one branch the echelon of V is that echelon already.
+    """
     r = len(an.bounds)
     if any(b + 1 > n for b, n in zip(box, an.bounds)):
         raise ValidationError("truncation not stabilized")
-    if r == 1:
-        return _h_grid_r1(an, box)
-    if r == 2:
-        return _h_grid_r2(an, box)
-    return _h_grid_general(an, box)
+
+    def last_axis(leads, free: int) -> list[int]:
+        # h at l_last = 0 .. box[-1]: free plus the pivots below l_last
+        steps = [free] + [0] * box[-1]
+        for lead in leads:
+            if lead < box[-1]:
+                steps[lead + 1] += 1
+        return list(itertools.accumulate(steps))
+
+    def sweep(rows, starts: list[int], k: int, free: int) -> list[int]:
+        # rows: echelon rows sorted by lead, block k at column 0, block j at
+        # starts[j - k]; free: dim V minus the kernels counted so far.
+        # Returns h over the points of axes k .. r-1 in lexicographic order.
+        if k == r - 1:
+            return last_axis((lead for lead, _, _ in rows), free - len(rows))
+        if k == r - 2:
+            last = _Echelon()
+            tail = slice(starts[-1], starts[-1] + box[-1])
+        else:
+            cols = [i for s, b in zip(starts[1:], box[k + 1 :]) for i in range(s, s + b)]
+            sub_starts = list(itertools.accumulate(box[k + 1 : -1], initial=0))
+        rows = rows[::-1]
+        per_l: list = [None] * (box[k] + 1)
+        sub = None
+        idx = 0
+        for l in range(box[k], -1, -1):
+            start = idx
+            while idx < len(rows) and rows[idx][0] >= l:
+                if k == r - 2:
+                    last.add(rows[idx][2][tail])
+                idx += 1
+            if sub is None or idx > start:
+                if k == r - 2:
+                    sub = last_axis(last.leads(), free - idx)
+                else:
+                    proj = _echelon_of([v[i] for i in cols] for _, _, v in rows[:idx])
+                    sub = sweep(proj.rows, sub_starts, k + 1, free - idx + len(proj))
+            per_l[l] = sub
+        return list(itertools.chain.from_iterable(per_l))
+
+    points = itertools.product(*(range(b + 1) for b in box))
+    return dict(zip(points, sweep(an.ech.rows, an.offs[:-1], 0, len(an.ech))))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +452,8 @@ def _normalize_bound(degree_bound, r: int) -> tuple[int, ...]:
 
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  A germ that never certifies
-# (two equal branches, say) fails after about 1.5 s on a 2-core VM.
+# (a branch repeated under t -> 2t, say: (t^2, t^3) and (4t^2, 8t^3)) fails
+# after about 2.7 s on a shared 2-core VM.
 _MAX_ROUNDS = 13
 
 

@@ -82,7 +82,6 @@ class GcdChain:
 
 def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
     """Trim to the minimal conductor.  membership must end in a member run."""
-    c = len(membership) - 1
     last_gap = -1
     for x in range(len(membership)):
         if not membership[x]:

@@ -1,5 +1,6 @@
 """Serialization round trips, renderings, and command-line behavior."""
 import json
+import os
 import time
 from pathlib import Path
 
@@ -483,6 +484,18 @@ def test_cli_threads_env_validation(capsys, monkeypatch):
     code, _, stderr = run_cli(["roundtrip", "--max-conductor", "0"], capsys)
     assert code == 2
     assert "LATCOH_THREADS" in stderr
+
+
+def test_threads_env_is_clamped_to_usable_cpus(monkeypatch):
+    # parse_args only reads the value; no worker process is started
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    monkeypatch.setenv("LATCOH_THREADS", "100000")
+    assert parse_args(["roundtrip", "--max-conductor", "10"]).threads == cpus
+    monkeypatch.setenv("LATCOH_THREADS", "-5")
+    assert parse_args(["roundtrip", "--max-conductor", "10"]).threads == 1
 
 
 def test_cli_conjecture_sweep(tmp_path, capsys):

@@ -677,3 +677,30 @@ def test_three_branch_triple_point():
     naive = naive_hilbert_grid(frac, [6, 6, 6], W.box)
     for point, value in naive.items():
         assert W.h[point] == value, point
+
+
+def test_smallest_three_branch_random_grid_matches_dense_rational_oracle():
+    batch = [b for b in random_space_curves(ORACLE_SEED, 20) if len(b) == 3]
+    grids = [(b, hilbert_from_parametrization(curve(b))) for b in batch]
+    branches, W = min(grids, key=lambda item: len(item[1].h))
+    assert W.r == 3
+    frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+    # a window past the conductor cuts off only t^n of the normalization,
+    # which lies in the local ring, so the dense span is exact there
+    bounds = [c + 4 for c in W.conductor]
+    assert naive_hilbert_grid(frac, bounds, W.box) == W.h, W.conductor
+
+
+def test_four_branch_grid_matches_dense_rational_oracle():
+    # four branches reach the threshold sweep's projections two axes deep
+    branches = [
+        [[(1, 2)], [(1, 3)], [], []],
+        [[], [(1, 2)], [(1, 3)], []],
+        [[], [], [(1, 2)], [(2, 3)]],
+        [[(3, 3)], [], [], [(1, 2)]],
+    ]
+    W = hilbert_from_parametrization(curve(branches))
+    assert W.conductor == (4, 4, 4, 4)
+    frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+    bounds = [c + 4 for c in W.conductor]
+    assert naive_hilbert_grid(frac, bounds, W.box) == W.h
