@@ -15,16 +15,12 @@ Exit codes: 0 success (and "isomorphic" verdicts), 1 property violation,
 Reports go to stdout as canonical JSON; the same bytes land in ``--out``
 when given.  Side artifacts (weight tables, roots, modules) are chosen by
 flag, with root renderings picked by file extension (.dot, .json, or ASCII
-for anything else).  ``LATCOH_THREADS`` caps worker parallelism, at most one
-worker per usable CPU; output is assembled in input order either way, so runs
-are byte-identical.
+for anything else).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 from . import formats
 from .errors import InputError, ValidationError
@@ -58,51 +54,15 @@ from .semigroup import (
 from .weight1d import min_w0, weight_sequence
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, parsed and validated."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    gens: tuple[int, ...] | None = None
-    out: str | None = None
-    root_out: str | None = None
-    weights_out: str | None = None
-    module_out: str | None = None
-    cohomology_out: str | None = None
-    degree_bound: int | None = None
-    conductor: tuple[int, ...] | None = None
-    max_conductor: int = 0
-    threads: int = 1
-
-
 def _int_tuple(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError("%s: expected comma-separated integers, got %r" % (what, text))
-    if not parts:
-        raise InputError("%s: empty list" % what)
-    return parts
 
 
-def _threads_from_env() -> int:
-    """LATCOH_THREADS, clamped to 1 .. the CPUs this process may run on."""
-    raw = os.environ.get("LATCOH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError("LATCOH_THREADS: expected an integer, got %r" % raw)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(n, cpus))
-
-
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line; ``ns.func(ns)`` runs the chosen command."""
     ap = argparse.ArgumentParser(
         prog="latcoh",
         description="analytic lattice cohomology of curve singularities",
@@ -110,6 +70,7 @@ def parse_args(argv) -> RunConfig:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("semigroup", help="invariants of a numerical semigroup")
+    p.set_defaults(func=cmd_semigroup)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gens", help="comma-separated generators, e.g. 6,10,31")
     src.add_argument("--in", dest="infile", help="semigroup JSON file")
@@ -119,10 +80,12 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--module", dest="module_out", help="write the tower module JSON")
 
     p = sub.add_parser("reconstruct", help="semigroup from a tower-module file")
+    p.set_defaults(func=cmd_reconstruct)
     p.add_argument("--module", dest="infile", required=True, help="module JSON file")
     p.add_argument("--out", help="write the semigroup JSON here")
 
     p = sub.add_parser("curve", help="lattice cohomology of a parametrized curve")
+    p.set_defaults(func=cmd_curve)
     p.add_argument("--in", dest="infile", required=True, help="curve JSON file")
     p.add_argument("--bound", type=int, help="truncation degree for the series algebra")
     p.add_argument("--conductor", help="known conductor, comma-separated per branch")
@@ -132,42 +95,25 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--cohomology", dest="cohomology_out", help="write the cohomology JSON")
 
     p = sub.add_parser("roundtrip", help="reconstruction sweep over plane branches")
+    p.set_defaults(func=cmd_roundtrip)
     p.add_argument("--max-conductor", type=int, required=True)
     p.add_argument("--out", help="write the sweep report JSON here")
 
     p = sub.add_parser("root-iso", help="decide isomorphism of two root files")
+    p.set_defaults(func=cmd_root_iso)
     p.add_argument("roots", nargs=2, metavar="ROOT_JSON")
 
     p = sub.add_parser("conjecture-sweep", help="hunt for equal-module non-isomorphic roots")
+    p.set_defaults(func=cmd_conjecture_sweep)
     p.add_argument("--max-conductor", type=int, required=True)
     p.add_argument("--out", help="write the sweep report JSON here")
 
     ns = ap.parse_args(argv)
-    gens = _int_tuple(ns.gens, "--gens") if getattr(ns, "gens", None) else None
-    conductor = (
-        _int_tuple(ns.conductor, "--conductor")
-        if getattr(ns, "conductor", None)
-        else None
-    )
-    inputs = []
-    if getattr(ns, "infile", None):
-        inputs.append(ns.infile)
-    if getattr(ns, "roots", None):
-        inputs.extend(ns.roots)
-    return RunConfig(
-        command=ns.command,
-        inputs=tuple(inputs),
-        gens=gens,
-        out=getattr(ns, "out", None),
-        root_out=getattr(ns, "root_out", None),
-        weights_out=getattr(ns, "weights_out", None),
-        module_out=getattr(ns, "module_out", None),
-        cohomology_out=getattr(ns, "cohomology_out", None),
-        degree_bound=getattr(ns, "bound", None),
-        conductor=conductor,
-        max_conductor=getattr(ns, "max_conductor", 0) or 0,
-        threads=_threads_from_env(),
-    )
+    if getattr(ns, "gens", None) is not None:
+        ns.gens = _int_tuple(ns.gens, "--gens")
+    if getattr(ns, "conductor", None) is not None:
+        ns.conductor = _int_tuple(ns.conductor, "--conductor")
+    return ns
 
 
 def _write(path: str, text: str) -> None:
@@ -201,11 +147,11 @@ def _smallest_positive(S: CofiniteSet) -> int:
 # ---------------------------------------------------------------------------
 # semigroup
 
-def cmd_semigroup(cfg: RunConfig) -> int:
-    if cfg.gens is not None:
-        S = from_generators(cfg.gens)
+def cmd_semigroup(ns: argparse.Namespace) -> int:
+    if ns.gens is not None:
+        S = from_generators(ns.gens)
     else:
-        S = formats.read_semigroup_file(cfg.inputs[0])
+        S = formats.read_semigroup_file(ns.infile)
     W = weight_sequence(S)
     R = root_from_weight(W)
     M = module_from_root(R)
@@ -245,21 +191,21 @@ def cmd_semigroup(cfg: RunConfig) -> int:
     }
     if notes:
         report["notes"] = notes
-    if cfg.weights_out:
-        _write(cfg.weights_out, formats.weights_tsv(W))
-    if cfg.root_out:
-        _write_root(cfg.root_out, R)
-    if cfg.module_out:
-        _write(cfg.module_out, formats.to_json(formats.module_to_dict(M)))
-    _emit_report(report, cfg.out)
+    if ns.weights_out:
+        _write(ns.weights_out, formats.weights_tsv(W))
+    if ns.root_out:
+        _write_root(ns.root_out, R)
+    if ns.module_out:
+        _write(ns.module_out, formats.to_json(formats.module_to_dict(M)))
+    _emit_report(report, ns.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # reconstruct
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    M = formats.read_module_file(cfg.inputs[0])
+def cmd_reconstruct(ns: argparse.Namespace) -> int:
+    M = formats.read_module_file(ns.infile)
     S = reconstruct_semigroup(M)
     ip = initial_part(M)
     _plane, chain = is_plane_branch(S)
@@ -276,8 +222,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     text = formats.to_json(formats.semigroup_to_dict(S))
-    if cfg.out:
-        _write(cfg.out, text)
+    if ns.out:
+        _write(ns.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -286,14 +232,14 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # curve
 
-def cmd_curve(cfg: RunConfig) -> int:
-    P = formats.read_curve_file(cfg.inputs[0])
-    if cfg.conductor is not None and len(cfg.conductor) != P.r:
+def cmd_curve(ns: argparse.Namespace) -> int:
+    P = formats.read_curve_file(ns.infile)
+    if ns.conductor is not None and len(ns.conductor) != P.r:
         raise InputError(
             "--conductor: expected %d entries for %d branches" % (P.r, P.r)
         )
-    bound = cfg.degree_bound if cfg.degree_bound is not None else "auto"
-    W = hilbert_from_parametrization(P, degree_bound=bound, conductor=cfg.conductor)
+    bound = ns.bound if ns.bound is not None else "auto"
+    W = hilbert_from_parametrization(P, degree_bound=bound, conductor=ns.conductor)
     H = lattice_cohomology(W)
     sd = series(W)
     ed = euler_delta_check(W, P)
@@ -338,19 +284,19 @@ def cmd_curve(cfg: RunConfig) -> int:
         report["generators"] = (
             list(src.min_gens) if isinstance(src, NumericalSemigroup) else None
         )
-    if cfg.weights_out:
-        _write(cfg.weights_out, formats.weights_tsv(W))
-    if cfg.root_out:
-        _write_root(cfg.root_out, H.root)
-    if cfg.cohomology_out:
+    if ns.weights_out:
+        _write(ns.weights_out, formats.weights_tsv(W))
+    if ns.root_out:
+        _write_root(ns.root_out, H.root)
+    if ns.cohomology_out:
         section = {
             "min_w0": H.min_w0,
             "module": report["module"],
             "cohomology": report["cohomology"],
             "torsion": report["torsion"],
         }
-        _write(cfg.cohomology_out, formats.to_json(section))
-    _emit_report(report, cfg.out)
+        _write(ns.cohomology_out, formats.to_json(section))
+    _emit_report(report, ns.out)
     return 0
 
 
@@ -366,27 +312,21 @@ def _roundtrip_one(S: NumericalSemigroup) -> tuple[tuple[int, ...], bool]:
     return S.min_gens, back == S
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    if cfg.max_conductor < 0:
+def cmd_roundtrip(ns: argparse.Namespace) -> int:
+    if ns.max_conductor < 0:
         raise InputError("--max-conductor must be non-negative")
-    semigroups = enumerate_plane_branch_semigroups(cfg.max_conductor)
-    if cfg.threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(cfg.threads) as pool:
-            results = list(pool.imap(_roundtrip_one, semigroups, chunksize=16))
-    else:
-        results = [_roundtrip_one(S) for S in semigroups]
+    semigroups = enumerate_plane_branch_semigroups(ns.max_conductor)
+    results = [_roundtrip_one(S) for S in semigroups]
     failures = [gens for gens, ok in results if not ok]
     for gens in failures:
         sys.stdout.write("failed: %s\n" % ",".join(str(g) for g in gens))
     sys.stdout.write("tested %d passed %d\n" % (len(results), len(results) - len(failures)))
-    if cfg.out:
+    if ns.out:
         _write(
-            cfg.out,
+            ns.out,
             formats.to_json(
                 {
-                    "max_conductor": cfg.max_conductor,
+                    "max_conductor": ns.max_conductor,
                     "tested": len(results),
                     "passed": len(results) - len(failures),
                     "failures": [list(g) for g in failures],
@@ -399,9 +339,8 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # root-iso
 
-def cmd_root_iso(cfg: RunConfig) -> int:
-    R1 = formats.read_root_file(cfg.inputs[0])
-    R2 = formats.read_root_file(cfg.inputs[1])
+def cmd_root_iso(ns: argparse.Namespace) -> int:
+    R1, R2 = (formats.read_root_file(path) for path in ns.roots)
     if roots_isomorphic(R1, R2):
         sys.stdout.write("isomorphic\n")
         return 0
@@ -412,10 +351,10 @@ def cmd_root_iso(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # conjecture-sweep
 
-def cmd_conjecture_sweep(cfg: RunConfig) -> int:
-    if cfg.max_conductor < 0:
+def cmd_conjecture_sweep(ns: argparse.Namespace) -> int:
+    if ns.max_conductor < 0:
         raise InputError("--max-conductor must be non-negative")
-    rep = conjecture_sweep(cfg.max_conductor)
+    rep = conjecture_sweep(ns.max_conductor)
     lines = [
         "max conductor %d" % rep.max_conductor,
         "tested %d" % rep.tested,
@@ -430,9 +369,9 @@ def cmd_conjecture_sweep(cfg: RunConfig) -> int:
             % (",".join(str(x) for x in a), ",".join(str(x) for x in b))
         )
     sys.stdout.write("\n".join(lines) + "\n")
-    if cfg.out:
+    if ns.out:
         _write(
-            cfg.out,
+            ns.out,
             formats.to_json(
                 {
                     "max_conductor": rep.max_conductor,
@@ -447,24 +386,10 @@ def cmd_conjecture_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "semigroup": cmd_semigroup,
-    "reconstruct": cmd_reconstruct,
-    "curve": cmd_curve,
-    "roundtrip": cmd_roundtrip,
-    "root-iso": cmd_root_iso,
-    "conjecture-sweep": cmd_conjecture_sweep,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    return _DISPATCH[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv)
-        return run(cfg)
+        ns = parse_args(argv)
+        return ns.func(ns)
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

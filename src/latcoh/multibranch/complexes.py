@@ -483,7 +483,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
         for n in range(bottom, top_report + 1):
             alive = sum(1 for m, t in tq if m <= n <= t)
             holding = sum(1 for m, t in tq if m <= n and t >= n + 1)
-            if q == 0 and n >= bottom:
+            if q == 0:
                 alive += 1
                 holding += 1
             ranks[n] = alive

@@ -559,7 +559,7 @@ def hilbert_from_parametrization(
 
 @dataclass(frozen=True)
 class SeriesData:
-    """Hilbert series data: the h table and the numerator coefficients.
+    """Hilbert series data: the numerator coefficients inside the conductor box.
 
     For one branch the numerator support is the value semigroup clipped to
     the conductor, with an implicit tail of ones past it; for several
@@ -569,23 +569,21 @@ class SeriesData:
 
     r: int
     conductor: tuple[int, ...]
-    hilbert: dict[tuple[int, ...], int]
     coefficients: dict[tuple[int, ...], int]
     tail: str
 
 
 def series(W: WeightGrid) -> SeriesData:
-    """Numerator of the multigraded Hilbert series, from differences of h."""
+    """Numerator of the multigraded Hilbert series, from differences of h.
+
+    The coefficient at l is the inclusion-exclusion sum of h over the
+    corners of the unit cube above l.  For one branch that is
+    h(l+1) - h(l), the membership indicator of l in the semigroup, which is
+    1 at l = c and stays 1 past it.
+    """
     grid = weight_grid_extend(W)
     c = grid.conductor
     r = grid.r
-    if r == 1:
-        coeffs = {
-            (l,): 1
-            for l in range(c[0] + 1)
-            if grid.h[(l + 1,)] == grid.h[(l,)] + 1 or l == c[0]
-        }
-        return SeriesData(1, c, dict(grid.h), coeffs, "ones-past-conductor")
     coeffs: dict[tuple[int, ...], int] = {}
     axes = list(range(r))
     for l in itertools.product(*(range(cj + 1) for cj in c)):
@@ -598,9 +596,9 @@ def series(W: WeightGrid) -> SeriesData:
                 sign = -1 if size % 2 == 0 else 1
                 total += sign * grid.h[tuple(pt)]
         if total:
-            if any(l[j] == c[j] for j in range(r)):
+            if r >= 2 and any(l[j] == c[j] for j in range(r)):
                 raise ValidationError(
                     "nonzero tail: numerator does not vanish at %r" % (l,)
                 )
             coeffs[l] = total
-    return SeriesData(r, c, dict(grid.h), coeffs, "zero")
+    return SeriesData(r, c, coeffs, "ones-past-conductor" if r == 1 else "zero")

@@ -30,16 +30,10 @@ from .weight1d import weight_sequence
 
 @dataclass(frozen=True)
 class InitialPart:
-    """Initial level, initial elements, and the bookkeeping behind them.
-
-    ``s_k_table`` maps each level n in [e, 0] to (s_n, k_n): the cumulative
-    rank above level n (the smallest candidate element there) and the number
-    of elements actually taken at that level.
-    """
+    """Initial level, initial elements, delta and the module's base level."""
 
     e: int
     elements: tuple[int, ...]
-    s_k_table: dict[int, tuple[int, int]]
     delta: int
     min_w0: int
 
@@ -68,7 +62,6 @@ def initial_part(M: TowerModule) -> InitialPart:
     delta = sum(r for r, _k in profile.values()) - 1
     s = 0
     elements: list[int] = []
-    s_k_table: dict[int, tuple[int, int]] = {}
     for n in range(0, e - 1, -1):
         r = profile[n][0]
         if r <= 0:
@@ -88,14 +81,13 @@ def initial_part(M: TowerModule) -> InitialPart:
                 raise ValidationError("inconsistent module: rank parity off at level %d" % n)
             count = k
         elements.extend(s + 2 * j for j in range(count))
-        s_k_table[n] = (s, count)
         s += r
     elements.sort()
     if not elements or elements[0] != 0:
         raise ValidationError("inconsistent module: 0 is not an initial element")
     if elements[-1] > delta:
         raise ValidationError("inconsistent module: initial element beyond delta")
-    return InitialPart(e, tuple(elements), s_k_table, delta, M.base)
+    return InitialPart(e, tuple(elements), delta, M.base)
 
 
 def initial_part_from_root(R: GradedRoot) -> InitialPart:

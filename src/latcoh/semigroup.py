@@ -259,15 +259,10 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
 
     found = [(0, (1,))]
 
-    def extend(bets, l, c_part):
-        lo = bets[-1] + 1
-        if len(bets) >= 2:
-            # Eq-(1) lower bound: the next generator must exceed n_i * b_i
-            chain_l = [bets[0]]
-            for b in bets[1:]:
-                chain_l.append(gcd(chain_l[-1], b))
-            ncur = chain_l[-2] // chain_l[-1]
-            lo = max(lo, ncur * bets[-1] + 1)
+    def extend(bets, l, c_part, n):
+        # Eq-(1) lower bound: the next generator must exceed n_i * b_i,
+        # where n_i = l_{i-1} / l_i (n = 1 before the second generator)
+        lo = n * bets[-1] + 1
         # conductor grows by at least b - l/2, so b <= max_c - c_part + l
         for b in range(lo, max_conductor - c_part + l + 1):
             l2 = gcd(l, b)
@@ -279,10 +274,10 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
             if l2 == 1:
                 found.append((c_part + inc, tuple(bets) + (b,)))
             else:
-                extend(bets + [b], l2, c_part + inc)
+                extend(bets + [b], l2, c_part + inc, l // l2)
 
     for b0 in range(2, max_conductor + 1):
-        extend([b0], b0, 0)
+        extend([b0], b0, 0, 1)
 
     for _c, gens in sorted(set(found)):
         yield from_generators(gens)

@@ -1,6 +1,5 @@
 """Serialization round trips, renderings, and command-line behavior."""
 import json
-import os
 import time
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from latcoh import (
     weight_sequence,
 )
 from latcoh import formats
-from latcoh.cli import main, parse_args
+from latcoh.cli import cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
 from fixtures import (
     CURVE_SIX_COORD,
     ORACLE_SEED,
@@ -385,6 +384,27 @@ def test_cli_curve_report_bytes(branches, expected, tmp_path, capsys):
     assert stdout == (DATA / expected).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv,out_file,expected",
+    [
+        (["semigroup", "--gens", "6,10,31"], False, "semigroup_6_10_31.json"),
+        # module_6_10_31.json is the --module file of the semigroup run above
+        (["reconstruct", "--module", str(DATA / "module_6_10_31.json")], False, "reconstruct_6_10_31.txt"),
+        (["roundtrip", "--max-conductor", "30"], True, "roundtrip_30.json"),
+        (["conjecture-sweep", "--max-conductor", "30"], True, "conjecture_sweep_30.json"),
+    ],
+    ids=["semigroup", "reconstruct", "roundtrip", "conjecture-sweep"],
+)
+def test_cli_report_bytes(argv, out_file, expected, tmp_path, capsys):
+    # stdout, or the --out file, byte for byte as stored in tests/data
+    out = tmp_path / "out.json"
+    if out_file:
+        argv = argv + ["--out", str(out)]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert (out.read_text() if out_file else stdout) == (DATA / expected).read_text()
+
+
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):
     c = tmp_path / "curve.json"
     c.write_text(
@@ -470,34 +490,6 @@ def test_cli_roundtrip(capsys):
     assert stdout.strip() == "tested 43 passed 43"
 
 
-def test_cli_roundtrip_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    code, serial, _ = run_cli(["roundtrip", "--max-conductor", "24"], capsys)
-    assert code == 0
-    monkeypatch.setenv("LATCOH_THREADS", "2")
-    code, parallel, _ = run_cli(["roundtrip", "--max-conductor", "24"], capsys)
-    assert code == 0
-    assert serial == parallel
-
-
-def test_cli_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("LATCOH_THREADS", "many")
-    code, _, stderr = run_cli(["roundtrip", "--max-conductor", "0"], capsys)
-    assert code == 2
-    assert "LATCOH_THREADS" in stderr
-
-
-def test_threads_env_is_clamped_to_usable_cpus(monkeypatch):
-    # parse_args only reads the value; no worker process is started
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    monkeypatch.setenv("LATCOH_THREADS", "100000")
-    assert parse_args(["roundtrip", "--max-conductor", "10"]).threads == cpus
-    monkeypatch.setenv("LATCOH_THREADS", "-5")
-    assert parse_args(["roundtrip", "--max-conductor", "10"]).threads == 1
-
-
 def test_cli_conjecture_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code, stdout, _ = run_cli(
@@ -514,6 +506,15 @@ def test_cli_bad_gens(capsys):
     code, _, stderr = run_cli(["semigroup", "--gens", "6,,31"], capsys)
     assert code == 2
     assert "--gens" in stderr
+
+
+def test_cli_empty_int_lists_are_malformed(tmp_path, capsys):
+    code, stdout, stderr = run_cli(["semigroup", "--gens", ""], capsys)
+    assert (code, stdout) == (2, "")
+    assert "--gens" in stderr
+    code, stdout, stderr = run_cli(["curve", "--in", str(tmp_path / "c.json"), "--conductor", ""], capsys)
+    assert (code, stdout) == (2, "")
+    assert "--conductor" in stderr
 
 
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
@@ -538,17 +539,18 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
 
 
 def test_parse_args_shapes():
-    cfg = parse_args(["semigroup", "--gens", "6,10,31", "--out", "r.json"])
-    assert cfg.command == "semigroup"
-    assert cfg.gens == (6, 10, 31)
-    assert cfg.out == "r.json"
-    cfg = parse_args(["curve", "--in", "c.json", "--bound", "32", "--conductor", "4,4"])
-    assert cfg.command == "curve"
-    assert cfg.inputs == ("c.json",)
-    assert cfg.degree_bound == 32
-    assert cfg.conductor == (4, 4)
-    cfg = parse_args(["root-iso", "a.json", "b.json"])
-    assert cfg.inputs == ("a.json", "b.json")
+    ns = parse_args(["semigroup", "--gens", "6,10,31", "--out", "r.json"])
+    assert ns.func is cmd_semigroup
+    assert ns.gens == (6, 10, 31)
+    assert ns.out == "r.json"
+    ns = parse_args(["curve", "--in", "c.json", "--bound", "32", "--conductor", "4,4"])
+    assert ns.func is cmd_curve
+    assert ns.infile == "c.json"
+    assert ns.bound == 32
+    assert ns.conductor == (4, 4)
+    ns = parse_args(["root-iso", "a.json", "b.json"])
+    assert ns.func is cmd_root_iso
+    assert ns.roots == ["a.json", "b.json"]
     with pytest.raises(SystemExit) as exc:
         parse_args(["unknown-command"])
     assert exc.value.code == 2
