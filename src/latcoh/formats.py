@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, as_int as _as_int
 from .graded import GradedRoot, TowerModule
 from .multibranch import BranchParametrization, WeightGrid, make_parametrization
 from .semigroup import CofiniteSet, NumericalSemigroup, from_generators, from_members
@@ -48,12 +48,6 @@ def _require(d, key, where):
     if key not in d:
         raise InputError("%s: missing field %r" % (where, key))
     return d[key]
-
-
-def _as_int(x, where):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError("%s: expected an integer, got %r" % (where, x))
-    return x
 
 
 def _as_int_list(x, where):

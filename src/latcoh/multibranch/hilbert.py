@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from ..errors import InputError, ValidationError
+from ..errors import InputError, ValidationError, as_int
 from ..semigroup import from_members as _semigroup_from_members
 from ..weight1d import WeightSequence, weight_sequence
 from .parametrization import BranchParametrization
@@ -210,15 +211,6 @@ def _analyze(coords, r: int, bounds: tuple[int, ...]) -> _Analysis:
 def _candidate_conductor(pure: frozenset[int], nj: int) -> int:
     """One past the last order below nj that is not window-pure (0 if none)."""
     return next((x + 1 for x in range(nj - 1, -1, -1) if x not in pure), 0)
-
-
-def _certifies(pure: frozenset[int], c: int, mult: int, nj: int) -> bool:
-    """Orders c .. c+mult-1 are window-pure, and the box up to c+1 fits.
-
-    Holding on every branch at once, this proves t^c Ō ⊆ O; see
-    :func:`hilbert_from_parametrization`.
-    """
-    return c + max(mult, 2) <= nj and all(c + t in pure for t in range(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +418,15 @@ def weight_grid_extend(W: WeightGrid) -> WeightGrid:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from_analysis(
-    an: _Analysis, conductor: tuple[int, ...], r: int
-) -> WeightGrid:
-    box = tuple(c + 1 for c in conductor)
-    h = _h_box(an, box)
-    return WeightGrid(r, conductor, box, h)
+def _ints(value, what: str, shape_error: str) -> tuple[int, ...]:
+    """The entries of a non-string iterable, each an int (bools and floats fail)."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise InputError(shape_error)
+    return tuple(as_int(x, what) for x in value)
 
 
-def _normalize_bound(degree_bound, r: int) -> tuple[int, ...]:
-    if isinstance(degree_bound, int) and not isinstance(degree_bound, bool):
-        if degree_bound < 4:
-            raise InputError("degree bound must be at least 4")
-        return (degree_bound,) * r
-    try:
-        bs = tuple(int(b) for b in degree_bound)  # type: ignore[arg-type]
-    except TypeError:
-        raise InputError("degree bound must be an integer, a tuple, or 'auto'")
-    if len(bs) != r:
-        raise InputError("degree bound needs one entry per branch")
-    if any(b < 4 for b in bs):
-        raise InputError("degree bound must be at least 4")
-    return bs
-
+_BAD_BOUND = "degree bound must be an integer, a tuple, or 'auto'"
+_BAD_HINT = "conductor needs one nonnegative entry per branch"
 
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  A germ that never certifies
@@ -490,64 +468,73 @@ def hilbert_from_parametrization(
     4. Then O ∩ t^n Ō = t^n Ō, so V = O/t^n Ō, and h on the box up to
        c + 1 is exact since n >= c + 2.
 
-    With ``degree_bound="auto"`` one window is analysed at a time.  The
-    first is max(8, 2 m_j + 4) per branch; its candidate c_j is one past the
-    last order that is not window-pure, so the run after it is window-pure
-    by construction and the certificate only needs room.  The first window
-    that certifies its candidate on every branch gives the grid.  Otherwise
-    each window grows to max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); after a
-    fixed number of rounds the result is
-    ``ValidationError("truncation not stabilized")``.  A window past the
-    true conductor by max(m_j, 2) always certifies, by step 1.
+    One loop analyses one window at a time.  The first window is the
+    pinned ``degree_bound`` (an int, or one int per branch), or
+    c_j + max(m_j, 2) for a ``conductor`` hint c, or else
+    max(8, 2 m_j + 4); pinned and hinted windows get one round.  Each round
+    takes the candidate c_j one past the last order below n_j that is not
+    window-pure, so every order from c_j to the window edge is window-pure
+    by construction, and the certificate for the candidate is the room
+    check c_j + max(m_j, 2) <= n_j.  The first window with room on every
+    branch gives the grid.  Otherwise each window grows to
+    max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); when the rounds run out the
+    result is ``ValidationError("truncation not stabilized")``.  A window
+    past the true conductor by max(m_j, 2) always has room, by step 1.
 
-    An explicit bound (int, or one int per branch) is analysed as-is.
-    Passing ``conductor`` analyses the window c_j + max(m_j, 2) (or the
-    explicit bound), requires the certificate on every branch and rejects
-    the hint when some c_j - 1 is window-pure; by steps 2 and 3 a hint is
-    accepted exactly when it is the conductor.
+    A hint needs the same room, and is accepted exactly when it equals the
+    candidate.  Window-pure orders are closed under adding m_j below n_j
+    (multiply by a coordinate of order m_j on branch j), so the hint's run
+    is window-pure exactly when the candidate is at most the hint, and
+    hint - 1 is window-pure exactly when the candidate is below the hint.
+    Branch by branch, a hint without room is "truncation not stabilized"
+    and one below the candidate is "not confirmed"; then a hint above the
+    candidate is "not minimal".  By steps 2 and 3 an accepted hint is the
+    conductor.
     """
     r = P.r
     mults = tuple(P.branch_multiplicity(j) for j in range(r))
-    coords = _integer_coordinates(P)
-
+    hint = None
     if conductor is not None:
-        cand = tuple(int(c) for c in conductor)
-        if len(cand) != r or any(c < 0 for c in cand):
-            raise InputError("conductor needs one nonnegative entry per branch")
-        if degree_bound == "auto":
-            bounds = tuple(c + max(m, 2) for c, m in zip(cand, mults))
-        else:
-            bounds = _normalize_bound(degree_bound, r)
+        hint = _ints(conductor, "conductor", _BAD_HINT)
+        if len(hint) != r or min(hint) < 0:
+            raise InputError(_BAD_HINT)
+    rounds = 1
+    if degree_bound != "auto":
+        if isinstance(degree_bound, int) and not isinstance(degree_bound, bool):
+            degree_bound = (degree_bound,) * r
+        bounds = _ints(degree_bound, "degree bound", _BAD_BOUND)
+        if len(bounds) != r:
+            raise InputError("degree bound needs one entry per branch")
+        if min(bounds) < 4:
+            raise InputError("degree bound must be at least 4")
+    elif hint is not None:
+        bounds = tuple(c + max(m, 2) for c, m in zip(hint, mults))
+    else:
+        bounds = tuple(max(8, 2 * m + 4) for m in mults)
+        rounds = _MAX_ROUNDS
+
+    coords = _integer_coordinates(P)
+    for _ in range(rounds):
         an = _analyze(coords, r, bounds)
+        cand = tuple(_candidate_conductor(p, n) for p, n in zip(an.pure, bounds))
+        c = cand if hint is None else hint
         for j in range(r):
-            if cand[j] + max(mults[j], 2) > bounds[j]:
-                raise ValidationError("truncation not stabilized")
-            if not _certifies(an.pure[j], cand[j], mults[j], bounds[j]):
+            if c[j] + max(mults[j], 2) > bounds[j]:
+                break
+            if cand[j] > c[j]:
                 raise ValidationError(
                     "conductor not confirmed within the truncation window"
                     " on branch %d" % j
                 )
-        for j in range(r):
-            if cand[j] > 0 and (cand[j] - 1) in an.pure[j]:
-                raise ValidationError(
-                    "conductor not minimal on branch %d" % j
-                )
-        return _grid_from_analysis(an, cand, r)
-
-    if degree_bound == "auto":
-        bounds = tuple(max(8, 2 * m + 4) for m in mults)
-        rounds = _MAX_ROUNDS
-    else:
-        bounds = _normalize_bound(degree_bound, r)
-        rounds = 1
-    for _ in range(rounds):
-        an = _analyze(coords, r, bounds)
-        cand = tuple(_candidate_conductor(p, n) for p, n in zip(an.pure, bounds))
-        if all(map(_certifies, an.pure, cand, mults, bounds)):
-            return _grid_from_analysis(an, cand, r)
+        else:
+            for j in range(r):
+                if cand[j] < c[j]:
+                    raise ValidationError("conductor not minimal on branch %d" % j)
+            box = tuple(x + 1 for x in c)
+            return WeightGrid(r, c, box, _h_box(an, box))
         bounds = tuple(
-            max(c + max(m, 2) + 1, -(-3 * n // 2))
-            for c, m, n in zip(cand, mults, bounds)
+            max(x + max(m, 2) + 1, -(-3 * n // 2))
+            for x, m, n in zip(cand, mults, bounds)
         )
     raise ValidationError("truncation not stabilized")
 

@@ -181,10 +181,7 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
         if g0 == 1:
             gens = list(P)
         else:
-            try:
-                l, c_prefix = _prefix_conductor(P)
-            except InputError as exc:
-                raise ValidationError("validation failed: %s" % exc) from exc
+            l, c_prefix = _prefix_conductor(P)
             if (2 * delta - c_prefix) % (l - 1) != 0:
                 raise ValidationError("non-integral top generator")
             top = (2 * delta - c_prefix) // (l - 1) + 1

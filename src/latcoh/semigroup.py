@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,12 @@ def _minimal_generators(membership: tuple[bool, ...], conductor: int) -> tuple[i
 def from_generators(gens) -> NumericalSemigroup:
     """Numerical semigroup generated by ``gens``.
 
-    Raises InputError("no generators") for an empty list and
-    InputError("not cofinite") when the gcd of the generators exceeds 1.
+    Raises InputError("no generators") for an empty list,
+    InputError("not cofinite") when the gcd of the generators exceeds 1,
+    and InputError for an entry that is not an int (bools and floats
+    included).
     """
-    gens = tuple(sorted(set(int(g) for g in gens)))
+    gens = tuple(sorted(set(as_int(g, "generator") for g in gens)))
     if not gens:
         raise InputError("no generators")
     if any(g <= 0 for g in gens):
@@ -165,10 +167,10 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     a NumericalSemigroup is returned; otherwise a plain CofiniteSet.  The
     conductor is re-normalized to be minimal.
     """
-    conductor = int(conductor)
+    conductor = as_int(conductor, "conductor")
     if conductor < 0:
         raise InputError("conductor must be non-negative")
-    members = set(int(x) for x in members_below)
+    members = set(as_int(x, "member") for x in members_below)
     if any(x < 0 for x in members):
         raise InputError("negative member")
     if conductor == 0:
@@ -253,7 +255,7 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
     Emitted sorted by (conductor, minimal generators).  The smooth branch
     (all of N, conductor 0) is always first.
     """
-    max_conductor = int(max_conductor)
+    max_conductor = as_int(max_conductor, "max_conductor")
     if max_conductor < 0:
         raise InputError("max_conductor must be non-negative")
 

@@ -19,7 +19,6 @@ from latcoh import (
 from latcoh import formats
 from latcoh.cli import cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
 from fixtures import (
-    CURVE_SIX_COORD,
     ORACLE_SEED,
     SPRIME_CONDUCTOR,
     SPRIME_MEMBERS,
@@ -365,23 +364,63 @@ def test_cli_curve_full_run(tmp_path, capsys):
     )
 
 
+SIX_COORD_IN = DATA / "curve_six_coord_in.json"  # fixtures.CURVE_SIX_COORD
+THREE_BRANCH = random_space_curves(ORACLE_SEED, 20)[19]
+
+
+def _curve_file(source, tmp_path):
+    """A stored curve file as it is, or branch terms written to a new one."""
+    if isinstance(source, Path):
+        return source
+    c = tmp_path / "curve.json"
+    coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in source]
+    c.write_text(json.dumps({"branches": [{"coords": cs} for cs in coords]}))
+    return c
+
+
 @pytest.mark.parametrize(
-    "branches,expected",
+    "source,extra,expected",
     [
         # 36 box points, 100 cubes: under the SNF limit, so every level is checked
-        (CURVE_SIX_COORD, "curve_six_coord.json"),
+        (SIX_COORD_IN, [], "curve_six_coord.json"),
+        (SIX_COORD_IN, ["--bound", "16"], "curve_six_coord.json"),
+        (SIX_COORD_IN, ["--conductor", "4,4"], "curve_six_coord.json"),
         # three branches, conductor (8, 12, 6), with degree-1 towers
-        (random_space_curves(ORACLE_SEED, 20)[19], "curve_three_branch.json"),
+        (THREE_BRANCH, [], "curve_three_branch.json"),
+        (THREE_BRANCH, ["--bound", "40"], "curve_three_branch.json"),
+        (THREE_BRANCH, ["--conductor", "8,12,6"], "curve_three_branch.json"),
     ],
-    ids=["two-branch", "three-branch"],
+    ids=[
+        "two-branch", "two-branch-bound", "two-branch-conductor",
+        "three-branch", "three-branch-bound", "three-branch-conductor",
+    ],
 )
-def test_cli_curve_report_bytes(branches, expected, tmp_path, capsys):
-    c = tmp_path / "curve.json"
-    coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in branches]
-    c.write_text(json.dumps({"branches": [{"coords": cs} for cs in coords]}))
-    code, stdout, _ = run_cli(["curve", "--in", str(c)], capsys)
+def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):
+    c = _curve_file(source, tmp_path)
+    code, stdout, _ = run_cli(["curve", "--in", str(c)] + extra, capsys)
     assert code == 0
     assert stdout == (DATA / expected).read_text()
+
+
+@pytest.mark.parametrize(
+    "source,extra,message",
+    [
+        (SIX_COORD_IN, ["--bound", "5"], "truncation not stabilized"),
+        (SIX_COORD_IN, ["--conductor", "5,4"], "conductor not minimal on branch 0"),
+        (
+            THREE_BRANCH,
+            ["--conductor", "8,11,6"],
+            "conductor not confirmed within the truncation window on branch 1",
+        ),
+    ],
+    ids=["short-window", "hint-too-high", "hint-too-low"],
+)
+def test_cli_curve_wrong_window(source, extra, message, tmp_path, capsys):
+    c = _curve_file(source, tmp_path)
+    code, stdout, stderr = run_cli(["curve", "--in", str(c)] + extra, capsys)
+    assert code == 1
+    assert not stdout
+    assert stderr == "violation: %s\n" % message
 
 
 @pytest.mark.parametrize(

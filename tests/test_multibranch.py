@@ -41,7 +41,7 @@ from fixtures import (
     pair_family,
     random_space_curves,
 )
-from latcoh.multibranch import complexes
+from latcoh.multibranch import complexes, hilbert
 from oracles import (
     frac_rank,
     naive_betti,
@@ -287,6 +287,64 @@ def test_wrong_conductor_hints_are_rejected():
                 below = c[:j] + (c[j] - 1,) + c[j + 1 :]
                 with pytest.raises(ValidationError, match="not confirmed"):
                     hilbert_from_parametrization(P, conductor=below)
+
+
+def test_window_pure_orders_are_closed_under_the_multiplicity():
+    # the fact a conductor hint is checked by: k window-pure on branch j and
+    # k + m_j < n_j make k + m_j window-pure, so a hint's run is window-pure
+    # exactly when the candidate conductor is at most the hint
+    for _, P, mults, W in oracle_batch():
+        coords = hilbert._integer_coordinates(P)
+        tight = tuple(c + max(m, 2) for c, m in zip(W.conductor, mults))
+        for bounds in (tight, tuple(2 * n for n in tight)):
+            an = hilbert._analyze(coords, P.r, bounds)
+            for pure, m, n in zip(an.pure, mults, bounds):
+                assert all(k + m in pure for k in pure if k + m < n), bounds
+
+
+def test_hint_checks_run_branch_by_branch():
+    # conductor (4, 4), multiplicities (3, 3): the hint is one low on branch
+    # 0 and the window one short on branch 1; branch 0 is checked first
+    P = curve(CURVE_SIX_COORD)
+    with pytest.raises(ValidationError, match="not confirmed .* on branch 0"):
+        hilbert_from_parametrization(P, (7, 6), conductor=(3, 4))
+    with pytest.raises(ValidationError, match="not stabilized"):
+        hilbert_from_parametrization(P, (7, 6), conductor=(4, 4))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"degree_bound": "big"},
+        {"degree_bound": "9"},
+        {"degree_bound": [8.7]},
+        {"conductor": ("a",)},
+        {"conductor": 2},
+        {"conductor": (2.5,)},
+        {"conductor": (True,)},
+    ],
+    ids=["bound-str", "bound-digits", "bound-float", "hint-str", "hint-int", "hint-float", "hint-bool"],
+)
+def test_malformed_windows_and_hints_raise_input_error(kwargs):
+    # on the cusp (conductor 2) the last three numeric values used to be
+    # truncated to ints and accepted
+    with pytest.raises(InputError):
+        hilbert_from_parametrization(monomial_branch([2, 3]), **kwargs)
+
+
+def test_window_and_hint_messages():
+    P = curve(CURVE_SIX_COORD)
+    for kwargs, message in [
+        ({"degree_bound": 3}, "degree bound must be at least 4"),
+        ({"degree_bound": (8, 3)}, "degree bound must be at least 4"),
+        ({"degree_bound": (8,)}, "degree bound needs one entry per branch"),
+        ({"degree_bound": None}, "degree bound must be an integer, a tuple, or 'auto'"),
+        ({"conductor": (4,)}, "conductor needs one nonnegative entry per branch"),
+        ({"conductor": (4, -1)}, "conductor needs one nonnegative entry per branch"),
+    ]:
+        with pytest.raises(InputError) as info:
+            hilbert_from_parametrization(P, **kwargs)
+        assert str(info.value) == message
 
 
 def test_too_small_explicit_window_is_detected():

@@ -94,6 +94,27 @@ def test_from_members_input_errors():
         from_members([0, 7], 6)  # member past the conductor
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_generators(["a", 3]),
+        lambda: from_generators([2.5, 3]),  # was read as <2, 3>
+        lambda: from_generators([True, 3]),  # was read as N
+        lambda: from_members([0, 2.5], 4),
+        lambda: from_members([0, 2], 4.5),
+        lambda: list(enumerate_plane_branch_semigroups("x")),
+        lambda: list(enumerate_plane_branch_semigroups(3.9)),  # ran to 3
+    ],
+    ids=[
+        "gens-str", "gens-float", "gens-bool", "member-float",
+        "conductor-float", "max-conductor-str", "max-conductor-float",
+    ],
+)
+def test_constructors_reject_non_integers(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def test_conductor_renormalized():
     # declared conductor 10 but everything from 4 on is present
     T = from_members([0, 4, 5, 6, 7, 8, 9], 10)
