@@ -5,6 +5,13 @@ order), so identical inputs give byte-identical files.  All readers raise
 InputError with a field diagnostic on malformed input; every JSON writer's
 output parses back through its own reader.
 
+JSON text comes from one canonical writer, ``to_json``: the bytes that the
+standard library's ``json.dumps`` writes with sorted keys and an indent of
+two, and a newline, without the pure-Python encoder that ``json.dumps``
+falls back to whenever it indents.
+The root and module readers check each list in one pass and build a
+field's location string only for the error they raise.
+
 Graded objects are stored with both conventions: the internal level n (key
 "chi" / "*_weight") and the doubled degree 2n (key "degree" / plain "base",
 "towers").  Readers prefer the level fields and fall back to halving the
@@ -13,6 +20,7 @@ doubled ones.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import InputError, as_int as _as_int
@@ -25,9 +33,80 @@ from .weight1d import WeightSequence
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The JSON text of a leaf, keyed by its exact type; _scalar takes subclasses.
+_LEAF = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(x) -> str:
+    """JSON text of a str, int, float, bool or None, subclasses included."""
+    leaf = _LEAF.get(type(x))
+    if leaf is None:
+        leaf = next((_LEAF[base] for base in (str, int, float) if isinstance(x, base)), None)
+        if leaf is None:
+            raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+    return leaf(x)
+
+
+def _encode(x, nl: str) -> str:
+    """x as canonical JSON text; nl is a newline plus the indent of x's line."""
+    leaf = _LEAF.get(type(x))
+    if leaf is not None:
+        return leaf(x)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = sorted(x.items())
+        try:  # every key a str and every value a leaf: one pass of C conversions
+            parts = [_ESCAPE(k) + ": " + _LEAF[type(v)](v) for k, v in items]
+        except (KeyError, TypeError):
+            parts = [
+                _ESCAPE(k if isinstance(k, str) else _scalar(k)) + ": " + _encode(v, inner)
+                for k, v in items
+            ]
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        try:  # every item a leaf
+            parts = [_LEAF[type(v)](v) for v in x]
+        except KeyError:
+            parts = [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    return _scalar(x)
+
+
 def to_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of ``json.dumps`` with ``sort_keys`` and an indent
+    of 2, plus a newline (the tests hold it to that, non-finite floats
+    included), written without the standard library's pure-Python
+    indenting encoder: leaves are converted by ``int.__repr__``,
+    ``float.__repr__`` and the C string escaper, and a container whose
+    children are all leaves is joined in one pass.  Values json.dumps
+    rejects raise TypeError.
+    """
+    return _encode(obj, "\n") + "\n"
 
 
 def read_json(path: str):
@@ -115,28 +194,48 @@ def root_to_dict(R: GradedRoot) -> dict:
     }
 
 
+def _pair(e, here, shape):
+    """The two integers of a list entry, or InputError naming here."""
+    pair = _as_int_list(e, here)
+    if len(pair) != 2:
+        raise InputError("%s: %s" % (here, shape))
+    return pair[0], pair[1]
+
+
+def _vertex(v, here):
+    """(id, chi) of a vertex entry, read from "chi" or else the doubled "degree"."""
+    vid = _as_int(_require(v, "id", here), "%s.id" % here)
+    if "chi" in v:
+        return vid, _as_int(v["chi"], "%s.chi" % here)
+    return vid, _halve(_require(v, "degree", here), "%s.degree" % here)
+
+
 def root_from_dict(d, where: str = "root") -> GradedRoot:
+    # Each list is read in one pass that takes well-formed entries as they
+    # are; any other entry goes to the checking helper, which reads it (a
+    # degree-only vertex, say) or raises, naming its location only then.
     raw = _require(d, "vertices", where)
     if not isinstance(raw, list) or not raw:
         raise InputError("%s.vertices: expected a non-empty list" % where)
     verts = []
     for i, v in enumerate(raw):
-        here = "%s.vertices[%d]" % (where, i)
-        vid = _as_int(_require(v, "id", here), "%s.id" % here)
-        if "chi" in v:
-            chi = _as_int(v["chi"], "%s.chi" % here)
-        else:
-            chi = _halve(_require(v, "degree", here), "%s.degree" % here)
-        verts.append((vid, chi))
+        if type(v) is dict:
+            vid, chi = v.get("id"), v.get("chi")
+            if type(vid) is int and type(chi) is int:
+                verts.append((vid, chi))
+                continue
+        verts.append(_vertex(v, "%s.vertices[%d]" % (where, i)))
     raw_edges = _require(d, "edges", where)
     if not isinstance(raw_edges, list):
         raise InputError("%s.edges: expected a list" % where)
     edges = []
     for i, e in enumerate(raw_edges):
-        pair = _as_int_list(e, "%s.edges[%d]" % (where, i))
-        if len(pair) != 2:
-            raise InputError("%s.edges[%d]: expected a pair" % (where, i))
-        edges.append((pair[0], pair[1]))
+        if type(e) is list and len(e) == 2:
+            lo, hi = e
+            if type(lo) is int and type(hi) is int:
+                edges.append((lo, hi))
+                continue
+        edges.append(_pair(e, "%s.edges[%d]" % (where, i), "expected a pair"))
     trunc = _as_int(_require(d, "truncation_level", where), "%s.truncation_level" % where)
     R = GradedRoot(tuple(sorted(verts)), tuple(sorted(edges)), trunc)
     R.validate()
@@ -156,6 +255,15 @@ def module_to_dict(M: TowerModule) -> dict:
     }
 
 
+def _tower(e, here, base, halved):
+    m, t = _pair(e, here, "expected a [start, end] pair")
+    if halved:
+        m, t = _halve(m, here), _halve(t, here)
+    if not base <= m <= t:
+        raise InputError("%s: tower [%d, %d] is not above the base %d" % (here, m, t, base))
+    return m, t
+
+
 def module_from_dict(d, where: str = "module") -> TowerModule:
     if not isinstance(d, dict):
         raise InputError("%s: expected an object" % where)
@@ -171,16 +279,16 @@ def module_from_dict(d, where: str = "module") -> TowerModule:
         raise InputError("%s.towers: expected a list" % where)
     towers = []
     for i, e in enumerate(raw):
-        here = "%s.towers[%d]" % (where, i)
-        pair = _as_int_list(e, here)
-        if len(pair) != 2:
-            raise InputError("%s: expected a [start, end] pair" % here)
-        m, t = (
-            (_halve(pair[0], here), _halve(pair[1], here)) if halved else (pair[0], pair[1])
-        )
-        if not base <= m <= t:
-            raise InputError("%s: tower [%d, %d] is not above the base %d" % (here, m, t, base))
-        towers.append((m, t))
+        # one pass, as in root_from_dict
+        if type(e) is list and len(e) == 2:
+            m, t = e
+            if type(m) is int and type(t) is int and not (halved and (m % 2 or t % 2)):
+                if halved:
+                    m, t = m // 2, t // 2
+                if base <= m <= t:
+                    towers.append((m, t))
+                    continue
+        towers.append(_tower(e, "%s.towers[%d]" % (where, i), base, halved))
     return TowerModule(base, tuple(sorted(towers)))
 
 

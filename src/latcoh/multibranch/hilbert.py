@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from ..errors import InputError, ValidationError, as_int
+from ..errors import InputError, ValidationError, as_ints
 from ..semigroup import from_members as _semigroup_from_members
 from ..weight1d import WeightSequence, weight_sequence
 from .parametrization import BranchParametrization
@@ -418,13 +417,6 @@ def weight_grid_extend(W: WeightGrid) -> WeightGrid:
 # ---------------------------------------------------------------------------
 
 
-def _ints(value, what: str, shape_error: str) -> tuple[int, ...]:
-    """The entries of a non-string iterable, each an int (bools and floats fail)."""
-    if isinstance(value, str) or not isinstance(value, Iterable):
-        raise InputError(shape_error)
-    return tuple(as_int(x, what) for x in value)
-
-
 _BAD_BOUND = "degree bound must be an integer, a tuple, or 'auto'"
 _BAD_HINT = "conductor needs one nonnegative entry per branch"
 
@@ -495,14 +487,14 @@ def hilbert_from_parametrization(
     mults = tuple(P.branch_multiplicity(j) for j in range(r))
     hint = None
     if conductor is not None:
-        hint = _ints(conductor, "conductor", _BAD_HINT)
+        hint = as_ints(conductor, "conductor", _BAD_HINT)
         if len(hint) != r or min(hint) < 0:
             raise InputError(_BAD_HINT)
     rounds = 1
     if degree_bound != "auto":
         if isinstance(degree_bound, int) and not isinstance(degree_bound, bool):
             degree_bound = (degree_bound,) * r
-        bounds = _ints(degree_bound, "degree bound", _BAD_BOUND)
+        bounds = as_ints(degree_bound, "degree bound", _BAD_BOUND)
         if len(bounds) != r:
             raise InputError("degree bound needs one entry per branch")
         if min(bounds) < 4:

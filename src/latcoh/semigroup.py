@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .errors import InputError, as_int
+from .errors import InputError, as_int, as_ints
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,11 @@ def from_generators(gens) -> NumericalSemigroup:
 
     Raises InputError("no generators") for an empty list,
     InputError("not cofinite") when the gcd of the generators exceeds 1,
-    and InputError for an entry that is not an int (bools and floats
-    included).
+    and InputError for an argument that is not an iterable of ints (bools
+    and floats included).
     """
-    gens = tuple(sorted(set(as_int(g, "generator") for g in gens)))
+    gens = as_ints(gens, "generator", "generators must be a list of integers")
+    gens = tuple(sorted(set(gens)))
     if not gens:
         raise InputError("no generators")
     if any(g <= 0 for g in gens):
@@ -170,7 +171,7 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     conductor = as_int(conductor, "conductor")
     if conductor < 0:
         raise InputError("conductor must be non-negative")
-    members = set(as_int(x, "member") for x in members_below)
+    members = set(as_ints(members_below, "member", "members must be a list of integers"))
     if any(x < 0 for x in members):
         raise InputError("negative member")
     if conductor == 0:
@@ -253,7 +254,9 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
     """All plane-branch value semigroups with conductor <= max_conductor.
 
     Emitted sorted by (conductor, minimal generators).  The smooth branch
-    (all of N, conductor 0) is always first.
+    (all of N, conductor 0) is always first.  The argument is checked and
+    the generator chains are found when the function is called; the
+    semigroups are built as the result is iterated.
     """
     max_conductor = as_int(max_conductor, "max_conductor")
     if max_conductor < 0:
@@ -281,5 +284,4 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
     for b0 in range(2, max_conductor + 1):
         extend([b0], b0, 0, 1)
 
-    for _c, gens in sorted(set(found)):
-        yield from_generators(gens)
+    return (from_generators(gens) for _c, gens in sorted(set(found)))

@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcoh import (
     InputError,
@@ -140,6 +142,44 @@ def test_curve_dict_errors():
         formats.curve_from_dict({"branches": [{"coords": [[{"e": 2}]]}]})
     with pytest.raises(InputError):
         formats.curve_from_dict({"branches": [{"coords": [[{"c": "x", "e": 2}]]}]})
+
+
+# Leaves and containers of every kind json.dumps accepts; the standard
+# library's encoder is the oracle for the canonical writer.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e-320, 1e300])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", 'a"b\\c\nd\t', "\x00\x1f", "é ü", "日本語", "\u2028", "\ud800", "😀"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=6)
+    | st.lists(kids, max_size=6).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=6)
+    | st.dictionaries(st.integers(), kids, max_size=4)
+    | st.dictionaries(st.booleans(), kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_the_stdlib_encoder(x):
+    assert formats.to_json(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_non_finite_floats_and_bad_values():
+    # non-finite floats are written as json.dumps writes them, not rejected
+    text = formats.to_json({"x": [float("nan"), float("inf"), -float("inf"), -0.0]})
+    assert text == '{\n  "x": [\n    NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n  ]\n}\n'
+    for bad in ({"a": object()}, [{1, 2}], {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            formats.to_json(bad)
 
 
 def test_json_writer_is_canonical():
@@ -424,24 +464,25 @@ def test_cli_curve_wrong_window(source, extra, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,out_file,expected",
+    "argv,out_flag,expected",
     [
-        (["semigroup", "--gens", "6,10,31"], False, "semigroup_6_10_31.json"),
+        (["semigroup", "--gens", "6,10,31"], None, "semigroup_6_10_31.json"),
+        (["semigroup", "--gens", "6,10,31"], "--root", "root_6_10_31.json"),
         # module_6_10_31.json is the --module file of the semigroup run above
-        (["reconstruct", "--module", str(DATA / "module_6_10_31.json")], False, "reconstruct_6_10_31.txt"),
-        (["roundtrip", "--max-conductor", "30"], True, "roundtrip_30.json"),
-        (["conjecture-sweep", "--max-conductor", "30"], True, "conjecture_sweep_30.json"),
+        (["reconstruct", "--module", str(DATA / "module_6_10_31.json")], None, "reconstruct_6_10_31.txt"),
+        (["roundtrip", "--max-conductor", "30"], "--out", "roundtrip_30.json"),
+        (["conjecture-sweep", "--max-conductor", "30"], "--out", "conjecture_sweep_30.json"),
     ],
-    ids=["semigroup", "reconstruct", "roundtrip", "conjecture-sweep"],
+    ids=["semigroup", "semigroup-root", "reconstruct", "roundtrip", "conjecture-sweep"],
 )
-def test_cli_report_bytes(argv, out_file, expected, tmp_path, capsys):
-    # stdout, or the --out file, byte for byte as stored in tests/data
+def test_cli_report_bytes(argv, out_flag, expected, tmp_path, capsys):
+    # stdout, or the file named by out_flag, byte for byte as stored in tests/data
     out = tmp_path / "out.json"
-    if out_file:
-        argv = argv + ["--out", str(out)]
+    if out_flag:
+        argv = argv + [out_flag, str(out)]
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0
-    assert (out.read_text() if out_file else stdout) == (DATA / expected).read_text()
+    assert (out.read_text() if out_flag else stdout) == (DATA / expected).read_text()
 
 
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):
@@ -507,6 +548,96 @@ def test_cli_root_iso_rejects_a_vertex_with_two_parents(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "two upward neighbors" in stderr
+
+
+_V0 = {"id": 0, "chi": 0}
+_V1 = {"id": 1, "chi": 1}
+
+
+def _root(vertices=(_V0, _V1), **fields):
+    d = {"vertices": list(vertices), "edges": [[0, 1]], "truncation_level": 1}
+    d.update(fields)
+    return d
+
+
+# {f} stands for the file's path.  The readers take well-formed entries in
+# one pass, so each message and the order of the checks are pinned here.
+MALFORMED_ROOTS = {
+    "not-an-object": ([_root()], "{f}: expected an object, got list"),
+    "no-vertices": ({"edges": [], "truncation_level": 0}, "{f}: missing field 'vertices'"),
+    "empty-vertices": (_root(vertices=[]), "{f}.vertices: expected a non-empty list"),
+    "vertices-not-a-list": (_root(vertices={}), "{f}.vertices: expected a non-empty list"),
+    "vertex-not-an-object": (_root(vertices=[_V0, [1, 1]]), "{f}.vertices[1]: expected an object, got list"),
+    "vertex-without-id": (_root(vertices=[_V0, {"chi": 1}]), "{f}.vertices[1]: missing field 'id'"),
+    "bool-id": (_root(vertices=[{"id": False, "chi": 0}, _V1]), "{f}.vertices[0].id: expected an integer, got False"),
+    "float-id": (_root(vertices=[_V0, {"id": 1.0, "chi": 1}]), "{f}.vertices[1].id: expected an integer, got 1.0"),
+    "string-id": (_root(vertices=[_V0, {"id": "1", "chi": 1}]), "{f}.vertices[1].id: expected an integer, got '1'"),
+    "bool-chi": (_root(vertices=[_V0, {"id": 1, "chi": True}]), "{f}.vertices[1].chi: expected an integer, got True"),
+    "float-chi": (_root(vertices=[_V0, {"id": 1, "chi": 0.5}]), "{f}.vertices[1].chi: expected an integer, got 0.5"),
+    "string-chi": (_root(vertices=[{"id": 0, "chi": "0"}, _V1]), "{f}.vertices[0].chi: expected an integer, got '0'"),
+    "null-chi": (_root(vertices=[_V0, {"id": 1, "chi": None, "degree": 2}]), "{f}.vertices[1].chi: expected an integer, got None"),
+    "odd-degree": (_root(vertices=[_V0, {"id": 1, "degree": 3}]), "{f}.vertices[1].degree: doubled degree 3 is odd"),
+    "no-chi-or-degree": (_root(vertices=[_V0, {"id": 1}]), "{f}.vertices[1]: missing field 'degree'"),
+    "first-bad-vertex-wins": (
+        {"vertices": [_V0, {"id": 1, "chi": "x"}, [2]]},
+        "{f}.vertices[1].chi: expected an integer, got 'x'",
+    ),
+    "no-edges": ({"vertices": [_V0], "truncation_level": 0}, "{f}: missing field 'edges'"),
+    "edges-not-a-list": (_root(edges={"0": 1}), "{f}.edges: expected a list"),
+    "edge-not-a-list": (_root(edges=[[0, 1], 7]), "{f}.edges[1]: expected a list"),
+    "edge-of-three": (_root(edges=[[0, 1, 1]]), "{f}.edges[0]: expected a pair"),
+    "edge-of-one": (_root(edges=[[0]]), "{f}.edges[0]: expected a pair"),
+    "edge-with-a-string": (_root(edges=[[0, "1"]]), "{f}.edges[0][1]: expected an integer, got '1'"),
+    # every entry is checked before the length
+    "edge-of-three-with-a-float": (_root(edges=[[0, 1.0, 5]]), "{f}.edges[0][1]: expected an integer, got 1.0"),
+    "no-truncation-level": (
+        {"vertices": [_V0, _V1], "edges": [[0, 1]]}, "{f}: missing field 'truncation_level'",
+    ),
+    "bool-truncation-level": (_root(truncation_level=True), "{f}.truncation_level: expected an integer, got True"),
+    "wrong-truncation-level": (_root(truncation_level=2), "truncation_level disagrees with the top level"),
+}
+
+MALFORMED_MODULES = {
+    "not-an-object": ([], "{f}: expected an object"),
+    "no-base": ({"towers": []}, "{f}: missing field 'base'"),
+    "bool-base-weight": ({"base_weight": True, "towers_weight": []}, "{f}.base_weight: expected an integer, got True"),
+    "float-base-weight": ({"base_weight": -1.0, "towers_weight": []}, "{f}.base_weight: expected an integer, got -1.0"),
+    "base-weight-without-towers": ({"base_weight": 0, "towers": []}, "{f}: missing field 'towers_weight'"),
+    "odd-base": ({"base": -3, "towers": []}, "{f}.base: doubled degree -3 is odd"),
+    "string-base": ({"base": "-2", "towers": []}, "{f}.base: expected an integer, got '-2'"),
+    "base-without-towers": ({"base": -2, "towers_weight": []}, "{f}: missing field 'towers'"),
+    "towers-not-a-list": ({"base_weight": 0, "towers_weight": 5}, "{f}.towers: expected a list"),
+    "tower-not-a-list": ({"base_weight": 0, "towers_weight": [[0, 0], 1]}, "{f}.towers[1]: expected a list"),
+    "tower-of-one": ({"base_weight": 0, "towers_weight": [[0]]}, "{f}.towers[0]: expected a [start, end] pair"),
+    "tower-with-a-bool": ({"base_weight": 0, "towers_weight": [[0, False]]}, "{f}.towers[0][1]: expected an integer, got False"),
+    "tower-below-the-base": (
+        {"base_weight": 0, "towers_weight": [[0, 0], [-1, 0]]},
+        "{f}.towers[1]: tower [-1, 0] is not above the base 0",
+    ),
+    "tower-ends-below-its-start": (
+        {"base_weight": 0, "towers_weight": [[2, 1]]}, "{f}.towers[0]: tower [2, 1] is not above the base 0",
+    ),
+    "doubled-tower-below-the-base": (
+        {"base": 0, "towers": [[-2, 0]]}, "{f}.towers[0]: tower [-1, 0] is not above the base 0",
+    ),
+    "odd-doubled-tower-start": ({"base": 0, "towers": [[1, 2]]}, "{f}.towers[0]: doubled degree 1 is odd"),
+    "odd-doubled-tower-end": ({"base": 0, "towers": [[0, 2], [2, 3]]}, "{f}.towers[1]: doubled degree 3 is odd"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,content,message",
+    [("root-iso", *case) for case in MALFORMED_ROOTS.values()]
+    + [("reconstruct", *case) for case in MALFORMED_MODULES.values()],
+    ids=["root-" + k for k in MALFORMED_ROOTS] + ["module-" + k for k in MALFORMED_MODULES],
+)
+def test_cli_malformed_file_messages(command, content, message, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(content))
+    argv = ["root-iso", str(f), str(f)] if command == "root-iso" else ["reconstruct", "--module", str(f)]
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: %s\n" % message.replace("{f}", str(f))
 
 
 def test_cli_root_iso_on_a_deep_root(tmp_path, capsys):

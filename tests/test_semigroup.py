@@ -102,12 +102,16 @@ def test_from_members_input_errors():
         lambda: from_generators([True, 3]),  # was read as N
         lambda: from_members([0, 2.5], 4),
         lambda: from_members([0, 2], 4.5),
-        lambda: list(enumerate_plane_branch_semigroups("x")),
-        lambda: list(enumerate_plane_branch_semigroups(3.9)),  # ran to 3
+        lambda: from_generators(5),
+        lambda: from_members(5, 4),
+        # raised at the call, not at the first next()
+        lambda: enumerate_plane_branch_semigroups("x"),
+        lambda: enumerate_plane_branch_semigroups(3.9),  # ran to 3
     ],
     ids=[
         "gens-str", "gens-float", "gens-bool", "member-float",
-        "conductor-float", "max-conductor-str", "max-conductor-float",
+        "conductor-float", "gens-not-iterable", "members-not-iterable",
+        "max-conductor-str", "max-conductor-float",
     ],
 )
 def test_constructors_reject_non_integers(build):
