@@ -45,7 +45,6 @@ from .reconstruct import (
     compute_e,
     detect_lg1_equals_2,
     initial_part,
-    initial_part_from_root,
     multiplicity_from_module,
     reconstruct_semigroup,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "gcd_chain",
     "hilbert_from_parametrization",
     "initial_part",
-    "initial_part_from_root",
     "is_plane_branch",
     "is_symmetric",
     "lattice_cohomology",

@@ -45,7 +45,6 @@ from .reconstruct import (
     reconstruct_semigroup,
 )
 from .semigroup import (
-    CofiniteSet,
     NumericalSemigroup,
     enumerate_plane_branch_semigroups,
     from_generators,
@@ -117,8 +116,11 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
 
 
 def _write_root(path: str, R: GradedRoot) -> None:
@@ -135,13 +137,6 @@ def _emit_report(report: dict, out: str | None) -> None:
     sys.stdout.write(text)
     if out:
         _write(out, text)
-
-
-def _smallest_positive(S: CofiniteSet) -> int:
-    x = 1
-    while x not in S:
-        x += 1
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +166,7 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
         "smooth": S.conductor == 0,
         "conductor": S.conductor,
         "delta": S.delta,
-        "multiplicity": _smallest_positive(S),
+        "multiplicity": S.multiplicity,
         "plane_branch": plane,
         "gcd_chain": (
             {

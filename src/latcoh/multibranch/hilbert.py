@@ -84,13 +84,6 @@ class _Echelon:
         return [lead for lead, _, _ in self.rows]
 
 
-def _echelon_of(vectors) -> _Echelon:
-    ech = _Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech
-
-
 # ---------------------------------------------------------------------------
 # truncated coordinate series and the monomial span
 # ---------------------------------------------------------------------------
@@ -231,22 +224,22 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
       vanishes on all of block 0.  In an echelon form the rows leading at or
       past l_0 span exactly the elements vanishing below l_0, so they are
       the active rows.  Nothing is re-eliminated.
-    - At every later axis the active rows span the elements U vanishing
-      below the thresholds fixed so far.  Every threshold left lies inside
-      the box, so whether an element of U counts reads only the box columns
-      of the remaining blocks.  The kernel of U's projection onto those
-      columns (active rows minus the projection's rank) vanishes there and
-      always counts; the rest of F is the same count on the projection.  So
-      the sweep echelons the projection, adds its kernel and goes on with
-      its rows.  Blocks stay in branch order, so the next block comes first
-      and its leading indices are again orders.  The projection is redone
-      only when the active set grew.
-    - At the second-to-last axis one incremental echelon of the last
-      block's box columns grows with the active set.  The projection of the
-      active span onto the columns below l_last has rank equal to the
-      number of pivots below l_last, and the active elements vanishing
-      below l_last are its kernel: F = active - pivots below l_last.  With
-      one branch the echelon of V is that echelon already.
+    - At every later axis below the last, the active rows span the
+      elements U vanishing below the thresholds fixed so far.  Every
+      threshold left lies inside the box, so whether an element of U counts
+      reads only the box columns of the remaining blocks.  The kernel of U's
+      projection onto those columns (active rows minus the projection's
+      rank) vanishes there and always counts; the rest of F is the same
+      count on the projection.  So each newly active row is projected onto
+      those columns and added to one incremental echelon; the sweep counts
+      its kernel and goes on with its rows, again only when the active set
+      grew.  Blocks stay in branch order, so the next block comes first and
+      its leading indices are again orders.
+    - At the last axis the rows are an echelon of the last block's box
+      columns.  The projection of their span onto the columns below l_last
+      has rank equal to the number of pivots below l_last, and the elements
+      vanishing below l_last are its kernel: F = rows - pivots below
+      l_last.  With one branch the echelon of V is that echelon already.
     """
     r = len(an.bounds)
     if any(b + 1 > n for b, n in zip(box, an.bounds)):
@@ -266,12 +259,9 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         # Returns h over the points of axes k .. r-1 in lexicographic order.
         if k == r - 1:
             return last_axis((lead for lead, _, _ in rows), free - len(rows))
-        if k == r - 2:
-            last = _Echelon()
-            tail = slice(starts[-1], starts[-1] + box[-1])
-        else:
-            cols = [i for s, b in zip(starts[1:], box[k + 1 :]) for i in range(s, s + b)]
-            sub_starts = list(itertools.accumulate(box[k + 1 : -1], initial=0))
+        cols = [slice(s, s + b) for s, b in zip(starts[1:], box[k + 1 :])]
+        sub_starts = list(itertools.accumulate(box[k + 1 : -1], initial=0))
+        proj = _Echelon()
         rows = rows[::-1]
         per_l: list = [None] * (box[k] + 1)
         sub = None
@@ -279,15 +269,10 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         for l in range(box[k], -1, -1):
             start = idx
             while idx < len(rows) and rows[idx][0] >= l:
-                if k == r - 2:
-                    last.add(rows[idx][2][tail])
+                proj.add(sum((rows[idx][2][c] for c in cols), []))
                 idx += 1
             if sub is None or idx > start:
-                if k == r - 2:
-                    sub = last_axis(last.leads(), free - idx)
-                else:
-                    proj = _echelon_of([v[i] for i in cols] for _, _, v in rows[:idx])
-                    sub = sweep(proj.rows, sub_starts, k + 1, free - idx + len(proj))
+                sub = sweep(proj.rows, sub_starts, k + 1, free - idx + len(proj))
             per_l[l] = sub
         return list(itertools.chain.from_iterable(per_l))
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
-from .graded import GradedRoot, TowerModule, module_from_root, module_from_weight, rank_profile
+from .graded import TowerModule, module_from_weight, rank_profile
 from .semigroup import (
     NumericalSemigroup,
     from_generators as _from_generators,
@@ -88,35 +88,6 @@ def initial_part(M: TowerModule) -> InitialPart:
     if elements[-1] > delta:
         raise ValidationError("inconsistent module: initial element beyond delta")
     return InitialPart(e, tuple(elements), delta, M.base)
-
-
-def initial_part_from_root(R: GradedRoot) -> InitialPart:
-    """The initial part read directly off the tree.
-
-    Instead of rank arithmetic this counts vertices per level, keeps half of
-    them (rounding up only at an odd base level), sorts the kept levels from
-    high to low, and maps the i-th kept level n_i to the element 2*i - n_i.
-    The result is cross-checked against the rank route through the module;
-    any disagreement is a ValidationError.
-    """
-    M = module_from_root(R)
-    ip = initial_part(M)
-    by = R.levels()
-    base = min(by)
-    kept_levels: list[int] = []
-    for n in range(0, ip.e - 1, -1):
-        cnt = len(by.get(n, []))
-        keep = cnt // 2
-        if n == ip.e == base and cnt % 2 == 1:
-            keep += 1
-        kept_levels.extend([n] * keep)
-    kept_levels.sort(reverse=True)
-    from_tree = tuple(sorted(2 * i - n for i, n in enumerate(kept_levels)))
-    if from_tree != ip.elements:
-        raise ValidationError(
-            "initial elements from the tree disagree with the rank route"
-        )
-    return ip
 
 
 def multiplicity_from_module(M: TowerModule) -> int:

@@ -50,6 +50,11 @@ class CofiniteSet:
         """Number of gaps (elements of N outside the set)."""
         return sum(1 for x in range(self.conductor) if not self.membership[x])
 
+    @property
+    def multiplicity(self) -> int:
+        """Smallest positive element."""
+        return self.membership.index(True, 1) if self.conductor else 1
+
     def members_below_conductor(self) -> list[int]:
         return [x for x in range(self.conductor) if self.membership[x]]
 
@@ -60,11 +65,6 @@ class CofiniteSet:
 @dataclass(frozen=True)
 class NumericalSemigroup(CofiniteSet):
     min_gens: tuple[int, ...] = ()
-
-    @property
-    def multiplicity(self) -> int:
-        """Smallest positive element."""
-        return self.min_gens[0] if self.min_gens else 1
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class GcdChain:
 
 
 def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
-    """Trim to the minimal conductor.  membership must end in a member run."""
+    """Trim to one past the last gap: the conductor, if all past the list are members."""
     last_gap = -1
     for x in range(len(membership)):
         if not membership[x]:
@@ -147,17 +147,11 @@ def from_generators(gens) -> NumericalSemigroup:
 
     bound = 2 * max(gens) + 4
     while True:
-        mem = _closure(gens, bound)
-        last_gap = -1
-        for x in range(bound + 1):
-            if not mem[x]:
-                last_gap = x
+        membership, c = _normalized(_closure(gens, bound))
         # A run of members at least multiplicity long proves the tail is full.
-        if bound - last_gap > min(gens):
+        if bound - c >= gens[0]:
             break
         bound *= 2
-    c = last_gap + 1
-    membership = tuple(mem[: c + 1]) if c > 0 else (True,)
     return NumericalSemigroup(membership, c, _minimal_generators(membership, c))
 
 

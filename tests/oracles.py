@@ -8,7 +8,7 @@ inputs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from math import gcd
 
@@ -100,6 +100,31 @@ def naive_root(values):
             (up,) = [c for c, d in runs[n + 1] if c <= a and b <= d]
             edges.append((ids[(n, a)], ids[(n + 1, up)]))
     return tuple((i, n) for (n, _a), i in ids.items()), tuple(sorted(edges)), top
+
+
+def naive_initial_elements(values):
+    """Initial elements of a one-branch weight walk, by counting root vertices.
+
+    On naive_root(values): e is one above the highest level where two
+    vertices have children (the base level if there is none).  Every level n
+    from 0 down to e keeps half of its vertices, rounding up only at an odd
+    base level e; with the kept levels sorted from high to low, the i-th
+    kept level n_i gives the element 2 * i - n_i.
+    """
+    vertices, edges, _top = naive_root(values)
+    level = dict(vertices)
+    count = Counter(level.values())
+    parents_at = Counter(level[p] for p in {p for _child, p in edges})
+    base = min(count)
+    e = max([base] + [n + 1 for n, k in parents_at.items() if k >= 2])
+    kept = []
+    for n in range(0, e - 1, -1):
+        keep = count[n] // 2
+        if n == e == base and count[n] % 2 == 1:
+            keep += 1
+        kept.extend([n] * keep)
+    kept.sort(reverse=True)
+    return tuple(sorted(2 * i - n for i, n in enumerate(kept)))
 
 
 def naive_grid_root(w0):

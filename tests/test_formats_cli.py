@@ -485,6 +485,33 @@ def test_cli_report_bytes(argv, out_flag, expected, tmp_path, capsys):
     assert (out.read_text() if out_flag else stdout) == (DATA / expected).read_text()
 
 
+_UNWRITABLE = (
+    [(["semigroup", "--gens", "2,3"], f) for f in ("--out", "--root", "--weights", "--module")]
+    + [
+        (["curve", "--in", str(SIX_COORD_IN)], f)
+        for f in ("--out", "--root", "--weights", "--cohomology")
+    ]
+    + [
+        (["roundtrip", "--max-conductor", "0"], "--out"),
+        (["conjecture-sweep", "--max-conductor", "0"], "--out"),
+        (["reconstruct", "--module", str(DATA / "module_6_10_31.json")], "--out"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv,flag", _UNWRITABLE, ids=["%s-%s" % (a[0], f[2:]) for a, f in _UNWRITABLE]
+)
+def test_cli_unwritable_artifact_is_malformed_input(argv, flag, tmp_path, capsys):
+    # a path below a regular file cannot be created, not even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "x.json")
+    code, _, stderr = run_cli(argv + [flag, target], capsys)
+    assert code == 2
+    assert stderr == "error: %s: Not a directory\n" % target
+
+
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):
     c = tmp_path / "curve.json"
     c.write_text(

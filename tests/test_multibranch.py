@@ -762,3 +762,20 @@ def test_four_branch_grid_matches_dense_rational_oracle():
     frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
     bounds = [c + 4 for c in W.conductor]
     assert naive_hilbert_grid(frac, bounds, W.box) == W.h
+
+
+def test_five_branch_grid_matches_dense_rational_oracle():
+    # five lines in 3-space reach the threshold sweep's projections three axes deep
+    branches = [
+        [[(1, 1)], [], []],
+        [[], [(1, 1)], []],
+        [[], [], [(1, 1)]],
+        [[(1, 1)], [(1, 1)], []],
+        [[(1, 1)], [(2, 1)], [(3, 1)]],
+    ]
+    W = hilbert_from_parametrization(curve(branches))
+    assert W.conductor == (2, 2, 2, 2, 2)
+    assert len(W.h) == 1024
+    frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+    bounds = [c + 4 for c in W.conductor]
+    assert naive_hilbert_grid(frac, bounds, W.box) == W.h

@@ -15,7 +15,6 @@ from latcoh import (
     from_members,
     gcd_chain,
     initial_part,
-    initial_part_from_root,
     module_from_root,
     module_from_weight,
     multiplicity_from_module,
@@ -25,7 +24,7 @@ from latcoh import (
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS
-from oracles import naive_minimal_generators
+from oracles import naive_initial_elements, naive_minimal_generators, naive_weight_values
 
 
 def module_of(S):
@@ -64,12 +63,15 @@ def test_initial_level_and_elements(gens, expect):
 
 
 def test_initial_part_from_root_agrees():
-    for gens in [(2, 7), (4, 11), (6, 10, 31), (6, 15, 31)]:
-        S = from_generators(gens)
-        R = root_from_weight(weight_sequence(S))
-        a = initial_part(module_from_root(R))
-        b = initial_part_from_root(R)
-        assert a == b
+    # the rank route on the module against vertex counts on a naive root
+    sets = list(enumerate_plane_branch_semigroups(120))
+    sets.append(from_members(SPRIME_MEMBERS, SPRIME_CONDUCTOR, verify_closed=False))
+    assert len(sets) == 758
+    for S in sets:
+        mem = [x in S for x in range(S.conductor + 1)]
+        values = naive_weight_values(mem, S.conductor)
+        M = module_from_weight(weight_sequence(S))
+        assert initial_part(M).elements == naive_initial_elements(values), S
 
 
 def test_initial_part_of_unclosed_lookalike():

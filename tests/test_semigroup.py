@@ -36,6 +36,9 @@ def test_known_invariants(gens, expect):
     assert S.delta == delta
     assert S.multiplicity == mult
     assert S.min_gens == gens
+    # the same set without its generators: the multiplicity comes from membership
+    T = from_members(S.members_below_conductor(), S.conductor, verify_closed=False)
+    assert T.multiplicity == mult
 
 
 def test_membership_basics():
@@ -81,6 +84,7 @@ def test_from_members_rejects_unclosed():
     assert isinstance(T, CofiniteSet) and not isinstance(T, NumericalSemigroup)
     assert T.delta == 15
     assert T.conductor == 30
+    assert T.multiplicity == 4
 
 
 def test_from_members_input_errors():
