@@ -13,9 +13,10 @@ Exit codes: 0 success (and "isomorphic" verdicts), 1 property violation,
 2 malformed input, 3 negative verdict from a comparison.
 
 Reports go to stdout as canonical JSON; the same bytes land in ``--out``
-when given.  Side artifacts (weight tables, roots, modules) are chosen by
-flag, with root renderings picked by file extension (.dot, .json, or ASCII
-for anything else).
+when given.  Every file is written before anything goes to stdout, so a
+command that cannot write one prints nothing.  Side artifacts (weight
+tables, roots, modules) are chosen by flag, with root renderings picked by
+file extension (.dot, .json, or ASCII for anything else).
 """
 from __future__ import annotations
 
@@ -134,9 +135,9 @@ def _write_root(path: str, R: GradedRoot) -> None:
 
 def _emit_report(report: dict, out: str | None) -> None:
     text = formats.to_json(report)
-    sys.stdout.write(text)
     if out:
         _write(out, text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +216,11 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         "e: %d" % ip.e,
         "lg1_equals_2: %s" % ("true" if detect_lg1_equals_2(M) else "false"),
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
     text = formats.to_json(formats.semigroup_to_dict(S))
     if ns.out:
         _write(ns.out, text)
-    else:
-        sys.stdout.write(text)
+        text = ""
+    sys.stdout.write("\n".join(lines) + "\n" + text)
     return 0
 
 
@@ -313,9 +313,6 @@ def cmd_roundtrip(ns: argparse.Namespace) -> int:
     semigroups = enumerate_plane_branch_semigroups(ns.max_conductor)
     results = [_roundtrip_one(S) for S in semigroups]
     failures = [gens for gens, ok in results if not ok]
-    for gens in failures:
-        sys.stdout.write("failed: %s\n" % ",".join(str(g) for g in gens))
-    sys.stdout.write("tested %d passed %d\n" % (len(results), len(results) - len(failures)))
     if ns.out:
         _write(
             ns.out,
@@ -328,6 +325,9 @@ def cmd_roundtrip(ns: argparse.Namespace) -> int:
                 }
             ),
         )
+    for gens in failures:
+        sys.stdout.write("failed: %s\n" % ",".join(str(g) for g in gens))
+    sys.stdout.write("tested %d passed %d\n" % (len(results), len(results) - len(failures)))
     return 1 if failures else 0
 
 
@@ -363,7 +363,6 @@ def cmd_conjecture_sweep(ns: argparse.Namespace) -> int:
             "finding: equal modules, non-isomorphic roots: %s vs %s"
             % (",".join(str(x) for x in a), ",".join(str(x) for x in b))
         )
-    sys.stdout.write("\n".join(lines) + "\n")
     if ns.out:
         _write(
             ns.out,
@@ -378,6 +377,7 @@ def cmd_conjecture_sweep(ns: argparse.Namespace) -> int:
                 }
             ),
         )
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -22,6 +22,7 @@ from .errors import InputError, ValidationError
 from .graded import TowerModule, module_from_weight, rank_profile
 from .semigroup import (
     NumericalSemigroup,
+    _apery,
     from_generators as _from_generators,
     is_plane_branch as _is_plane_branch,
 )
@@ -108,23 +109,27 @@ def detect_lg1_equals_2(M: TowerModule) -> bool:
     """True exactly when the last proper gcd in the generator ladder is 2.
 
     Such branches have even base level and a bare rank-1 module at every odd
-    level strictly between base and 0.
+    level strictly between base and 0: no finite tower covers such a level.
     """
     if M.base % 2 != 0:
         return False
-    profile = rank_profile(M, up_to=0)
-    return all(profile[n][0] == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
+    for m, t in M.towers:
+        lo, hi = max(m, M.base + 1), min(t, -1)
+        if lo + (lo % 2 == 0) <= hi:  # the tower covers an odd level in (base, 0)
+            return False
+    return True
 
 
 def _prefix_conductor(prefix: tuple[int, ...]) -> tuple[int, int]:
-    """(gcd l, partial conductor) of a generator prefix with gcd l > 1.
+    """(gcd l, partial conductor) of a sorted generator prefix with gcd l > 1.
 
     The partial conductor is l times the conductor of the semigroup the
-    prefix generates after dividing out l.
+    prefix generates after dividing out l, read off the Apery set w of its
+    multiplicity m as max(w) - m + 1 (Selmer).
     """
     l = math.gcd(*prefix)
-    reduced = _from_generators([p // l for p in prefix])
-    return l, l * reduced.conductor
+    reduced = tuple(p // l for p in prefix)
+    return l, l * (max(_apery(reduced)) - reduced[0] + 1)
 
 
 def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:

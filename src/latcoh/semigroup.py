@@ -20,7 +20,7 @@ with c_g equal to the conductor of the full semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Iterator
 
 from .errors import InputError, as_int, as_ints
@@ -48,7 +48,7 @@ class CofiniteSet:
     @property
     def delta(self) -> int:
         """Number of gaps (elements of N outside the set)."""
-        return sum(1 for x in range(self.conductor) if not self.membership[x])
+        return self.membership[: self.conductor].count(False)
 
     @property
     def multiplicity(self) -> int:
@@ -90,43 +90,51 @@ def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
     return tuple(membership[: c + 1]) if c > 0 else (True,), c
 
 
-def _closure(gens: tuple[int, ...], bound: int) -> list[bool]:
-    mem = [False] * (bound + 1)
-    mem[0] = True
-    for x in range(min(gens), bound + 1):
-        for g in gens:
-            if g <= x and mem[x - g]:
-                mem[x] = True
-                break
-    return mem
+def _apery(gens: tuple[int, ...]) -> list[int]:
+    """Apery set w of m = gens[0] for sorted coprime ``gens``: w[r] is the least
+    element congruent to r mod m.  Round robin (Bocker-Liptak, "A fast and
+    simple algorithm for the money changing problem", 2007): each further
+    generator walks each residue cycle of its step once, from the cycle's
+    smallest entry, in O(len(gens) * m) steps.
+    """
+    m = gens[0]
+    w = [0] + [inf] * (m - 1)
+    for g in gens[1:]:
+        d = gcd(m, g)
+        for p in range(d):
+            n = min(w[p::d])
+            if n == inf:
+                continue
+            for _ in range(m // d - 1):
+                n += g
+                r = n % m
+                if w[r] < n:
+                    n = w[r]
+                w[r] = n
+    return w
 
 
-def _minimal_generators(membership: tuple[bool, ...], conductor: int) -> tuple[int, ...]:
+def _minimal_generators(apery: list[int]) -> tuple[int, ...]:
     """Minimal generators from the Apery set of the multiplicity m.
 
-    The Apery set holds, for each residue r mod m, the least element w_r of
-    the set congruent to r; every w_r lies below conductor + m.  The minimal
-    generators are m and each nonzero w_r that is not the sum of two nonzero
+    They are m and each nonzero w_r that is not the sum of two nonzero
     Apery elements (Rosales-Garcia-Sanchez, Numerical Semigroups, 2009):
-    O(conductor + m) steps, plus m shifts of a conductor-bit integer.
+    m shifts of a max(w)-bit integer.
     """
-    if conductor == 0:
-        return (1,)
-    m = membership.index(True, 1)
-    apery = [0] + [None] * (m - 1)
-    for x in range(m + 1, conductor + m):
-        if apery[x % m] is None and (x >= conductor or membership[x]):
-            apery[x % m] = x
     bits = sums = 0
     for w in apery[1:]:
         bits |= 1 << w
     for w in apery[1:]:
         sums |= bits << w  # bit x set: x is a sum of two nonzero Apery elements
-    return (m,) + tuple(sorted(w for w in apery[1:] if not sums >> w & 1))
+    return (len(apery),) + tuple(sorted(w for w in apery[1:] if not sums >> w & 1))
 
 
 def from_generators(gens) -> NumericalSemigroup:
     """Numerical semigroup generated by ``gens``.
+
+    Built from the Apery set w of m = min(gens) (round robin, no membership
+    window to grow): the conductor is max(w) - m + 1 (Selmer, 1977), and the
+    minimal generators are the irreducible Apery elements.
 
     Raises InputError("no generators") for an empty list,
     InputError("not cofinite") when the gcd of the generators exceeds 1,
@@ -145,14 +153,13 @@ def from_generators(gens) -> NumericalSemigroup:
     if g0 != 1:
         raise InputError("not cofinite: generators have gcd %d" % g0)
 
-    bound = 2 * max(gens) + 4
-    while True:
-        membership, c = _normalized(_closure(gens, bound))
-        # A run of members at least multiplicity long proves the tail is full.
-        if bound - c >= gens[0]:
-            break
-        bound *= 2
-    return NumericalSemigroup(membership, c, _minimal_generators(membership, c))
+    m = gens[0]
+    apery = _apery(gens)
+    c = max(apery) - m + 1
+    mem = [False] * (c + 1)
+    for w in apery:
+        mem[w::m] = [True] * ((c - w) // m + 1)
+    return NumericalSemigroup(tuple(mem), c, _minimal_generators(apery))
 
 
 def from_members(members_below, conductor: int, verify_closed: bool = True):
@@ -194,7 +201,9 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
                 continue
             if a + b < c and not membership[a + b]:
                 raise InputError("not closed under addition: %d + %d" % (a, b))
-    return NumericalSemigroup(membership, c, _minimal_generators(membership, c))
+    m = membership.index(True, 1) if c else 1
+    apery = [next(x for x in range(r, c + m, m) if x >= c or membership[x]) for r in range(m)]
+    return NumericalSemigroup(membership, c, _minimal_generators(apery))
 
 
 def is_symmetric(S: CofiniteSet) -> bool:

@@ -507,9 +507,10 @@ def test_cli_unwritable_artifact_is_malformed_input(argv, flag, tmp_path, capsys
     blocker = tmp_path / "file"
     blocker.write_text("")
     target = str(blocker / "x.json")
-    code, _, stderr = run_cli(argv + [flag, target], capsys)
+    code, stdout, stderr = run_cli(argv + [flag, target], capsys)
     assert code == 2
     assert stderr == "error: %s: Not a directory\n" % target
+    assert stdout == ""  # every file is written before the report is printed
 
 
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):

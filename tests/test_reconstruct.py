@@ -114,6 +114,34 @@ def test_multiplicity_from_tower_starts_matches_the_rank_profile_rule(M):
     assert multiplicity_from_module(M) == expected
 
 
+def _lg1_by_rank_profile(M):
+    # the rule the tower reading replaces: even base and rank 1 at every odd
+    # level strictly between base and 0
+    if M.base % 2 != 0:
+        return False
+    profile = rank_profile(M, up_to=0)
+    return all(profile[n][0] == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_modules())
+def test_last_gcd_two_detector_matches_the_rank_profile_rule_on_any_module(M):
+    assert detect_lg1_equals_2(M) == _lg1_by_rank_profile(M)
+
+
+def test_last_gcd_two_detector_matches_the_rank_profile_rule():
+    plane = enumerate_plane_branch_semigroups(200)
+    modules = [module_from_weight(weight_sequence(S)) for S in plane]
+    assert len(modules) == 2778
+    for gaps, _gens in _genus_walk(len(SEMIGROUPS_BY_GENUS) - 1):
+        c = max(gaps) + 1 if gaps else 0
+        S = from_members([x for x in range(c) if x not in gaps], c)
+        modules.append(module_from_weight(weight_sequence(S)))
+    assert len(modules) == 2778 + sum(SEMIGROUPS_BY_GENUS)
+    for M in modules:
+        assert detect_lg1_equals_2(M) == _lg1_by_rank_profile(M), M
+
+
 def test_last_gcd_two_detector_matches_chain():
     for S in enumerate_plane_branch_semigroups(80):
         if S.min_gens == (1,):
@@ -186,19 +214,30 @@ def _zariski_plane(gens):
     return all(e[i - 1] // e[i] * gens[i] < gens[i + 1] for i in range(1, len(gens) - 1))
 
 
-def test_every_semigroup_of_genus_at_most_14():
-    """Walk the semigroup tree (Bras-Amoros 2008; Fromentin-Hivert 2016):
-    the children of S are S minus each minimal generator above its Frobenius
-    number.  On every node the Apery generators equal the brute-force ones,
-    a plane module round-trips, and a non-plane module is rejected."""
-    by_genus = [0] * len(SEMIGROUPS_BY_GENUS)
-    plane = []
+def _genus_walk(max_genus):
+    """(gaps, brute-force minimal generators) of every numerical semigroup of
+    genus <= max_genus, by the semigroup tree (Bras-Amoros 2008;
+    Fromentin-Hivert 2016): the children of S are S minus each minimal
+    generator above its Frobenius number."""
     stack = [frozenset()]
     while stack:
         gaps = stack.pop()
-        by_genus[len(gaps)] += 1
         c = max(gaps) + 1 if gaps else 0
         gens = naive_minimal_generators(gaps)
+        yield gaps, gens
+        if len(gaps) < max_genus:
+            stack.extend(gaps | {g} for g in gens if g >= c)
+
+
+def test_every_semigroup_of_genus_at_most_14():
+    """Walk the semigroup tree.  On every node the Apery generators equal the
+    brute-force ones, a plane module round-trips, and a non-plane module is
+    rejected."""
+    by_genus = [0] * len(SEMIGROUPS_BY_GENUS)
+    plane = []
+    for gaps, gens in _genus_walk(len(SEMIGROUPS_BY_GENUS) - 1):
+        by_genus[len(gaps)] += 1
+        c = max(gaps) + 1 if gaps else 0
         S = from_members([x for x in range(c) if x not in gaps], c)
         assert S.min_gens == gens
         M = module_from_weight(weight_sequence(S))
@@ -208,8 +247,6 @@ def test_every_semigroup_of_genus_at_most_14():
         else:
             with pytest.raises(ValidationError):
                 reconstruct_semigroup(M)
-        if len(gaps) < len(SEMIGROUPS_BY_GENUS) - 1:
-            stack.extend(gaps | {g} for g in gens if g >= c)
     assert tuple(by_genus) == SEMIGROUPS_BY_GENUS
     # plane semigroups are symmetric, so genus <= 14 means conductor <= 28
     assert sorted(plane) == sorted(S.min_gens for S in enumerate_plane_branch_semigroups(28))

@@ -1,4 +1,6 @@
 """Semigroup arithmetic against naive recomputation and hand-checked values."""
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,12 @@ from latcoh import (
     is_plane_branch,
     is_symmetric,
 )
-from oracles import brute_force_symmetric_semigroups, naive_closure, naive_conductor
+from oracles import (
+    brute_force_symmetric_semigroups,
+    naive_closure,
+    naive_conductor,
+    naive_minimal_generators,
+)
 
 KNOWN = {
     (1,): (0, 0, 1),
@@ -188,11 +195,10 @@ def test_enumeration_is_sorted_and_within_bound():
     assert len(set(seen)) == len(seen)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5))
 def test_closure_matches_naive(raw):
-    import math
-
+    # 1, repeated generators and multiples of the multiplicity all occur
     if math.gcd(*raw) != 1:
         raw = raw + [raw[-1] + 1]
     S = from_generators(raw)
@@ -201,6 +207,29 @@ def test_closure_matches_naive(raw):
     assert S.conductor == naive_conductor(mem)
     for x in range(bound + 1):
         assert (x in S) == mem[x]
+    assert S.min_gens == naive_minimal_generators(set(S.gaps()))
+
+
+@pytest.mark.parametrize("a", [101, 257, 499])
+@pytest.mark.parametrize("step", [1, 2])
+def test_two_generator_closed_forms_far_past_the_generators(a, step):
+    # conductor (a - 1)(b - 1), far beyond 2b: the Apery set needs no window
+    b = a + step
+    S = from_generators([b, a])
+    assert S.conductor == (a - 1) * (b - 1)
+    assert S.delta == S.conductor // 2
+    assert S.min_gens == (a, b)
+    assert len(S.membership) == S.conductor + 1 and S.membership[-1]
+    assert S.conductor - 1 not in S
+
+
+def test_three_generators_sharing_a_factor_with_the_multiplicity():
+    # gcd(44, 50) = 2: the round robin walks two residue cycles of 50 mod 44
+    S = from_generators([1101, 50, 44])
+    assert S.min_gens == (44, 50, 1101)
+    assert S.conductor == gcd_chain(S.min_gens).partial_conductors[-1] == 2108
+    assert S.delta == S.conductor // 2
+    assert list(S.membership) == naive_closure([44, 50, 1101], S.conductor)
 
 
 @settings(max_examples=40, deadline=None)
