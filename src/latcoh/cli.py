@@ -21,6 +21,7 @@ file extension (.dot, .json, or ASCII for anything else).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -40,6 +41,7 @@ from .multibranch import (
     series,
 )
 from .reconstruct import (
+    _reconstruct,
     compute_e,
     detect_lg1_equals_2,
     initial_part,
@@ -61,8 +63,13 @@ def _int_tuple(text: str, what: str) -> tuple[int, ...]:
         raise InputError("%s: expected comma-separated integers, got %r" % (what, text))
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """The parsed command line; ``ns.func(ns)`` runs the chosen command."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    argparse gives each parse a new namespace, and a subcommand's parse
+    copies only its own options into it, so one parser serves every call.
+    """
     ap = argparse.ArgumentParser(
         prog="latcoh",
         description="analytic lattice cohomology of curve singularities",
@@ -107,8 +114,12 @@ def parse_args(argv) -> argparse.Namespace:
     p.set_defaults(func=cmd_conjecture_sweep)
     p.add_argument("--max-conductor", type=int, required=True)
     p.add_argument("--out", help="write the sweep report JSON here")
+    return ap
 
-    ns = ap.parse_args(argv)
+
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line; ``ns.func(ns)`` runs the chosen command."""
+    ns = _parser().parse_args(argv)
     if getattr(ns, "gens", None) is not None:
         ns.gens = _int_tuple(ns.gens, "--gens")
     if getattr(ns, "conductor", None) is not None:
@@ -202,8 +213,7 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
 
 def cmd_reconstruct(ns: argparse.Namespace) -> int:
     M = formats.read_module_file(ns.infile)
-    S = reconstruct_semigroup(M)
-    ip = initial_part(M)
+    S, ip = _reconstruct(M)
     _plane, chain = is_plane_branch(S)
     lines = [
         "generators: " + ", ".join(str(g) for g in S.min_gens),

@@ -8,9 +8,12 @@ with the connecting-map ranks) comes from one persistence-style matrix
 reduction of that filtration over the rationals, on integer columns, for
 every branch count, cross-checked on degree zero against the graded root
 route and on every level against the Euler characteristic of the cubes.
-Integral cohomology of a single level comes from Smith normal form of the
-coboundary matrices of its prefix.  ``Cube`` objects are built only by
-``sublevel_complex``, the entry point of ``cohomology`` for the oracles.
+Integral cohomology comes from Smith normal form: the filtration is reduced
+once by eliminating pairs of a cube and a face of the same weight with
+incidence +-1, and each level's cohomology is that of the few cells of
+weight <= n left, with their reduced coboundaries.  ``Cube`` objects are
+built only by ``sublevel_complex``, the entry point of ``cohomology`` for
+the oracles.
 """
 from __future__ import annotations
 
@@ -297,6 +300,59 @@ def cohomology(K: CubicalComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
     return _cohomology_of([len(ix) for ix in index], coboundaries)
 
 
+def _reduce_equal_weight_pairs(cols: list[list], weights: list[int]) -> list[tuple[int, dict[int, int]]]:
+    """Surviving cells of the filtration, with their reduced boundaries, in order.
+
+    ``cols[q]`` lists the position and faces of each (q+1)-cube.  Walking
+    the cubes in filtration order, each cube j is paired with a face i of the
+    same weight whose current incidence is +-1 (the first such face), and both
+    are removed: every other coface c of i takes ``dc -= dc[i] * dj[i] * dj``
+    and every coface of j drops j (Kaczynski-Mrozek-Slusarek 1998), which
+    keeps the integral cohomology.  A boundary only ever gains cells no
+    heavier than its cube, and no pair crosses a weight, so the cells of
+    weight <= n left here, with their reduced boundaries, are the reduction
+    of the level-n complex (Mischaikow-Nanda 2013): one pass serves every
+    level.  Vertices survive with an empty boundary.
+    """
+    count = len(weights)
+    boundary: list[dict[int, int]] = [{} for _ in range(count)]
+    # every cube whose boundary holds i, and possibly some that no longer do
+    cofaces: list[list[int]] = [[] for _ in range(count)]
+    for qcols in cols:
+        for j, faces in qcols:
+            boundary[j] = dict(faces)
+            for i, _ in faces:
+                cofaces[i].append(j)
+    alive = [True] * count
+    for j in range(count):
+        col = boundary[j]
+        if not col or not alive[j]:
+            continue
+        w = weights[j]
+        for i, v in col.items():
+            if (v == 1 or v == -1) and weights[i] == w:
+                break
+        else:
+            continue
+        alive[i] = alive[j] = False
+        for d in cofaces[j]:
+            boundary[d].pop(j, None)
+        for c in cofaces[i]:
+            row = boundary[c]
+            if not alive[c] or i not in row:
+                continue
+            k = row[i] * v  # the quotient row[i] / v, exact since v = +-1
+            for e, x in col.items():
+                nx = row.get(e, 0) - k * x
+                if nx:
+                    if e not in row:
+                        cofaces[e].append(c)
+                    row[e] = nx
+                else:
+                    del row[e]
+    return [(j, boundary[j]) for j in range(count) if alive[j]]
+
+
 # ---------------------------------------------------------------------------
 # graded root of the grid (degree-zero route)
 # ---------------------------------------------------------------------------
@@ -328,9 +384,11 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs(filt: _Filtration):
+def _persistence_pairs(filt: _Filtration, cols: list):
     """Persistence pairing over the rationals, on sparse integer columns.
 
+    ``cols[q]`` lists or yields the position and faces of each (q+1)-cube,
+    in order.
     Columns are reduced top dimension first; a column whose cube is already
     the pivot of a higher column would reduce to zero, so it is skipped
     (clearing, Chen-Kerber 2011).  To clear its low entry a column subtracts
@@ -340,8 +398,8 @@ def _persistence_pairs(filt: _Filtration):
     """
     owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
-    for q in range(filt.r, 0, -1):
-        for j, faces in filt.columns(q):
+    for qcols in reversed(cols):
+        for j, faces in qcols:
             if j in owner:
                 continue
             col = dict(faces)
@@ -437,15 +495,23 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     must agree.  On small grids (and always for three or more branches) the
     ranks are additionally verified level by level against integral Smith
     normal form cohomology, which also reports any torsion; those levels are
-    recorded in ``snf_levels``.  Each level is read as a prefix of the same
-    integer filtration, after one check that every face sorts before its
-    cube, so that every prefix is a complex.  On every grid the Euler
+    recorded in ``snf_levels``.  After one check that every face sorts
+    before its cube, so that every prefix is a complex, the filtration is
+    reduced once by its equal-weight unit pairs; each level n is then the
+    prefix of the surviving cells of weight <= n, with their reduced
+    coboundaries, and goes to Smith normal form.  On every grid the Euler
     characteristic of each level is checked against its cube counts.
     """
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
-    pairs, infinite = _persistence_pairs(filt)
+    check_snf = grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT
+    # the rows of D^q: listed once when the SNF check reads them again, else
+    # streamed, so that a large grid never holds all of them at once
+    cols = [filt.columns(q + 1) for q in range(grid.r)]
+    if check_snf:
+        cols = [list(qcols) for qcols in cols]
+    pairs, infinite = _persistence_pairs(filt, cols)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
@@ -493,16 +559,23 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
-    if grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT:
+    if check_snf:
         snf_levels = tuple(range(bottom, top_report + 1))
-        cols = [list(filt.columns(q + 1)) for q in range(grid.r)]
         # every prefix is closed under faces exactly when each face sorts first
         if any(i > j for qcols in cols for j, faces in qcols for i, _ in faces):
             raise ValidationError("cube filtration is not ordered: a face sorts after its cube")
+        cells = _reduce_equal_weight_pairs(cols, weights)
+        counts = [0] * (grid.r + 1)
+        rows: list[list[dict[int, int]]] = [[] for _ in range(grid.r)]
+        k = 0
         for n in snf_levels:
-            end = filt.end(n)
-            counts = [dims[:end].count(q) for q in range(grid.r + 1)]
-            hq = _cohomology_of(counts, [[f for j, f in qcols if j < end] for qcols in cols])
+            while k < len(cells) and weights[cells[k][0]] <= n:
+                j, faces = cells[k]
+                counts[dims[j]] += 1
+                if dims[j]:
+                    rows[dims[j] - 1].append(faces)
+                k += 1
+            hq = _cohomology_of(counts, rows)
             for q, (free, invs) in hq.items():
                 if q == grid.r:
                     if free or invs:

@@ -137,6 +137,11 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
 
     Raises ValidationError when no plane branch produces M.
     """
+    return _reconstruct(M)[0]
+
+
+def _reconstruct(M: TowerModule) -> tuple[NumericalSemigroup, InitialPart]:
+    """The semigroup of :func:`reconstruct_semigroup` and the initial part it was read from."""
     ip = initial_part(M)
     delta = ip.delta
     m = multiplicity_from_module(M)
@@ -176,4 +181,4 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
     back = module_from_weight(weight_sequence(S))
     if back != M:
         raise ValidationError("validation failed: module mismatch after round trip")
-    return S
+    return S, ip

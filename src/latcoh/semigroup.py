@@ -20,6 +20,7 @@ with c_g equal to the conductor of the full semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, inf
 from typing import Iterator
 
@@ -162,6 +163,29 @@ def from_generators(gens) -> NumericalSemigroup:
     return NumericalSemigroup(tuple(mem), c, _minimal_generators(apery))
 
 
+def _closed(membership, c: int, apery: list[int]) -> bool:
+    """Additive closure of a set with conductor c from its Apery set w of m.
+
+    The set is closed exactly when x + m is a member with every member x
+    (so each residue class is w_r + mN) and w_r + w_s >= w_(r+s mod m) for
+    every r, s: O(c + m^2).  The first part puts every w_r below c + m, so a
+    pair summing to c + m - 1 or more needs no look.
+    """
+    m = len(apery)
+    if not all(membership[x + m] for x in range(c - m) if membership[x]):
+        return False
+    ws = sorted(apery)[1:]  # w_0 = 0 adds nothing
+    for i, a in enumerate(ws):
+        if 2 * a >= c + m - 1:
+            break
+        for b in islice(ws, i, None):
+            if a + b >= c + m - 1:
+                break
+            if a + b < apery[(a + b) % m]:
+                return False
+    return True
+
+
 def from_members(members_below, conductor: int, verify_closed: bool = True):
     """Build a set from an explicit member list on [0, conductor).
 
@@ -192,17 +216,12 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     if not verify_closed:
         return CofiniteSet(membership, c)
 
-    elems = [x for x in range(c) if membership[x]]
-    for a in elems:
-        if a == 0:
-            continue
-        for b in elems:
-            if b < a:
-                continue
-            if a + b < c and not membership[a + b]:
-                raise InputError("not closed under addition: %d + %d" % (a, b))
     m = membership.index(True, 1) if c else 1
     apery = [next(x for x in range(r, c + m, m) if x >= c or membership[x]) for r in range(m)]
+    if not _closed(membership, c, apery):
+        elems = [x for x in range(1, c) if membership[x]]
+        a, b = next((a, b) for a in elems for b in elems if b >= a and a + b < c and not membership[a + b])
+        raise InputError("not closed under addition: %d + %d" % (a, b))
     return NumericalSemigroup(membership, c, _minimal_generators(apery))
 
 

@@ -42,6 +42,16 @@ def naive_conductor(mem):
     return last_gap + 1
 
 
+def naive_first_unclosed_pair(members, c):
+    """First pair a <= b of positive members, in scan order, whose sum below c is not a member."""
+    member = [x in set(members) for x in range(c)]
+    for a in range(1, c):
+        for b in range(a, c - a):
+            if member[a] and member[b] and not member[a + b]:
+                return a, b
+    return None
+
+
 def naive_minimal_generators(gaps):
     """Minimal generators of the numerical semigroup N minus ``gaps``.
 

@@ -18,8 +18,10 @@ from latcoh import (
     root_from_weight,
     weight_sequence,
 )
+import latcoh.cli
+import latcoh.reconstruct
 from latcoh import formats
-from latcoh.cli import cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
+from latcoh.cli import _parser, cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
 from fixtures import (
     ORACLE_SEED,
     SPRIME_CONDUCTOR,
@@ -365,6 +367,35 @@ def test_cli_reconstruct_round_trip(tmp_path, capsys):
     assert formats.read_semigroup_file(str(s)) == from_generators([6, 15, 31])
 
 
+def test_cli_reconstruct_reads_the_initial_part_once(monkeypatch, capsys):
+    real = latcoh.reconstruct.initial_part
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    for module in (latcoh.reconstruct, latcoh.cli):
+        monkeypatch.setattr(module, "initial_part", counting)
+    code, stdout, _ = run_cli(["reconstruct", "--module", str(DATA / "module_6_10_31.json")], capsys)
+    assert code == 0
+    assert stdout == (DATA / "reconstruct_6_10_31.txt").read_text()
+    assert len(calls) == 1
+
+
+def test_cli_semigroup_members_input_of_a_large_semigroup(tmp_path, capsys):
+    # <163, 173> has c = 27,864: closure is checked on the Apery set of 163,
+    # not over every pair of the 13,932 members below c
+    S = from_generators([163, 173])
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"members_below": S.members_below_conductor(), "conductor": S.conductor}))
+    start = time.monotonic()
+    code, stdout, _ = run_cli(["semigroup", "--in", str(f)], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert stdout == run_cli(["semigroup", "--gens", "163,173"], capsys)[1]
+
+
 def test_cli_reconstruct_rejects_alien_module(tmp_path, capsys):
     m = tmp_path / "bad.json"
     m.write_text(json.dumps({"base_weight": -1, "towers_weight": [[0, 0]]}))
@@ -406,6 +437,13 @@ def test_cli_curve_full_run(tmp_path, capsys):
 
 SIX_COORD_IN = DATA / "curve_six_coord_in.json"  # fixtures.CURVE_SIX_COORD
 THREE_BRANCH = random_space_curves(ORACLE_SEED, 20)[19]
+THREE_BRANCH_IN = DATA / "curve_three_branch_in.json"  # THREE_BRANCH
+
+
+def test_three_branch_input_file_holds_the_fixture_terms():
+    # the installed console script is diffed on this file, the tests on THREE_BRANCH
+    coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in THREE_BRANCH]
+    assert json.loads(THREE_BRANCH_IN.read_text()) == {"branches": [{"coords": cs} for cs in coords]}
 
 
 def _curve_file(source, tmp_path):
@@ -752,3 +790,35 @@ def test_parse_args_shapes():
     with pytest.raises(SystemExit) as exc:
         parse_args(["unknown-command"])
     assert exc.value.code == 2
+
+
+_NAMESPACE_KEYS = {
+    "semigroup": {"gens", "infile", "out", "root_out", "weights_out", "module_out"},
+    "curve": {"infile", "bound", "conductor", "out", "root_out", "weights_out", "cohomology_out"},
+    "reconstruct": {"infile", "out"},
+}
+
+
+def _bad_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--in", "c.json", "--bound", "x"])
+    return exc.value.code, capsys.readouterr()
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    _parser.cache_clear()
+    fresh = _bad_bound(capsys)
+    assert fresh[0] == 2 and fresh[1].out == "" and "usage: latcoh curve" in fresh[1].err
+    runs = [
+        (["semigroup", "--gens", "6,10,31"], "semigroup_6_10_31.json"),
+        (["curve", "--in", str(SIX_COORD_IN)], "curve_six_coord.json"),
+        (["reconstruct", "--module", str(DATA / "module_6_10_31.json")], "reconstruct_6_10_31.txt"),
+    ]
+    for argv, expected in runs:
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert stdout == (DATA / expected).read_text()
+        ns = parse_args(argv)
+        assert set(vars(ns)) == _NAMESPACE_KEYS[argv[0]] | {"command", "func"}
+    assert _parser() is _parser()
+    assert _bad_bound(capsys) == fresh

@@ -579,12 +579,50 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
         lattice_cohomology(W)
 
 
+def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class():
+    # equal-weight unit pairs remove every cube but one birth and one death
+    # per bar of positive length, and the vertex of the everlasting class
+    parametrizations = [P for n in (2, 3) for P in pair_family(n)]
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
+    for P in parametrizations:
+        grid = weight_grid_extend(hilbert_from_parametrization(P))
+        filt = complexes._Filtration(grid)
+        cols = [list(filt.columns(q + 1)) for q in range(grid.r)]
+        pairs, _ = complexes._persistence_pairs(filt, cols)
+        bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
+        cells = complexes._reduce_equal_weight_pairs(cols, filt.weights)
+        assert len(cells) == 2 * bars + 1, grid.conductor
+
+
+def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
+    real = complexes._reduce_equal_weight_pairs
+
+    def forged(cols, weights):
+        # the first edge heavier than one of its vertices may pair with it, so
+        # that vertex leaves the levels below the edge's weight
+        j, i = next((j, i) for j, faces in cols[0] for i, _ in faces if weights[i] < weights[j])
+        weights = list(weights)
+        weights[j] = weights[i]
+        return real(cols, weights)
+
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    for P in (curve(CURVE_SIX_COORD), triple_point):
+        W = hilbert_from_parametrization(P)
+        assert lattice_cohomology(W).snf_levels
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_reduce_equal_weight_pairs", forged)
+            with pytest.raises(ValidationError, match="rank at degree 0"):
+                lattice_cohomology(W)
+
+
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
     real = complexes._persistence_pairs
 
-    def forged(filt):
+    def forged(filt, cols):
         # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt)
+        pairs, infinite = real(filt, cols)
         k = next(
             k for k, (i, j) in enumerate(pairs)
             if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1
@@ -602,19 +640,15 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
 class _StubFiltration:
     """Three vertices 0, 1, 2 and two edges 3, 4 whose columns are not unimodular."""
 
-    r = 1
     ids = range(5)
-
-    def columns(self, q):
-        yield 3, [(0, 1), (1, 2)]
-        yield 4, [(0, 1), (1, 3)]
+    cols = [[(3, [(0, 1), (1, 2)]), (4, [(0, 1), (1, 3)])]]
 
 
 def test_persistence_scales_a_column_the_pivot_does_not_divide():
     # column 3 owns row 1 with pivot 2; column 4 has 3 there, so it is
     # doubled, loses 3 times column 3 and ends as {0: -1}: over Q,
     # col4 - 3/2 col3 = {0: -1/2}
-    pairs, infinite = complexes._persistence_pairs(_StubFiltration())
+    pairs, infinite = complexes._persistence_pairs(_StubFiltration(), _StubFiltration.cols)
     assert pairs == [(1, 3), (0, 4)]
     assert infinite == [2]
 

@@ -1,5 +1,6 @@
 """Semigroup arithmetic against naive recomputation and hand-checked values."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from oracles import (
     brute_force_symmetric_semigroups,
     naive_closure,
     naive_conductor,
+    naive_first_unclosed_pair,
     naive_minimal_generators,
 )
 
@@ -92,6 +94,30 @@ def test_from_members_rejects_unclosed():
     assert T.delta == 15
     assert T.conductor == 30
     assert T.multiplicity == 4
+
+
+def test_from_members_names_the_first_unclosed_pair():
+    # semigroups with a few members toggled, closed or not: the Apery check
+    # accepts exactly the closed ones, and a rejection names the pair that a
+    # scan over every pair a <= b meets first
+    rng = random.Random("from-members")
+    closed = 0
+    for _ in range(600):
+        S = from_generators(rng.sample(range(2, 30), rng.randint(2, 4)) + [31])
+        members = set(S.members_below_conductor())
+        for _ in range(rng.randint(0, 3)):
+            members ^= {rng.randrange(1, S.conductor + 5)}
+        c = max([S.conductor] + [x + 1 for x in members])
+        pair = naive_first_unclosed_pair(members, c)
+        if pair is None:
+            closed += 1
+            T = from_members(sorted(members), c)
+            assert all((x in T) == (x in members) for x in range(c))
+        else:
+            with pytest.raises(InputError) as exc:
+                from_members(sorted(members), c)
+            assert str(exc.value) == "not closed under addition: %d + %d" % pair
+    assert closed > 100 and 600 - closed > 100, closed
 
 
 def test_from_members_input_errors():
