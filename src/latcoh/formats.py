@@ -110,15 +110,20 @@ def to_json(obj) -> str:
 
 
 def read_json(path: str):
+    """The JSON document in a UTF-8 file; anything unreadable is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)) from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except RecursionError as exc:
+        raise InputError("%s: JSON nested too deeply" % path) from exc
 
 
 def _require(d, key, where):

@@ -8,12 +8,14 @@ with the connecting-map ranks) comes from one persistence-style matrix
 reduction of that filtration over the rationals, on integer columns, for
 every branch count, cross-checked on degree zero against the graded root
 route and on every level against the Euler characteristic of the cubes.
-Integral cohomology comes from Smith normal form: the filtration is reduced
-once by eliminating pairs of a cube and a face of the same weight with
-incidence +-1, and each level's cohomology is that of the few cells of
-weight <= n left, with their reduced coboundaries.  ``Cube`` objects are
-built only by ``sublevel_complex``, the entry point of ``cohomology`` for
-the oracles.
+The reduction reads a cube's faces from the filtration only when it reduces
+that cube's column.  Integral cohomology comes from Smith normal form, which
+only ever sees pair-reduced complexes: a filtration (or, in ``cohomology``,
+one complex as a single weight class) is reduced once by eliminating pairs
+of a cube and a face of the same weight with incidence +-1, and each level's
+cohomology is that of the few cells of weight <= n left, with their reduced
+coboundaries.  ``Cube`` objects are built only by ``sublevel_complex``, the
+entry point of ``cohomology`` for the oracles.
 """
 from __future__ import annotations
 
@@ -125,7 +127,7 @@ class _Filtration:
             if not m & blocked[p]
         ]
         ids.sort(key=wt.__getitem__)  # stable: (dim, base, axes) within a weight
-        self.r = r
+        self.r, self.mask = r, R - 1
         self.points = points
         self.ids = ids
         self.weights = [wt[c] for c in ids]
@@ -145,12 +147,10 @@ class _Filtration:
             for m in range(R)
         ]
 
-    def columns(self, q: int):
-        """Position and faces' (position, sign) of each q-cube, in order."""
-        pos, offsets, mask = self.pos, self.face_offsets, (1 << self.r) - 1
-        for j, c in enumerate(self.ids):
-            if self.dims[j] == q:
-                yield j, [(pos[c + off], s) for off, s in offsets[c & mask]]
+    def boundary(self, j: int) -> dict[int, int]:
+        """Faces of the cube at position j: face position -> sign."""
+        c, pos = self.ids[j], self.pos
+        return {pos[c + off]: s for off, s in self.face_offsets[c & self.mask]}
 
     def end(self, n: int) -> int:
         """Number of cubes of weight <= n: the level-n prefix."""
@@ -163,7 +163,7 @@ def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
     r = filt.r
     cubes: dict[int, list[Cube]] = {}
     for c in filt.ids[: filt.end(n)]:
-        axes = filt.axes[c & ((1 << r) - 1)]
+        axes = filt.axes[c & filt.mask]
         cubes.setdefault(len(axes), []).append(Cube(filt.points[c >> r], axes))
     return CubicalComplex(r, n, {q: tuple(sorted(qs)) for q, qs in sorted(cubes.items())})
 
@@ -173,91 +173,57 @@ def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
 # ---------------------------------------------------------------------------
 
 
-def _smith_invariants(rows: list[dict[int, int] | list[tuple[int, int]]]) -> tuple[int, list[int]]:
+def _smith_invariants(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     """Rank and nontrivial invariant factors of an integer matrix.
 
-    A row is a dict or a list of (column, value) pairs, one pair per column.
-    Greedy elimination on unit pivots (which is complete for cubical
-    incidence matrices most of the time), then a classic Smith reduction on
-    whatever small block is left.  Each round sweeps the rows once and
-    eliminates every unit it meets; an index from each column to the rows
-    holding it confines an elimination to the rows it changes.
+    A row maps columns to their nonzero values.  A classic dense Smith
+    reduction: callers pass coboundaries whose unit pairs
+    ``_reduce_equal_weight_pairs`` has already eliminated, so the matrices
+    are small.
     """
-    rows = [dict(r) for r in rows if r]
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
-    rank = 0
-    progress = True
-    while progress:
-        progress = False
-        for i, pivot_row in enumerate(rows):
-            c = next((c for c, v in pivot_row.items() if v == 1 or v == -1), None)
-            if c is None:
-                continue
-            rank += 1
-            progress = True
-            rows[i] = {}
-            for cc in pivot_row:
-                holders[cc].discard(i)
-            v = pivot_row[c]
-            for k in holders[c].copy():
-                row = rows[k]
-                f = row[c] * v  # the quotient row[c] / v, exact since v = +-1
-                for cc, vv in pivot_row.items():
-                    nv = row.get(cc, 0) - f * vv
-                    if nv:
-                        if cc not in row:
-                            holders[cc].add(k)
-                        row[cc] = nv
-                    else:
-                        del row[cc]
-                        holders[cc].discard(k)
     rows = [r for r in rows if r]
     if not rows:
-        return rank, []
-    # dense Smith reduction of the leftover block
+        return 0, []
     cols = sorted({c for r in rows for c in r})
     M = [[r.get(c, 0) for c in cols] for r in rows]
     m, n = len(M), len(cols)
     factors: list[int] = []
     top = 0
     while top < m and top < n:
-        # find the nonzero entry of least magnitude
-        best = None
+        # the first nonzero entry of least magnitude; a unit ends the search
+        best, least = None, 0
         for i in range(top, m):
             for j in range(top, n):
-                if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
+                v = abs(M[i][j])
+                if v and (best is None or v < least):
+                    best, least = (i, j), v
+            if least == 1:
+                break
         if best is None:
             break
         bi, bj = best
         M[top], M[bi] = M[bi], M[top]
         for row in M:
             row[top], row[bj] = row[bj], row[top]
+        pivot_row = M[top]
+        p = pivot_row[top]
         dirty = False
-        for i in range(top + 1, m):
-            if M[i][top] % M[top][top]:
-                dirty = True
-            f = M[i][top] // M[top][top]
+        for row in M[top + 1 :]:
+            f, rest = divmod(row[top], p)
             if f:
                 for j in range(top, n):
-                    M[i][j] -= f * M[top][j]
-        for j in range(top + 1, n):
-            if M[top][j] % M[top][top]:
-                dirty = True
-            f = M[top][j] // M[top][top]
-            if f:
-                for i in range(top, m):
-                    M[i][j] -= f * M[i][top]
-        if dirty or any(M[i][top] for i in range(top + 1, m)) or any(
-            M[top][j] for j in range(top + 1, n)
-        ):
+                    row[j] -= f * pivot_row[j]
+            dirty = dirty or rest != 0
+        if not dirty:
+            # the column below the pivot is clear, so column operations
+            # change only the pivot row
+            for j in range(top + 1, n):
+                pivot_row[j] %= p
+            dirty = any(pivot_row[top + 1 :])
+        if dirty:
             continue  # remainders appeared; repeat on the same corner
-        factors.append(abs(M[top][top]))
+        factors.append(abs(p))
         top += 1
-    rank += len(factors)
     # divisibility fixup so the factors are genuine invariant factors
     changed = True
     while changed:
@@ -269,20 +235,36 @@ def _smith_invariants(rows: list[dict[int, int] | list[tuple[int, int]]]) -> tup
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
         factors.sort()
-    return rank, [f for f in factors if f > 1]
+    return len(factors), [f for f in factors if f > 1]
 
 
 def _cohomology_of(
-    counts: list[int], coboundaries: list[list]
+    cells: list[tuple[int, dict[int, int]]],
+    dims: list[int],
+    top: int,
+    known: dict[tuple[int, int], tuple[int, list[int]]] | None = None,
 ) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Free rank and invariant factors > 1 of H^q for q < len(counts).
+    """Free rank and invariant factors > 1 of H^q for q <= top.
 
-    ``counts[q]`` is the number of q-cubes and ``coboundaries[q]`` the rows
-    of D^q, one per (q+1)-cube, for every q below the top degree.
+    ``cells`` lists the cells as (position, boundary), the boundary mapping
+    face positions to incidences, and ``dims[position]`` is a cell's degree.
+    The boundaries of the (q+1)-cells are the rows of D^q.  ``known`` keeps
+    the Smith invariants of D^q by (q, row count) across prefixes of one
+    cell list: a prefix's rows fix D^q, since a q-cell that no row holds
+    only adds a zero column.
     """
+    counts = [0] * (top + 1)
+    coboundaries: list[list[dict[int, int]]] = [[] for _ in range(top)]
+    for j, faces in cells:
+        counts[dims[j]] += 1
+        if dims[j]:
+            coboundaries[dims[j] - 1].append(faces)
     ranks, torsion = [0], [()]  # rank and factors of D^(q-1), from D^(-1) = 0
-    for rows in coboundaries:
-        rank, invs = _smith_invariants(rows)
+    known = {} if known is None else known
+    for q, rows in enumerate(coboundaries):
+        if (q, len(rows)) not in known:
+            known[q, len(rows)] = _smith_invariants(rows)
+        rank, invs = known[q, len(rows)]
         ranks.append(rank)
         torsion.append(tuple(invs))
     ranks.append(0)
@@ -290,39 +272,47 @@ def _cohomology_of(
 
 
 def cohomology(K: CubicalComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Integral cohomology per degree: (free rank, invariant factors > 1)."""
-    degrees = range(max(K.cubes, default=-1) + 1)
-    index = [{c: i for i, c in enumerate(K.cubes.get(q, ()))} for q in degrees]
-    coboundaries = [
-        [[(index[q][f], sign) for f, sign in c.faces()] for c in K.cubes.get(q + 1, ())]
-        for q in degrees[:-1]
-    ]
-    return _cohomology_of([len(ix) for ix in index], coboundaries)
+    """Integral cohomology per degree: (free rank, invariant factors > 1).
+
+    K's cubes, ordered by degree, are reduced as one weight class by
+    ``_reduce_equal_weight_pairs``, and the cells left go to Smith normal
+    form.
+    """
+    cubes = [c for q in sorted(K.cubes) for c in K.cubes[q]]
+    index = {c: j for j, c in enumerate(cubes)}
+    boundary = [{index[f]: sign for f, sign in c.faces()} for c in cubes]
+    cells = _reduce_equal_weight_pairs(boundary, [0] * len(cubes))
+    return _cohomology_of(cells, [c.dim for c in cubes], max(K.cubes, default=-1))
 
 
-def _reduce_equal_weight_pairs(cols: list[list], weights: list[int]) -> list[tuple[int, dict[int, int]]]:
+def _reduce_equal_weight_pairs(
+    boundary: list[dict[int, int]], weights: list[int]
+) -> list[tuple[int, dict[int, int]]]:
     """Surviving cells of the filtration, with their reduced boundaries, in order.
 
-    ``cols[q]`` lists the position and faces of each (q+1)-cube.  Walking
-    the cubes in filtration order, each cube j is paired with a face i of the
-    same weight whose current incidence is +-1 (the first such face), and both
-    are removed: every other coface c of i takes ``dc -= dc[i] * dj[i] * dj``
-    and every coface of j drops j (Kaczynski-Mrozek-Slusarek 1998), which
-    keeps the integral cohomology.  A boundary only ever gains cells no
-    heavier than its cube, and no pair crosses a weight, so the cells of
-    weight <= n left here, with their reduced boundaries, are the reduction
-    of the level-n complex (Mischaikow-Nanda 2013): one pass serves every
-    level.  Vertices survive with an empty boundary.
+    ``boundary[j]`` maps each face of the cell at position j to its
+    incidence; the dicts are reduced in place.  Every face must sort before
+    its cell, so that every prefix is a complex: the coface lists are built
+    first, and a face that sorts after its cell raises ``ValidationError``.
+    Walking the cells in filtration order, each cell j is paired with a face
+    i of the same weight whose current incidence is +-1 (the first such
+    face), and both are removed: every other coface c of i takes
+    ``dc -= dc[i] * dj[i] * dj`` and every coface of j drops j
+    (Kaczynski-Mrozek-Slusarek 1998), which keeps the integral cohomology.
+    A boundary only ever gains cells no heavier than its cell, and no pair
+    crosses a weight, so the cells of weight <= n left here, with their
+    reduced boundaries, are the reduction of the level-n complex
+    (Mischaikow-Nanda 2013): one pass serves every level.  Vertices survive
+    with an empty boundary.
     """
-    count = len(weights)
-    boundary: list[dict[int, int]] = [{} for _ in range(count)]
-    # every cube whose boundary holds i, and possibly some that no longer do
+    count = len(boundary)
+    # every cell whose boundary holds i, and possibly some that no longer do
     cofaces: list[list[int]] = [[] for _ in range(count)]
-    for qcols in cols:
-        for j, faces in qcols:
-            boundary[j] = dict(faces)
-            for i, _ in faces:
-                cofaces[i].append(j)
+    for j, col in enumerate(boundary):
+        for i in col:
+            if i > j:
+                raise ValidationError("cube filtration is not ordered: a face sorts after its cube")
+            cofaces[i].append(j)
     alive = [True] * count
     for j in range(count):
         col = boundary[j]
@@ -384,25 +374,25 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs(filt: _Filtration, cols: list):
+def _persistence_pairs(filt: _Filtration):
     """Persistence pairing over the rationals, on sparse integer columns.
 
-    ``cols[q]`` lists or yields the position and faces of each (q+1)-cube,
-    in order.
-    Columns are reduced top dimension first; a column whose cube is already
-    the pivot of a higher column would reduce to zero, so it is skipped
-    (clearing, Chen-Kerber 2011).  To clear its low entry a column subtracts
-    k times the column owning that pivot when the pivot divides the entry,
-    and is scaled by the pivot first when it does not; scaling keeps every
-    column's low, so the pairs are those of the plain reduction over Q.
+    Columns are reduced top dimension first, each degree in filtration
+    order; a column whose cube is already the pivot of a higher column would
+    reduce to zero, so it is skipped and its faces are never read (clearing,
+    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``.  To
+    clear its low entry a column subtracts k times the column owning that
+    pivot when the pivot divides the entry, and is scaled by the pivot first
+    when it does not; scaling keeps every column's low, so the pairs are
+    those of the plain reduction over Q.
     """
     owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
-    for qcols in reversed(cols):
-        for j, faces in qcols:
-            if j in owner:
+    for q in range(filt.r, 0, -1):
+        for j, d in enumerate(filt.dims):
+            if d != q or j in owner:
                 continue
-            col = dict(faces)
+            col = filt.boundary(j)
             while col:
                 low = max(col)
                 prev = owner.get(low)
@@ -420,7 +410,7 @@ def _persistence_pairs(filt: _Filtration, cols: list):
                         col[i] = nv
                     else:
                         col.pop(i, None)
-    return pairs, _unpaired(len(filt.ids), pairs)
+    return pairs, _unpaired(len(filt.dims), pairs)
 
 
 def _unpaired(count: int, pairs: list[tuple[int, int]]) -> list[int]:
@@ -495,9 +485,10 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     must agree.  On small grids (and always for three or more branches) the
     ranks are additionally verified level by level against integral Smith
     normal form cohomology, which also reports any torsion; those levels are
-    recorded in ``snf_levels``.  After one check that every face sorts
-    before its cube, so that every prefix is a complex, the filtration is
-    reduced once by its equal-weight unit pairs; each level n is then the
+    recorded in ``snf_levels``.  For that check every cube's boundary is
+    read from the filtration once and the filtration is reduced by its
+    equal-weight unit pairs, which first checks that every face sorts before
+    its cube, so that every prefix is a complex; each level n is then the
     prefix of the surviving cells of weight <= n, with their reduced
     coboundaries, and goes to Smith normal form.  On every grid the Euler
     characteristic of each level is checked against its cube counts.
@@ -506,12 +497,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
     check_snf = grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT
-    # the rows of D^q: listed once when the SNF check reads them again, else
-    # streamed, so that a large grid never holds all of them at once
-    cols = [filt.columns(q + 1) for q in range(grid.r)]
-    if check_snf:
-        cols = [list(qcols) for qcols in cols]
-    pairs, infinite = _persistence_pairs(filt, cols)
+    pairs, infinite = _persistence_pairs(filt)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
@@ -561,21 +547,13 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     snf_levels: tuple[int, ...] = ()
     if check_snf:
         snf_levels = tuple(range(bottom, top_report + 1))
-        # every prefix is closed under faces exactly when each face sorts first
-        if any(i > j for qcols in cols for j, faces in qcols for i, _ in faces):
-            raise ValidationError("cube filtration is not ordered: a face sorts after its cube")
-        cells = _reduce_equal_weight_pairs(cols, weights)
-        counts = [0] * (grid.r + 1)
-        rows: list[list[dict[int, int]]] = [[] for _ in range(grid.r)]
-        k = 0
+        cells = _reduce_equal_weight_pairs(
+            [filt.boundary(j) for j in range(len(filt.ids))], weights
+        )
+        known: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for n in snf_levels:
-            while k < len(cells) and weights[cells[k][0]] <= n:
-                j, faces = cells[k]
-                counts[dims[j]] += 1
-                if dims[j]:
-                    rows[dims[j] - 1].append(faces)
-                k += 1
-            hq = _cohomology_of(counts, rows)
+            level = [cell for cell in cells if weights[cell[0]] <= n]
+            hq = _cohomology_of(level, dims, grid.r, known)
             for q, (free, invs) in hq.items():
                 if q == grid.r:
                     if free or invs:

@@ -411,6 +411,13 @@ _BAD_HINT = "conductor needs one nonnegative entry per branch"
 # after about 2.7 s on a shared 2-core VM.
 _MAX_ROUNDS = 13
 
+# No window may exceed this many orders on any branch: the cost grows about
+# quadratically with the window (2000 orders take 34 s on the two-branch curve
+# of tests/data/curve_six_coord_in.json, shared 2-core VM), and every window
+# of the tests and the benchmark stays below it, 1065 being the automatic
+# loop's last.
+_MAX_WINDOW = 4096
+
 
 def hilbert_from_parametrization(
     P: BranchParametrization,
@@ -455,7 +462,10 @@ def hilbert_from_parametrization(
     check c_j + max(m_j, 2) <= n_j.  The first window with room on every
     branch gives the grid.  Otherwise each window grows to
     max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); when the rounds run out the
-    result is ``ValidationError("truncation not stabilized")``.  A window
+    result is ``ValidationError("truncation not stabilized")``.  A round
+    whose window exceeds ``_MAX_WINDOW`` orders on some branch raises
+    ``InputError`` before any work, so pinned, hinted and grown windows are
+    bounded alike.  A window
     past the true conductor by max(m_j, 2) always has room, by step 1.
 
     A hint needs the same room, and is accepted exactly when it equals the
@@ -492,6 +502,12 @@ def hilbert_from_parametrization(
 
     coords = _integer_coordinates(P)
     for _ in range(rounds):
+        for j, n in enumerate(bounds):
+            if n > _MAX_WINDOW:
+                raise InputError(
+                    "truncation window of %d orders on branch %d is above the"
+                    " ceiling of %d" % (n, j, _MAX_WINDOW)
+                )
         an = _analyze(coords, r, bounds)
         cand = tuple(_candidate_conductor(p, n) for p, n in zip(an.pure, bounds))
         c = cand if hint is None else hint

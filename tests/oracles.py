@@ -212,24 +212,35 @@ def brute_force_symmetric_semigroups(max_conductor):
 # Dense exact linear algebra over Q
 
 def frac_rank(rows):
-    """Row rank of a list of Fraction lists, destructive Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank, col = 0, 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Row rank of a list of Fraction lists."""
+    return _sparse_rank([{c: Fraction(v) for c, v in enumerate(r) if v} for r in rows])
+
+
+def _sparse_rank(rows):
+    """Row rank over Q of rows given as {column: nonzero exact number}.
+
+    Each row is reduced against the pivot rows kept so far, always on its
+    largest column: while that column holds a pivot row p, the row becomes
+    p[col] * row - row[col] * p, which keeps the entries exact.  A row whose
+    largest column holds no pivot becomes that column's pivot row.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            f, g = row[col], piv[col]
+            row = {c: g * v for c, v in row.items()}
+            for c, v in piv.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _det(rows):
@@ -356,7 +367,7 @@ def naive_hilbert_grid(branches, bounds, box):
 
 
 # ---------------------------------------------------------------------------
-# Cubical cohomology, the slow way: dense coboundaries over Q
+# Cubical cohomology, the slow way: coboundaries over Q from scratch
 
 def _cube_faces(base, axes):
     """Faces of the cube (base, axes) with incidence signs, from scratch."""
@@ -453,11 +464,11 @@ def naive_betti(cubes_by_dim, max_q):
         cols = cubes_by_dim.get(q + 1, [])
         mat = []
         for big in cols:
-            row = [Fraction(0)] * len(rows_idx)
+            row = {}
             for face, sign in _cube_faces(*big):
-                row[rows_idx[face]] += sign
-            mat.append(row)
-        ranks[q] = frac_rank(mat) if mat and rows_idx else 0
+                row[rows_idx[face]] = row.get(rows_idx[face], 0) + sign
+            mat.append({c: v for c, v in row.items() if v})
+        ranks[q] = _sparse_rank(mat)
     for q in range(max_q + 1):
         n_q = len(cubes_by_dim.get(q, []))
         betti[q] = n_q - ranks.get(q, 0) - ranks.get(q - 1, 0)

@@ -551,6 +551,14 @@ def test_cli_unwritable_artifact_is_malformed_input(argv, flag, tmp_path, capsys
     assert stdout == ""  # every file is written before the report is printed
 
 
+@pytest.mark.parametrize("window", [["--bound", "1" + "0" * 20], ["--conductor", "1" + "0" * 20 + ",4"]])
+def test_cli_curve_window_above_the_ceiling_is_malformed_input(window, capsys):
+    code, stdout, stderr = run_cli(["curve", "--in", str(SIX_COORD_IN)] + window, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: truncation window of ") and stderr.count("\n") == 1
+
+
 def test_cli_curve_conductor_flag_mismatch(tmp_path, capsys):
     c = tmp_path / "curve.json"
     c.write_text(
@@ -580,6 +588,27 @@ def test_cli_curve_bad_file(tmp_path, capsys):
     code, _, stderr = run_cli(["curve", "--in", str(c)], capsys)
     assert code == 2
     assert "line" in stderr
+
+
+_UNREADABLE = {
+    "utf16-bom": (b"\xff\xfe{\x00}\x00", "not UTF-8 text: invalid start byte at byte 0"),
+    "deep-nesting": (b"[" * 100_000, "JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "command", [["semigroup", "--in"], ["reconstruct", "--module"], ["curve", "--in"], ["root-iso"]]
+)
+def test_cli_unreadable_json_is_malformed_input(command, content, tmp_path, capsys):
+    data, message = _UNREADABLE[content]
+    f = tmp_path / "in.json"
+    f.write_bytes(data)
+    argv = command + [str(f)] * (2 if command == ["root-iso"] else 1)
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: %s: %s\n" % (f, message)
 
 
 def test_cli_root_iso(tmp_path, capsys):

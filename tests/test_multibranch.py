@@ -1,5 +1,7 @@
 """Hilbert grids, weight grids, sublevel complexes, and graded cohomology."""
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -347,6 +349,39 @@ def test_window_and_hint_messages():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"degree_bound": 10**20},
+        {"degree_bound": (8, 2**62)},
+        {"degree_bound": hilbert._MAX_WINDOW + 1},
+        {"conductor": (10**20, 4)},
+    ],
+    ids=["pinned-huge", "pinned-tuple", "pinned-one-over", "hinted"],
+)
+def test_windows_above_the_ceiling_are_rejected_at_once(kwargs):
+    # they used to raise OverflowError or MemoryError, or run until killed
+    P = curve(CURVE_SIX_COORD)
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(InputError, match="above the ceiling of %d$" % hilbert._MAX_WINDOW):
+            hilbert_from_parametrization(P, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 0.5
+    assert peak < 1 << 20
+
+
+def test_automatic_windows_stay_below_the_ceiling():
+    # a branch repeated under t -> 2t never certifies: the rounds run out at a
+    # window of 1065 orders, below the ceiling
+    P = curve([[[(1, 2)], [(1, 3)]], [[(4, 2)], [(8, 3)]]])
+    with pytest.raises(ValidationError, match="truncation not stabilized"):
+        hilbert_from_parametrization(P)
+
+
 def test_too_small_explicit_window_is_detected():
     P = curve(CURVE_FIVE_COORD)
     with pytest.raises(ValidationError):
@@ -558,6 +593,20 @@ def test_snf_levels_match_the_cube_route():
                 assert invs == H.torsion.get((q, n), ()), (W.conductor, q, n)
 
 
+def test_cube_route_ranks_match_the_naive_betti_numbers():
+    # the cube route shares the pair reduction with lattice_cohomology, so its
+    # free ranks are anchored to an oracle that imports no library code
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations = [triple_point, curve(CURVE_SIX_COORD), *pair_family(2)]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)[:5]]
+    for P in parametrizations:
+        W = weight_grid_extend(hilbert_from_parametrization(P))
+        for n in range(W.min_w0, max(W.w0.values()) + 1):
+            hq = cohomology(sublevel_complex(W, n))
+            betti = naive_betti(naive_sublevel_cubes(W.w0, n), W.r)
+            assert {q: hq.get(q, (0, ()))[0] for q in betti} == betti, (W.conductor, n)
+
+
 def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
     real_init = complexes._Filtration.__init__
 
@@ -566,8 +615,7 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
         # every level is the same set of cubes, but one face now sorts last
         real_init(filt, grid)
         j = filt.dims.index(1)
-        faces = next(faces for k, faces in filt.columns(1) if k == j)
-        i = next(i for i, _ in faces if filt.weights[i] == filt.weights[j])
+        i = next(i for i in filt.boundary(j) if filt.weights[i] == filt.weights[j])
         for seq in (filt.ids, filt.dims):
             seq[i], seq[j] = seq[j], seq[i]
         filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
@@ -589,23 +637,29 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
     for P in parametrizations:
         grid = weight_grid_extend(hilbert_from_parametrization(P))
         filt = complexes._Filtration(grid)
-        cols = [list(filt.columns(q + 1)) for q in range(grid.r)]
-        pairs, _ = complexes._persistence_pairs(filt, cols)
+        pairs, _ = complexes._persistence_pairs(filt)
         bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
-        cells = complexes._reduce_equal_weight_pairs(cols, filt.weights)
+        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
+        cells = complexes._reduce_equal_weight_pairs(boundary, filt.weights)
         assert len(cells) == 2 * bars + 1, grid.conductor
 
 
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
     real = complexes._reduce_equal_weight_pairs
 
-    def forged(cols, weights):
+    def forged(boundary, weights):
         # the first edge heavier than one of its vertices may pair with it, so
         # that vertex leaves the levels below the edge's weight
-        j, i = next((j, i) for j, faces in cols[0] for i, _ in faces if weights[i] < weights[j])
+        j, i = next(
+            (j, i)
+            for j, faces in enumerate(boundary)
+            if len(faces) == 2
+            for i in faces
+            if weights[i] < weights[j]
+        )
         weights = list(weights)
         weights[j] = weights[i]
-        return real(cols, weights)
+        return real(boundary, weights)
 
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     for P in (curve(CURVE_SIX_COORD), triple_point):
@@ -620,9 +674,9 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
     real = complexes._persistence_pairs
 
-    def forged(filt, cols):
+    def forged(filt):
         # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt, cols)
+        pairs, infinite = real(filt)
         k = next(
             k for k, (i, j) in enumerate(pairs)
             if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1
@@ -640,15 +694,18 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
 class _StubFiltration:
     """Three vertices 0, 1, 2 and two edges 3, 4 whose columns are not unimodular."""
 
-    ids = range(5)
-    cols = [[(3, [(0, 1), (1, 2)]), (4, [(0, 1), (1, 3)])]]
+    r = 1
+    dims = [0, 0, 0, 1, 1]
+
+    def boundary(self, j):
+        return {3: {0: 1, 1: 2}, 4: {0: 1, 1: 3}}[j]
 
 
 def test_persistence_scales_a_column_the_pivot_does_not_divide():
     # column 3 owns row 1 with pivot 2; column 4 has 3 there, so it is
     # doubled, loses 3 times column 3 and ends as {0: -1}: over Q,
     # col4 - 3/2 col3 = {0: -1/2}
-    pairs, infinite = complexes._persistence_pairs(_StubFiltration(), _StubFiltration.cols)
+    pairs, infinite = complexes._persistence_pairs(_StubFiltration())
     assert pairs == [(1, 3), (0, 4)]
     assert infinite == [2]
 
@@ -665,9 +722,13 @@ def test_smith_invariants_on_hand_checked_matrices():
 
 
 def test_cohomology_assembly_places_torsion_one_degree_up():
-    # cells of the projective plane: D^0 = 0 and D^1 = (2), so H^0 = Z,
-    # H^1 = 0 and H^2 = Z/2 (no complex of the test curves has torsion)
-    hq = complexes._cohomology_of([1, 1, 1], [[[]], [[(0, 2)]]])
+    # cells of the projective plane, all of one weight: a vertex, a loop and a
+    # disc wrapping it twice.  2 is not a unit, so the pair reduction keeps
+    # all three; D^0 = 0 and D^1 = (2), so H^0 = Z, H^1 = 0 and H^2 = Z/2 (no
+    # complex of the test curves has torsion)
+    cells = complexes._reduce_equal_weight_pairs([{}, {}, {1: 2}], [0, 0, 0])
+    assert cells == [(0, {}), (1, {}), (2, {1: 2})]
+    hq = complexes._cohomology_of(cells, [0, 1, 2], 2)
     assert hq == {0: (1, ()), 1: (0, ()), 2: (0, (2,))}
 
 
