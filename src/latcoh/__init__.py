@@ -30,7 +30,6 @@ from .multibranch import (
     SeriesData,
     WeightGrid,
     cohomology,
-    delta_from_grid,
     euler_delta_check,
     hilbert_from_parametrization,
     lattice_cohomology,
@@ -96,7 +95,6 @@ __all__ = [
     "cohomology",
     "compute_e",
     "conjecture_sweep",
-    "delta_from_grid",
     "detect_lg1_equals_2",
     "enumerate_plane_branch_semigroups",
     "euler_delta_check",

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import InputError, as_int as _as_int
 from .graded import GradedRoot, TowerModule
 from .multibranch import BranchParametrization, WeightGrid, make_parametrization
+from .multibranch.hilbert import box_point
 from .semigroup import CofiniteSet, NumericalSemigroup, from_generators, from_members
 from .weight1d import WeightSequence
 
@@ -375,19 +376,16 @@ def weight_sequence_tsv(W: WeightSequence) -> str:
 
 def _grid_tsv_matrix(W: WeightGrid) -> str:
     b1, b2 = W.box
-    header = "l2\\l1\t" + "\t".join(str(l1) for l1 in range(b1 + 1))
-    lines = [header]
-    for l2 in range(b2, -1, -1):
-        cells = [str(l2)]
-        cells += [str(W.w0[(l1, l2)]) for l1 in range(b1 + 1)]
-        lines.append("\t".join(cells))
+    lines = ["l2\\l1\t" + "\t".join(str(l1) for l1 in range(b1 + 1))]
+    for l2 in range(b2, -1, -1):  # the row of l2 lists l1 = 0 .. b1, one stride apart
+        lines.append("\t".join(map(str, [l2] + W.w0[l2 :: W.strides[0]])))
     return "\n".join(lines) + "\n"
 
 
 def _grid_tsv_long(W: WeightGrid) -> str:
     lines = ["\t".join("l%d" % (j + 1) for j in range(W.r)) + "\tw0"]
-    for point in sorted(W.w0):
-        lines.append("\t".join(str(x) for x in point) + "\t%d" % W.w0[point])
+    for i, w in enumerate(W.w0):
+        lines.append("\t".join(map(str, box_point(i, W.strides) + (w,))))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,6 @@ from .complexes import (
 from .hilbert import (
     SeriesData,
     WeightGrid,
-    delta_from_grid,
     hilbert_from_parametrization,
     series,
     weight_grid_extend,
@@ -36,7 +35,6 @@ __all__ = [
     "hilbert_from_parametrization",
     "weight_grid_extend",
     "series",
-    "delta_from_grid",
     "Cube",
     "CubicalComplex",
     "sublevel_complex",

@@ -14,19 +14,21 @@ only ever sees pair-reduced complexes: a filtration (or, in ``cohomology``,
 one complex as a single weight class) is reduced once by eliminating pairs
 of a cube and a face of the same weight with incidence +-1, and each level's
 cohomology is that of the few cells of weight <= n left, with their reduced
-coboundaries.  ``Cube`` objects are built only by ``sublevel_complex``, the
-entry point of ``cohomology`` for the oracles.
+coboundaries.  A box point is its index in the grid's lexicographic order:
+the filtration and the graded root read ``grid.w0`` and ``grid.strides`` as
+they are, and only ``sublevel_complex``, the entry point of ``cohomology``
+for the oracles, builds ``Cube`` objects and point tuples.
 """
 from __future__ import annotations
 
-import itertools
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
 from ..errors import InputError, ValidationError
 from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
-from .hilbert import WeightGrid, weight_grid_extend
+from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
 
 
@@ -78,13 +80,13 @@ class CubicalComplex:
         return sum(len(qs) for qs in self.cubes.values())
 
 
-def _box_layout(box: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The points of the box in lexicographic order, and each axis's index stride."""
-    points = list(itertools.product(*(range(b + 1) for b in box)))
-    strides = [1] * len(box)
-    for a in range(len(box) - 2, -1, -1):
-        strides[a] = strides[a + 1] * (box[a + 1] + 1)
-    return points, strides
+def _top_axes(grid: WeightGrid) -> list[int]:
+    """Per box index, the mask of the axes along which its point is at the top."""
+    tops = [0] * len(grid.w0)
+    for a, (s, b) in enumerate(zip(grid.strides, grid.box)):
+        block = [0] * (b * s) + [1 << a] * s  # the top of axis a ends every block
+        tops = list(map(operator.or_, tops, block * (len(tops) // len(block))))
+    return tops
 
 
 class _Filtration:
@@ -101,11 +103,10 @@ class _Filtration:
     """
 
     def __init__(self, grid: WeightGrid) -> None:
-        r, box = grid.r, grid.box
-        points, strides = _box_layout(box)
-        npts, R = len(points), 1 << r
+        r, strides = grid.r, grid.strides
+        npts, R = len(grid.w0), 1 << r
         wt = [0] * (npts << r)
-        wt[::R] = [grid.w0[x] for x in points]
+        wt[::R] = grid.w0
         for mask in range(1, R):
             a = mask.bit_length() - 1
             lower = mask ^ (1 << a)
@@ -118,17 +119,12 @@ class _Filtration:
             sorted((m for m in range(R) if m.bit_count() == q), key=self.axes.__getitem__)
             for q in range(r + 1)
         ]
-        blocked = [sum(1 << a for a in range(r) if x[a] == box[a]) for x in points]
+        tops = _top_axes(grid)
         ids = [
-            p << r | m
-            for masks in by_dim
-            for p in range(npts)
-            for m in masks
-            if not m & blocked[p]
+            p << r | m for masks in by_dim for p in range(npts) for m in masks if not m & tops[p]
         ]
         ids.sort(key=wt.__getitem__)  # stable: (dim, base, axes) within a weight
         self.r, self.mask = r, R - 1
-        self.points = points
         self.ids = ids
         self.weights = [wt[c] for c in ids]
         self.dims = [len(self.axes[c & (R - 1)]) for c in ids]
@@ -159,13 +155,13 @@ class _Filtration:
 
 def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
     """All cubes of the (collared) box whose maximal vertex weight is <= n, per degree."""
-    filt = _Filtration(weight_grid_extend(W))
-    r = filt.r
+    grid = weight_grid_extend(W)
+    filt = _Filtration(grid)
     cubes: dict[int, list[Cube]] = {}
     for c in filt.ids[: filt.end(n)]:
         axes = filt.axes[c & filt.mask]
-        cubes.setdefault(len(axes), []).append(Cube(filt.points[c >> r], axes))
-    return CubicalComplex(r, n, {q: tuple(sorted(qs)) for q, qs in sorted(cubes.items())})
+        cubes.setdefault(len(axes), []).append(Cube(box_point(c >> grid.r, grid.strides), axes))
+    return CubicalComplex(grid.r, n, {q: tuple(sorted(qs)) for q, qs in sorted(cubes.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +355,13 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
     for p box points plus O(log k) per vertex of the root.
     """
     grid = weight_grid_extend(W)
-    points, strides = _box_layout(grid.box)
-    neighbors: list[list[int]] = [[] for _ in points]
-    for i, x in enumerate(points):
-        for a, s in enumerate(strides):
-            if x[a] < grid.box[a]:
+    neighbors: list[list[int]] = [[] for _ in grid.w0]
+    for i, top in enumerate(_top_axes(grid)):
+        for a, s in enumerate(grid.strides):
+            if not top >> a & 1:
                 neighbors[i].append(i + s)
                 neighbors[i + s].append(i)
-    return _merge_tree([grid.w0[x] for x in points], neighbors, max(1, max(grid.w0.values())))
+    return _merge_tree(grid.w0, neighbors, max(1, max(grid.w0)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +405,10 @@ def _persistence_pairs(filt: _Filtration):
                         col[i] = nv
                     else:
                         col.pop(i, None)
-    return pairs, _unpaired(len(filt.dims), pairs)
-
-
-def _unpaired(count: int, pairs: list[tuple[int, int]]) -> list[int]:
-    paired = [False] * count
+    paired = [False] * len(filt.dims)
     for i, j in pairs:
         paired[i] = paired[j] = True
-    return [j for j in range(count) if not paired[j]]
+    return pairs, [j for j, p in enumerate(paired) if not p]
 
 
 # ---------------------------------------------------------------------------

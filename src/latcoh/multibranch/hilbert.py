@@ -13,10 +13,11 @@ in :func:`hilbert_from_parametrization`).
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ..errors import InputError, ValidationError, as_ints
 from ..semigroup import from_members as _semigroup_from_members
@@ -70,18 +71,12 @@ class _Echelon:
         vec = _normalize(vec, lv)
         return (lv, vec[lv], vec)
 
-    def insert(self, triple) -> None:
-        insort(self.rows, triple, key=lambda t: t[0])
-
     def add(self, vec: list[int]):
         """Reduce and insert; return the inserted triple or None."""
         triple = self.reduce(vec)
         if triple is not None:
-            self.insert(triple)
+            insort(self.rows, triple, key=lambda t: t[0])
         return triple
-
-    def leads(self) -> list[int]:
-        return [lead for lead, _, _ in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +91,11 @@ def _integer_coordinates(P: BranchParametrization) -> list[list[tuple[tuple[int,
     coefficient denominators across all branches; rescaling a coordinate
     function does not change the algebra the coordinates generate.
     """
-    d = P.ambient_dim
-    out: list[list[tuple[tuple[int, int], ...]]] = []
-    for k in range(d):
-        denom = 1
-        for j in range(P.r):
-            for coeff, _ in P.branches[j][k]:
-                denom = lcm(denom, coeff.denominator)
-        per_branch = []
-        for j in range(P.r):
-            per_branch.append(
-                tuple(
-                    (exp, int(coeff * denom))
-                    for coeff, exp in P.branches[j][k]
-                )
-            )
-        out.append(per_branch)
+    out = []
+    for k in range(P.ambient_dim):
+        terms = [P.branches[j][k] for j in range(P.r)]
+        denom = lcm(*(coeff.denominator for branch in terms for coeff, _ in branch))
+        out.append([tuple((exp, int(coeff * denom)) for coeff, exp in branch) for branch in terms])
     return out
 
 
@@ -136,17 +120,12 @@ def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]
     span contains the truncation of every monomial.  Branch blocks are laid
     out in the order of ``bounds`` and of each coordinate's term lists.
     """
-    offs = [0]
-    for nj in bounds:
-        offs.append(offs[-1] + nj)
+    offs = list(itertools.accumulate(bounds, initial=0))
     ech = _Echelon()
-    queue: deque = deque()
     one = [0] * offs[-1]
     for off in offs[:-1]:
         one[off] = 1
-    added = ech.add(one)
-    if added is not None:
-        queue.append(added[2])
+    queue = deque([ech.add(one)[2]])  # the unit is never zero
     while queue:
         v = queue.popleft()
         for terms_per_branch in coords:
@@ -167,7 +146,7 @@ def _last_block_orders(ech: _Echelon, offs: list[int]) -> frozenset[int]:
     Rows whose leading entry lands inside the last block are exactly (a
     basis of) the elements that are zero on every earlier block.
     """
-    return frozenset(lead - offs[-2] for lead in ech.leads() if lead >= offs[-2])
+    return frozenset(lead - offs[-2] for lead, _, _ in ech.rows if lead >= offs[-2])
 
 
 @dataclass(frozen=True)
@@ -210,8 +189,8 @@ def _candidate_conductor(pure: frozenset[int], nj: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Exact h on the box, for every branch count, by one threshold sweep.
+def _h_box(an: _Analysis, box: tuple[int, ...]) -> list[int]:
+    """Exact h on the box in its lexicographic order, by one threshold sweep.
 
     h(l) = dim V - F(l), where F(l) is the dimension of the subspace of the
     span V vanishing below l_j on every branch j.  The sweep fixes the
@@ -276,8 +255,7 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             per_l[l] = sub
         return list(itertools.chain.from_iterable(per_l))
 
-    points = itertools.product(*(range(b + 1) for b in box))
-    return dict(zip(points, sweep(an.ech.rows, an.offs[:-1], 0, len(an.ech))))
+    return sweep(an.ech.rows, an.offs[:-1], 0, len(an.ech))
 
 
 # ---------------------------------------------------------------------------
@@ -285,60 +263,84 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 
 
+def box_strides(box: tuple[int, ...]) -> tuple[int, ...]:
+    """Index step of each axis in the lexicographic order of the box [0, box].
+
+    Point l sits at index sum(l_a * strides[a]); the last axis varies fastest.
+    """
+    return tuple(prod(b + 1 for b in box[a + 1 :]) for a in range(len(box)))
+
+
+def box_point(i: int, strides: tuple[int, ...]) -> tuple[int, ...]:
+    """The point at index i of a box with these strides: l_a = i % strides[a-1] // strides[a]."""
+    return tuple(i % above // s for above, s in zip((i + 1,) + strides, strides))
+
+
+def _axis_steps(h: list[int], strides: tuple[int, ...], box: tuple[int, ...], a: int):
+    """h(l + e_a) - h(l) below the top of axis a, per block of points equal before a.
+
+    Yields each block's first index i and its steps, step t belonging to index i + t.
+    """
+    s = strides[a]
+    period = s * (box[a] + 1)
+    for i in range(0, len(h), period):
+        yield i, list(map(operator.sub, h[i + s : i + period], h[i : i + period - s]))
+
+
 @dataclass(frozen=True, eq=True)
 class WeightGrid:
     """Hilbert values and weights on the rectangle spanned by the conductor.
 
-    ``h`` maps each lattice point of the stored box (componentwise from 0 to
-    ``box``, inclusive) to the codimension of functions vanishing to at
-    least that multi-order; ``w0`` is the derived weight 2*h(l) - |l|.  The
-    box is either the conductor rectangle itself or that rectangle plus a
-    one-step collar; grids fresh from a parametrization carry the collar.
+    ``h`` lists, for each lattice point l of the stored box (componentwise
+    from 0 to ``box``, inclusive), the codimension of functions vanishing to
+    at least that multi-order; ``w0`` lists the derived weight 2*h(l) - |l|.
+    Both are in the box's lexicographic order: l sits at index
+    sum(l_a * strides[a]), see ``box_strides`` and ``box_point``.  The box is
+    either the conductor rectangle itself or that rectangle plus a one-step
+    collar; grids fresh from a parametrization carry the collar.
     """
 
     r: int
     conductor: tuple[int, ...]
     box: tuple[int, ...]
-    h: dict[tuple[int, ...], int]
-    w0: dict[tuple[int, ...], int] = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    h: list[int]
+    w0: list[int] = field(init=False, default=None, compare=False, repr=False)
+    strides: tuple[int, ...] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.r < 1 or len(self.conductor) != self.r or len(self.box) != self.r:
             raise InputError("grid arity mismatch")
         if any(c < 0 for c in self.conductor):
             raise InputError("conductor entries must be nonnegative")
-        for b, c in zip(self.box, self.conductor):
-            if b not in (c, c + 1):
-                raise InputError(
-                    "box must be the conductor rectangle or its one-step collar"
-                )
-        pts = list(itertools.product(*(range(b + 1) for b in self.box)))
-        for l in pts:
-            if l not in self.h:
-                raise InputError("grid is missing the value at %r" % (l,))
-        origin = (0,) * self.r
-        if self.h[origin] != 0:
+        if any(b not in (c, c + 1) for b, c in zip(self.box, self.conductor)):
+            raise InputError("box must be the conductor rectangle or its one-step collar")
+        h, strides = self.h, box_strides(self.box)
+        size = strides[0] * (self.box[0] + 1)
+        if not isinstance(h, list) or len(h) != size:
+            raise InputError("grid needs a list of %d values, one per box point" % size)
+        if h[0] != 0:
             raise ValidationError("grid invariant violated: h(0) must be 0")
-        for l in pts:
-            for j in range(self.r):
-                up = l[:j] + (l[j] + 1,) + l[j + 1 :]
-                if up[j] > self.box[j]:
-                    continue
-                step = self.h[up] - self.h[l]
-                if step not in (0, 1):
-                    raise ValidationError(
-                        "grid invariant violated: step %d along axis %d at %r"
-                        % (step, j, l)
+        bad = []  # the first bad step along each axis, as (index, axis, step)
+        for a, c in enumerate(self.conductor):
+            top = c * strides[a]  # steps from offset top on start past the conductor
+            for start, steps in _axis_steps(h, strides, self.box, a):
+                if not (set(steps[:top]) <= {0, 1} and set(steps[top:]) <= {1}):
+                    t = next(
+                        t for t, d in enumerate(steps) if d not in (0, 1) or t >= top and d != 1
                     )
-                if l[j] >= self.conductor[j] and step != 1:
-                    raise ValidationError(
-                        "grid invariant violated: flat step beyond the conductor"
-                        " along axis %d at %r" % (j, l)
-                    )
-        w0 = {l: 2 * self.h[l] - sum(l) for l in pts}
-        object.__setattr__(self, "w0", w0)
+                    bad.append((start + t, a, steps[t]))
+                    break
+        if bad:
+            i, a, step = min(bad)
+            where = "along axis %d at %r" % (a, box_point(i, strides))
+            if step not in (0, 1):
+                raise ValidationError("grid invariant violated: step %d %s" % (step, where))
+            raise ValidationError("grid invariant violated: flat step beyond the conductor " + where)
+        norms = [0]  # |l| in lexicographic order
+        for b in self.box:
+            norms = [x + t for x in norms for t in range(b + 1)]
+        object.__setattr__(self, "strides", strides)
+        object.__setattr__(self, "w0", [2 * x - n for x, n in zip(h, norms)])
 
     @property
     def is_extended(self) -> bool:
@@ -346,11 +348,12 @@ class WeightGrid:
 
     @property
     def min_w0(self) -> int:
-        return min(self.w0.values())
+        return min(self.w0)
 
     @property
     def delta(self) -> int:
-        return sum(self.conductor) - self.h[self.conductor]
+        at_conductor = sum(c * s for c, s in zip(self.conductor, self.strides))
+        return sum(self.conductor) - self.h[at_conductor]
 
     def to_weight_sequence(self) -> WeightSequence:
         """The one-branch weight sequence, rebuilt through the semigroup.
@@ -363,38 +366,33 @@ class WeightGrid:
         if self.r != 1:
             raise InputError("weight sequence requires a single branch")
         grid = weight_grid_extend(self)
-        c = grid.conductor[0]
-        members = [l for l in range(c) if grid.h[(l + 1,)] == grid.h[(l,)] + 1]
-        S = _semigroup_from_members(members, c)
-        W = weight_sequence(S)
-        if any(W.values[l] != grid.w0[(l,)] for l in range(c + 1)):
-            raise ValidationError(
-                "weight routes disagree: grid weights vs semigroup walk"
-            )
+        c, h = grid.conductor[0], grid.h
+        members = [l for l in range(c) if h[l + 1] == h[l] + 1]
+        W = weight_sequence(_semigroup_from_members(members, c))
+        if any(W.values[l] != grid.w0[l] for l in range(c + 1)):
+            raise ValidationError("weight routes disagree: grid weights vs semigroup walk")
         return W
-
-
-def delta_from_grid(W: WeightGrid) -> int:
-    """Gap count of the germ: total conductor minus h at the conductor."""
-    return W.delta
 
 
 def weight_grid_extend(W: WeightGrid) -> WeightGrid:
     """Extend a grid to the one-step collar around the conductor rectangle.
 
     Beyond the conductor h grows by exactly 1 per step, so the collar
-    values are determined; extending an already extended grid returns it
-    unchanged.
+    values are determined: each axis without its collar gets, in every
+    block, a top slab equal to its last slab plus one.  Extending an
+    already extended grid returns it unchanged.
     """
     if W.is_extended:
         return W
-    c = W.conductor
-    newh: dict[tuple[int, ...], int] = {}
-    for l in itertools.product(*(range(cj + 2) for cj in c)):
-        clamped = tuple(min(x, cj) for x, cj in zip(l, c))
-        excess = sum(x - y for x, y in zip(l, clamped))
-        newh[l] = W.h[clamped] + excess
-    return WeightGrid(W.r, c, tuple(cj + 1 for cj in c), newh)
+    h, box = W.h, list(W.box)
+    for a, c in enumerate(W.conductor):
+        if box[a] == c:
+            s = box_strides(box)[a]
+            period = s * (c + 1)
+            blocks = (h[i : i + period] for i in range(0, len(h), period))
+            h = [x for block in blocks for x in block + [y + 1 for y in block[-s:]]]
+            box[a] = c + 1
+    return WeightGrid(W.r, W.conductor, tuple(box), h)
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +555,27 @@ def series(W: WeightGrid) -> SeriesData:
     """Numerator of the multigraded Hilbert series, from differences of h.
 
     The coefficient at l is the inclusion-exclusion sum of h over the
-    corners of the unit cube above l.  For one branch that is
-    h(l+1) - h(l), the membership indicator of l in the semigroup, which is
-    1 at l = c and stays 1 past it.
+    corners of the unit cube above l, (-1)^(r+1) D_1 ... D_r h(l) with D_a
+    the forward difference along axis a.  On the collared grid the
+    differences run one axis at a time; each shortens its axis by one and
+    leaves the strides of the later axes alone, and the last leaves the
+    conductor rectangle in lexicographic order.  For one branch the
+    coefficient is h(l+1) - h(l), the membership indicator of l in the
+    semigroup, which is 1 at l = c and stays 1 past it.
     """
     grid = weight_grid_extend(W)
-    c = grid.conductor
-    r = grid.r
+    c, r, diffs = grid.conductor, grid.r, grid.h
+    for a in range(r):
+        diffs = [d for _, steps in _axis_steps(diffs, grid.strides, grid.box, a) for d in steps]
+    sign = 1 if r % 2 else -1
+    strides = box_strides(c)
     coeffs: dict[tuple[int, ...], int] = {}
-    axes = list(range(r))
-    for l in itertools.product(*(range(cj + 1) for cj in c)):
-        total = 0
-        for size in range(r + 1):
-            for subset in itertools.combinations(axes, size):
-                pt = list(l)
-                for j in subset:
-                    pt[j] += 1
-                sign = -1 if size % 2 == 0 else 1
-                total += sign * grid.h[tuple(pt)]
-        if total:
+    for i, d in enumerate(diffs):
+        if d:
+            l = box_point(i, strides)
             if r >= 2 and any(l[j] == c[j] for j in range(r)):
                 raise ValidationError(
                     "nonzero tail: numerator does not vanish at %r" % (l,)
                 )
-            coeffs[l] = total
+            coeffs[l] = sign * d
     return SeriesData(r, c, coeffs, "ones-past-conductor" if r == 1 else "zero")

@@ -81,6 +81,14 @@ class GcdChain:
     partial_conductors: tuple[int, ...]
 
 
+# No semigroup may have a larger conductor.  The one-branch pipeline holds about
+# 400 bytes per unit of conductor (<999,1000>, c = 997,002, round-trips at a peak
+# RSS of 390 MB, shared 2-core VM): under 1 GB here, where two generators near
+# 10**4 would give c near 10**8.
+_MAX_CONDUCTOR = 2_000_000
+_ABOVE_CEILING = "conductor %s is above the ceiling of %d"
+
+
 def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
     """Trim to one past the last gap: the conductor, if all past the list are members."""
     last_gap = -1
@@ -139,8 +147,10 @@ def from_generators(gens) -> NumericalSemigroup:
 
     Raises InputError("no generators") for an empty list,
     InputError("not cofinite") when the gcd of the generators exceeds 1,
-    and InputError for an argument that is not an iterable of ints (bools
-    and floats included).
+    InputError for an argument that is not an iterable of ints (bools
+    and floats included), and InputError naming a conductor above
+    ``_MAX_CONDUCTOR`` before membership (or, as c >= m > 1, the Apery set of
+    an m above it) is allocated.
     """
     gens = as_ints(gens, "generator", "generators must be a list of integers")
     gens = tuple(sorted(set(gens)))
@@ -155,8 +165,12 @@ def from_generators(gens) -> NumericalSemigroup:
         raise InputError("not cofinite: generators have gcd %d" % g0)
 
     m = gens[0]
+    if m > _MAX_CONDUCTOR:
+        raise InputError(_ABOVE_CEILING % ("of at least %d" % m, _MAX_CONDUCTOR))
     apery = _apery(gens)
     c = max(apery) - m + 1
+    if c > _MAX_CONDUCTOR:
+        raise InputError(_ABOVE_CEILING % (c, _MAX_CONDUCTOR))
     mem = [False] * (c + 1)
     for w in apery:
         mem[w::m] = [True] * ((c - w) // m + 1)
@@ -191,11 +205,14 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
 
     With verify_closed (the default) the result must be additively closed and
     a NumericalSemigroup is returned; otherwise a plain CofiniteSet.  The
-    conductor is re-normalized to be minimal.
+    conductor is re-normalized to be minimal; above ``_MAX_CONDUCTOR`` the
+    argument is rejected before anything is allocated.
     """
     conductor = as_int(conductor, "conductor")
     if conductor < 0:
         raise InputError("conductor must be non-negative")
+    if conductor > _MAX_CONDUCTOR:
+        raise InputError(_ABOVE_CEILING % (conductor, _MAX_CONDUCTOR))
     members = set(as_ints(members_below, "member", "members must be a list of integers"))
     if any(x < 0 for x in members):
         raise InputError("negative member")

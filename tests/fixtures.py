@@ -6,6 +6,7 @@ counting) before the library existed; tests compare against them verbatim.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -90,6 +91,16 @@ def curve(branch_terms) -> BranchParametrization:
 def monomial_branch(gens) -> BranchParametrization:
     """The single branch (t^g1, t^g2, ...)."""
     return curve([[[(1, g)] for g in gens]])
+
+
+def by_point(W, values) -> dict:
+    """A grid's ``h`` or ``w0`` list as a dict keyed by the points of its box.
+
+    The grid lists its values in the box's lexicographic order, the last
+    axis varying fastest; the points are enumerated here afresh, so reading
+    through this dict also checks that layout.
+    """
+    return dict(zip(itertools.product(*(range(b + 1) for b in W.box)), values))
 
 
 # ---------------------------------------------------------------------------

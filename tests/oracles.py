@@ -366,6 +366,32 @@ def naive_hilbert_grid(branches, bounds, box):
     return h
 
 
+def naive_series(h, conductor):
+    """Hilbert series numerator from h, summing the corners at every point.
+
+    h maps each point of the collared box [0, conductor + 1] (componentwise)
+    to its Hilbert value.  The coefficient at l in [0, conductor] is the
+    sum over every set S of axes of (-1)^(|S|+1) h(l + e_S), the 2^r corners
+    of the unit cube above l.  Returns the nonzero coefficients by point,
+    and the tail: "ones-past-conductor" for one branch, otherwise "zero"
+    when no coefficient with some l_j = c_j is nonzero, else "nonzero".
+    """
+    r = len(conductor)
+    coefficients = {}
+    for l in itertools.product(*(range(c + 1) for c in conductor)):
+        total = 0
+        for size in range(r + 1):
+            for axes in itertools.combinations(range(r), size):
+                corner = tuple(x + (a in axes) for a, x in enumerate(l))
+                total += (-1) ** (size + 1) * h[corner]
+        if total:
+            coefficients[l] = total
+    if r == 1:
+        return coefficients, "ones-past-conductor"
+    on_far_face = any(any(x == c for x, c in zip(l, conductor)) for l in coefficients)
+    return coefficients, "nonzero" if on_far_face else "zero"
+
+
 # ---------------------------------------------------------------------------
 # Cubical cohomology, the slow way: coboundaries over Q from scratch
 

@@ -16,7 +16,6 @@ from latcoh import (
     check_gorenstein_symmetry,
     compute_e,
     conjecture_sweep,
-    delta_from_grid,
     detect_lg1_equals_2,
     enumerate_plane_branch_semigroups,
     euler_delta_check,
@@ -48,6 +47,7 @@ from fixtures import (
     SPRIME_MEMBERS,
     TABLE_FIVE_COORD,
     TABLE_SIX_COORD,
+    by_point,
     curve,
     monomial_branch,
     pair_family,
@@ -143,11 +143,12 @@ def test_criterion_07_same_series_different_weight_tables():
         assert sd.tail == "zero"
     # weight tables match the hand-computed references entry for entry
     for table, W in ((TABLE_FIVE_COORD, WA), (TABLE_SIX_COORD, WB)):
+        w0 = by_point(W, W.w0)
         for l2 in range(6):
             for l1 in range(6):
-                assert W.w0[(l1, l2)] == table[5 - l2][l1], (l1, l2)
-    assert min(WA.w0.values()) == -2
-    assert min(WB.w0.values()) == -4
+                assert w0[(l1, l2)] == table[5 - l2][l1], (l1, l2)
+    assert min(WA.w0) == -2
+    assert min(WB.w0) == -4
     MA = lattice_cohomology(WA).module
     MB = lattice_cohomology(WB).module
     assert rank_profile(MA) != rank_profile(MB)
@@ -190,7 +191,7 @@ def test_criterion_09_pair_family_roots_isomorphic_with_recomputation_oracle():
         A, B = pair_family(n)
         WA = hilbert_from_parametrization(A)
         WB = hilbert_from_parametrization(B)
-        assert delta_from_grid(WA) == delta_from_grid(WB) == PAIR_FAMILY_DELTA[n]
+        assert WA.delta == WB.delta == PAIR_FAMILY_DELTA[n]
         HA = lattice_cohomology(WA)
         HB = lattice_cohomology(WB)
         assert roots_isomorphic(HA.root, HB.root), n

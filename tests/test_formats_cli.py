@@ -26,9 +26,11 @@ from fixtures import (
     ORACLE_SEED,
     SPRIME_CONDUCTOR,
     SPRIME_MEMBERS,
+    by_point,
     curve,
     example_root_pair,
     monomial_branch,
+    pair_family,
     random_space_curves,
 )
 
@@ -209,19 +211,21 @@ def test_weight_tsv_grid_one_branch_matches_sequence():
 
 
 def test_weight_tsv_two_branch_orientation():
-    node = curve([[[(1, 1)], []], [[], [(1, 1)]]])
-    W = hilbert_from_parametrization(node)
-    text = formats.weights_tsv(W)
-    lines = [l.split("\t") for l in text.strip().split("\n")]
-    assert lines[0][0] == "l2\\l1"
-    cols = [int(x) for x in lines[0][1:]]
-    assert cols == list(range(W.box[0] + 1))
-    # rows descend in the second coordinate; entries match the grid
-    for row in lines[1:]:
-        l2 = int(row[0])
-        for l1, cell in zip(cols, row[1:]):
-            assert int(cell) == W.w0[(l1, l2)]
-    assert [int(r[0]) for r in lines[1:]] == list(range(W.box[1], -1, -1))
+    # the second curve has conductor (3, 9), so a transposed table shows
+    for P in (curve([[[(1, 1)], []], [[], [(1, 1)]]]), pair_family(2)[1]):
+        W = hilbert_from_parametrization(P)
+        text = formats.weights_tsv(W)
+        lines = [l.split("\t") for l in text.strip().split("\n")]
+        assert lines[0][0] == "l2\\l1"
+        cols = [int(x) for x in lines[0][1:]]
+        assert cols == list(range(W.box[0] + 1))
+        # rows descend in the second coordinate; entries match the grid
+        w0 = by_point(W, W.w0)
+        for row in lines[1:]:
+            l2 = int(row[0])
+            for l1, cell in zip(cols, row[1:]):
+                assert int(cell) == w0[(l1, l2)]
+        assert [int(r[0]) for r in lines[1:]] == list(range(W.box[1], -1, -1))
 
 
 def test_weight_tsv_three_branch_long_format():
@@ -238,7 +242,7 @@ def test_weight_tsv_three_branch_long_format():
     for row in lines[1:]:
         *point, value = (int(x) for x in row.split("\t"))
         parsed[tuple(point)] = value
-    assert parsed == dict(W.w0)
+    assert parsed == by_point(W, W.w0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +353,20 @@ def test_cli_semigroup_members_input(tmp_path, capsys):
     assert report["E"] == [0, 4]
     assert report["e"] == -3
     assert report["delta"] == 15
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--gens", "10007,10009"], ["--in", "members.json"]],
+    ids=["generators", "members"],
+)
+def test_cli_semigroup_above_the_conductor_ceiling_is_malformed_input(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "members.json").write_text(json.dumps({"members_below": [0], "conductor": 10**8}))
+    code, stdout, stderr = run_cli(["semigroup"] + args, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: conductor 10") and stderr.endswith(" is above the ceiling of 2000000\n")
 
 
 def test_cli_reconstruct_round_trip(tmp_path, capsys):
@@ -478,6 +496,20 @@ def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):
     code, stdout, _ = run_cli(["curve", "--in", str(c)] + extra, capsys)
     assert code == 0
     assert stdout == (DATA / expected).read_text()
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        (SIX_COORD_IN, "curve_six_coord_weights.tsv"),  # r = 2: the matrix table
+        (THREE_BRANCH_IN, "curve_three_branch_weights.tsv"),  # r = 3: the long table
+    ],
+    ids=["two-branch", "three-branch"],
+)
+def test_weight_tables_match_the_stored_tables(source, expected):
+    # the stored tables were written by `latcoh curve --weights`; CI diffs them too
+    W = hilbert_from_parametrization(formats.read_curve_file(str(source)))
+    assert formats.weights_tsv(W) == (DATA / expected).read_text()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 """Hilbert grids, weight grids, sublevel complexes, and graded cohomology."""
+import itertools
 import random
 import time
 import tracemalloc
@@ -13,7 +14,6 @@ from latcoh import (
     ValidationError,
     WeightGrid,
     cohomology,
-    delta_from_grid,
     euler_delta_check,
     from_generators,
     hilbert_from_parametrization,
@@ -38,6 +38,7 @@ from fixtures import (
     SUBLEVEL_SHAPE_SIX_COORD,
     TABLE_FIVE_COORD,
     TABLE_SIX_COORD,
+    by_point,
     curve,
     monomial_branch,
     pair_family,
@@ -51,6 +52,7 @@ from oracles import (
     naive_hilbert_grid,
     naive_invariant_factors,
     naive_persistence_towers,
+    naive_series,
     naive_sublevel_cubes,
 )
 
@@ -128,9 +130,10 @@ def test_node_grid():
     W = hilbert_from_parametrization(curve(NODE))
     assert W.conductor == (1, 1)
     assert W.delta == 1
-    assert W.h[(0, 0)] == 0
-    assert W.h[(1, 1)] == 1
-    assert W.w0[(1, 1)] == 0
+    h, w0 = by_point(W, W.h), by_point(W, W.w0)
+    assert h[(0, 0)] == 0
+    assert h[(1, 1)] == 1
+    assert w0[(1, 1)] == 0
     assert W.min_w0 == 0
 
 
@@ -165,9 +168,9 @@ def test_five_coordinate_curve_table():
     assert W.conductor == (4, 4)
     assert W.delta == 4
     assert W.min_w0 == -2
-    expect = frozen(TABLE_FIVE_COORD)
+    expect, w0 = frozen(TABLE_FIVE_COORD), by_point(W, W.w0)
     for point, value in expect.items():
-        assert W.w0[point] == value, point
+        assert w0[point] == value, point
 
 
 def test_six_coordinate_curve_table():
@@ -175,9 +178,9 @@ def test_six_coordinate_curve_table():
     assert W.conductor == (4, 4)
     assert W.delta == 6
     assert W.min_w0 == -4
-    expect = frozen(TABLE_SIX_COORD)
+    expect, w0 = frozen(TABLE_SIX_COORD), by_point(W, W.w0)
     for point, value in expect.items():
-        assert W.w0[point] == value, point
+        assert w0[point] == value, point
 
 
 @pytest.mark.parametrize(
@@ -189,17 +192,17 @@ def test_grid_matches_dense_rational_oracle(branches):
     frac_branches = [
         [[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches
     ]
-    naive = naive_hilbert_grid(frac_branches, [16, 16], W.box)
+    naive, h = naive_hilbert_grid(frac_branches, [16, 16], W.box), by_point(W, W.h)
     for point, value in naive.items():
-        assert W.h[point] == value, point
+        assert h[point] == value, point
 
 
 def test_monomial_branch_matches_dense_rational_oracle():
     branch = [[(Fraction(1), 4)], [(Fraction(1), 11)]]
     W = hilbert_from_parametrization(monomial_branch([4, 11]))
-    naive = naive_hilbert_grid([branch], [36], (20,))
+    naive, h = naive_hilbert_grid([branch], [36], (20,)), by_point(W, W.h)
     for point, value in naive.items():
-        assert W.h[point] == value, point
+        assert h[point] == value, point
 
 
 def test_two_branch_random_case_matches_oracle():
@@ -209,9 +212,9 @@ def test_two_branch_random_case_matches_oracle():
     ]
     P = make_parametrization(branches)
     W = hilbert_from_parametrization(P)
-    naive = naive_hilbert_grid(branches, [24, 24], W.box)
+    naive, h = naive_hilbert_grid(branches, [24, 24], W.box), by_point(W, W.h)
     for point, value in naive.items():
-        assert W.h[point] == value, point
+        assert h[point] == value, point
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def test_certified_window_agrees_with_larger_windows():
     for branches, _, mults, W in smallest:
         frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
         bounds = [2 * (c + max(mults) + 2) for c in W.conductor]
-        assert naive_hilbert_grid(frac, bounds, W.box) == W.h, W.conductor
+        assert naive_hilbert_grid(frac, bounds, W.box) == by_point(W, W.h), W.conductor
 
 
 def test_conductor_hint_agrees_with_auto():
@@ -395,18 +398,40 @@ def test_too_small_explicit_window_is_detected():
 # WeightGrid invariants
 
 def test_grid_validation():
-    with pytest.raises(InputError):  # missing lattice point
-        WeightGrid(1, (2,), (2,), {(0,): 0, (2,): 1})
-    with pytest.raises(InputError):  # box must hug the conductor
-        WeightGrid(1, (2,), (5,), {(l,): 0 for l in range(6)})
-    with pytest.raises(ValidationError):  # h must start at zero
-        WeightGrid(1, (1,), (1,), {(0,): 1, (1,): 2})
-    with pytest.raises(ValidationError):  # steps limited to 0/1
-        WeightGrid(1, (2,), (2,), {(0,): 0, (1,): 2, (2,): 3})
-    with pytest.raises(ValidationError):  # h may never decrease
-        WeightGrid(1, (2,), (2,), {(0,): 0, (1,): 1, (2,): 0})
-    with pytest.raises(ValidationError):  # steps past the conductor grow
-        WeightGrid(1, (2,), (3,), {(0,): 0, (1,): 1, (2,): 1, (3,): 1})
+    with pytest.raises(InputError, match="^grid needs a list of 3 values, one per box point$"):
+        WeightGrid(1, (2,), (2,), [0, 1])
+    with pytest.raises(InputError, match="box must be the conductor rectangle or its one-step collar"):
+        WeightGrid(1, (2,), (5,), [0] * 6)
+    with pytest.raises(ValidationError, match=r"h\(0\) must be 0$"):
+        WeightGrid(1, (1,), (1,), [1, 2])
+    with pytest.raises(ValidationError, match=r"step 2 along axis 0 at \(0,\)$"):
+        WeightGrid(1, (2,), (2,), [0, 2, 3])
+    with pytest.raises(ValidationError, match=r"step -1 along axis 0 at \(1,\)$"):
+        WeightGrid(1, (2,), (2,), [0, 1, 0])
+    with pytest.raises(ValidationError, match=r"flat step beyond the conductor along axis 0 at \(2,\)$"):
+        WeightGrid(1, (2,), (3,), [0, 1, 1, 1])
+
+
+def test_grid_validation_names_the_first_bad_point():
+    # the node's grid on the box (2, 2), in lexicographic order
+    node = [0, 1, 2, 1, 1, 2, 2, 2, 3]
+    assert hilbert_from_parametrization(curve(NODE)).h == node
+    WeightGrid(2, (1, 1), (2, 2), node)
+    # h(1, 2) = 3 breaks axis 0 at (1, 2) and, first, axis 1 at (1, 1)
+    with pytest.raises(ValidationError, match=r"step 2 along axis 1 at \(1, 1\)$"):
+        WeightGrid(2, (1, 1), (2, 2), node[:5] + [3] + node[6:])
+    with pytest.raises(ValidationError, match=r"flat step beyond the conductor along axis 0 at \(1, 0\)$"):
+        WeightGrid(2, (1, 1), (2, 2), node[:6] + [1] + node[7:])
+    W = hilbert_from_parametrization(curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]]))
+    assert W.strides == (9, 3, 1)
+    h = list(W.h)
+    h[9 * 1 + 3 * 2 + 1] += 1  # the point (1, 2, 1)
+    with pytest.raises(ValidationError, match=r"step 2 along axis 1 at \(1, 1, 1\)$"):
+        WeightGrid(3, W.conductor, W.box, h)
+    h = list(W.h)
+    h[9 * 2 + 3 * 1] -= 1  # the point (2, 1, 0)
+    with pytest.raises(ValidationError, match=r"flat step beyond the conductor along axis 0 at \(1, 1, 0\)$"):
+        WeightGrid(3, W.conductor, W.box, h)
 
 
 def test_extend_is_idempotent():
@@ -417,15 +442,29 @@ def test_extend_is_idempotent():
     assert E1 == E2
     assert E1.box == tuple(c + 1 for c in W.conductor)
     # extension adds the collar by pure unit steps on the far side
-    c = W.conductor
-    assert E1.h[(c[0] + 1, c[1] + 1)] == E1.h[c] + 2
+    c, h = W.conductor, by_point(E1, E1.h)
+    assert h[(c[0] + 1, c[1] + 1)] == h[c] + 2
+
+
+def test_extend_rebuilds_the_collar_of_every_cut_grid():
+    # a grid cut back to the conductor rectangle, on every axis or on some,
+    # extends to the collared grid it was cut from, with the same series
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    for P in (curve(CURVE_FIVE_COORD), pair_family(2)[1], triple_point, monomial_branch([4, 11])):
+        W = hilbert_from_parametrization(P)
+        h = by_point(W, W.h)
+        for box in itertools.product(*((c, c + 1) for c in W.conductor)):
+            points = itertools.product(*(range(b + 1) for b in box))
+            cut = WeightGrid(W.r, W.conductor, box, [h[p] for p in points])
+            assert weight_grid_extend(cut) == W, box
+            assert series(cut) == series(W), box
 
 
 def test_delta_from_grid():
     W = hilbert_from_parametrization(curve(CURVE_SIX_COORD))
-    assert delta_from_grid(W) == 6
+    assert W.delta == 6
     W1 = hilbert_from_parametrization(monomial_branch([6, 15, 31]))
-    assert delta_from_grid(W1) == 36
+    assert W1.delta == 36
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +493,17 @@ def test_series_of_node():
     sd = series(hilbert_from_parametrization(curve(NODE)))
     nonzero = {p: c for p, c in sd.coefficients.items() if c}
     assert nonzero == {(0, 0): 1}
+
+
+def test_series_matches_the_corner_sum_oracle():
+    # the library takes r one-axis differences; the oracle sums 2^r corners per point
+    grids = [W for _, _, _, W in oracle_batch()]
+    grids += [hilbert_from_parametrization(P) for n in range(2, 7) for P in pair_family(n)]
+    grids += [hilbert_from_parametrization(monomial_branch([6, 10, 31]))]
+    assert sorted({W.r for W in grids}) == [1, 2, 3]
+    for W in grids:
+        sd = series(W)
+        assert (sd.coefficients, sd.tail) == naive_series(by_point(W, W.h), W.conductor), W.conductor
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +549,7 @@ def test_sublevel_complex_is_closed_under_faces():
 def test_sublevel_complexes_are_contractible_at_positive_levels():
     for branches in (CURVE_FIVE_COORD, CURVE_SIX_COORD, NODE):
         W = hilbert_from_parametrization(curve(branches))
-        top = max(W.w0.values())
+        top = max(W.w0)
         for n in range(1, top + 1):
             betti = naive_betti(collect_cubes(sublevel_complex(W, n)), 2)
             assert betti[0] == 1 and betti[1] == 0 and betti[2] == 0
@@ -510,8 +560,9 @@ def test_sublevel_complex_matches_vertex_max_enumeration():
     parametrizations.append(curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(2, 1)]]]))
     for P in parametrizations:
         W = weight_grid_extend(hilbert_from_parametrization(P))
-        for n in range(W.min_w0 - 1, max(W.w0.values()) + 1):
-            assert collect_cubes(sublevel_complex(W, n)) == naive_sublevel_cubes(W.w0, n), (W.conductor, n)
+        for n in range(W.min_w0 - 1, max(W.w0) + 1):
+            naive = naive_sublevel_cubes(by_point(W, W.w0), n)
+            assert collect_cubes(sublevel_complex(W, n)) == naive, (W.conductor, n)
 
 
 def test_empty_sublevel_below_minimum():
@@ -557,7 +608,7 @@ def test_persistence_towers_match_the_plain_reduction_oracle():
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
     for P in parametrizations:
         W = weight_grid_extend(hilbert_from_parametrization(P))
-        towers, unpaired = naive_persistence_towers(W.w0)
+        towers, unpaired = naive_persistence_towers(by_point(W, W.w0))
         H = lattice_cohomology(W)
         assert unpaired == [(0, W.min_w0)], W.conductor
         assert max(towers, default=0) < W.r
@@ -601,9 +652,9 @@ def test_cube_route_ranks_match_the_naive_betti_numbers():
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)[:5]]
     for P in parametrizations:
         W = weight_grid_extend(hilbert_from_parametrization(P))
-        for n in range(W.min_w0, max(W.w0.values()) + 1):
+        for n in range(W.min_w0, max(W.w0) + 1):
             hq = cohomology(sublevel_complex(W, n))
-            betti = naive_betti(naive_sublevel_cubes(W.w0, n), W.r)
+            betti = naive_betti(naive_sublevel_cubes(by_point(W, W.w0), n), W.r)
             assert {q: hq.get(q, (0, ()))[0] for q in betti} == betti, (W.conductor, n)
 
 
@@ -761,7 +812,8 @@ def test_grid_root_matches_breadth_first_oracle():
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 5)]
     for P in parametrizations:
         W = hilbert_from_parametrization(P)
-        expected = GradedRoot(*naive_grid_root(weight_grid_extend(W).w0))
+        E = weight_grid_extend(W)
+        expected = GradedRoot(*naive_grid_root(by_point(E, E.w0)))
         assert root_from_grid(W) == expected, W.conductor
 
 
@@ -827,9 +879,9 @@ def test_three_branch_triple_point():
     assert H.module == TowerModule(-1, ((0, 0),))
     assert all(not qc.towers for qc in H.per_q[1:])
     frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in axes3]
-    naive = naive_hilbert_grid(frac, [6, 6, 6], W.box)
+    naive, h = naive_hilbert_grid(frac, [6, 6, 6], W.box), by_point(W, W.h)
     for point, value in naive.items():
-        assert W.h[point] == value, point
+        assert h[point] == value, point
 
 
 def test_smallest_three_branch_random_grid_matches_dense_rational_oracle():
@@ -841,7 +893,7 @@ def test_smallest_three_branch_random_grid_matches_dense_rational_oracle():
     # a window past the conductor cuts off only t^n of the normalization,
     # which lies in the local ring, so the dense span is exact there
     bounds = [c + 4 for c in W.conductor]
-    assert naive_hilbert_grid(frac, bounds, W.box) == W.h, W.conductor
+    assert naive_hilbert_grid(frac, bounds, W.box) == by_point(W, W.h), W.conductor
 
 
 def test_four_branch_grid_matches_dense_rational_oracle():
@@ -856,7 +908,7 @@ def test_four_branch_grid_matches_dense_rational_oracle():
     assert W.conductor == (4, 4, 4, 4)
     frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
     bounds = [c + 4 for c in W.conductor]
-    assert naive_hilbert_grid(frac, bounds, W.box) == W.h
+    assert naive_hilbert_grid(frac, bounds, W.box) == by_point(W, W.h)
 
 
 def test_five_branch_grid_matches_dense_rational_oracle():
@@ -873,4 +925,4 @@ def test_five_branch_grid_matches_dense_rational_oracle():
     assert len(W.h) == 1024
     frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
     bounds = [c + 4 for c in W.conductor]
-    assert naive_hilbert_grid(frac, bounds, W.box) == W.h
+    assert naive_hilbert_grid(frac, bounds, W.box) == by_point(W, W.h)

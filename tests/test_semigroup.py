@@ -1,6 +1,8 @@
 """Semigroup arithmetic against naive recomputation and hand-checked values."""
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from latcoh import (
     is_plane_branch,
     is_symmetric,
 )
+from latcoh import semigroup
 from oracles import (
     brute_force_symmetric_semigroups,
     naive_closure,
@@ -154,6 +157,39 @@ def test_from_members_input_errors():
 def test_constructors_reject_non_integers(build):
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_generators([10007, 10009]),  # c = 10006 * 10008
+        lambda: from_generators([3_000_001, 3_000_002]),  # m above the ceiling
+        lambda: from_generators([1500, 1501]),  # c = 2,248,500 just above it
+        lambda: from_members([0], semigroup._MAX_CONDUCTOR + 1),
+        lambda: from_members([0], 10**30, verify_closed=False),
+    ],
+    ids=["two-near-10^4", "huge-multiplicity", "just-above", "members", "members-unverified"],
+)
+def test_conductors_above_the_ceiling_are_rejected_at_once(build):
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(InputError, match="above the ceiling of %d$" % semigroup._MAX_CONDUCTOR):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 0.5
+    assert peak < 1 << 20
+
+
+def test_conductor_ceiling_names_the_predicted_conductor():
+    with pytest.raises(InputError, match="^conductor 100140048 is above the ceiling"):
+        from_generators([10007, 10009])
+    with pytest.raises(InputError, match="^conductor of at least 3000001 is above the ceiling"):
+        from_generators([3_000_001, 3_000_002])
+    # <999, 1000> stays below the ceiling
+    assert from_generators([999, 1000]).conductor == 997_002 < semigroup._MAX_CONDUCTOR
 
 
 def test_conductor_renormalized():
