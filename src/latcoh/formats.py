@@ -8,7 +8,9 @@ output parses back through its own reader.
 JSON text comes from one canonical writer, ``to_json``: the bytes that the
 standard library's ``json.dumps`` writes with sorted keys and an indent of
 two, and a newline, without the pure-Python encoder that ``json.dumps``
-falls back to whenever it indents.
+falls back to whenever it indents.  A list of uniform integer records
+(root vertices, edges, tower pairs) is written through one %-template
+built from its keys and indent, in a single formatting call.
 The root and module readers check each list in one pass and build a
 field's location string only for the error they raise.
 
@@ -22,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError, as_int as _as_int
 from .graded import GradedRoot, TowerModule
@@ -89,11 +93,50 @@ def _encode(x, nl: str) -> str:
         if not x:
             return "[]"
         try:  # every item a leaf
-            parts = [_LEAF[type(v)](v) for v in x]
+            body = ("," + inner).join([_LEAF[type(v)](v) for v in x])
         except KeyError:
-            parts = [_encode(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+            body = _records(x, inner)
+            if body is None:
+                body = ("," + inner).join([_encode(v, inner) for v in x])
+        return "[" + inner + body + nl + "]"
     return _scalar(x)
+
+
+def _records(x, inner: str) -> str | None:
+    """The joined items of a list of uniform integer records, or None.
+
+    The records are dicts with the first item's keys, all str, or lists of
+    the first item's nonzero length, and every value is an exact int (not a
+    bool).  One %-template, built from the escaped keys and the indent,
+    writes them all in a single formatting call; any other list gives None.
+    """
+    first = x[0]
+    kind = type(first)
+    if kind not in (dict, list) or not first:
+        return None
+    if set(map(type, x)) != {kind} or set(map(len, x)) != {len(first)}:
+        return None
+    if kind is list:
+        values = list(chain.from_iterable(x))
+        fields = ["%d"] * len(first)
+        opening, closing = "[", "]"
+    else:
+        if any(type(k) is not str for k in first):
+            return None
+        keys = sorted(first)
+        try:  # every item has len(keys) keys, so these keys exactly
+            values = list(map(itemgetter(*keys), x))
+        except KeyError:
+            return None
+        if len(keys) > 1:
+            values = list(chain.from_iterable(values))
+        fields = [_ESCAPE(k).replace("%", "%%") + ": %d" for k in keys]
+        opening, closing = "{", "}"
+    if set(map(type, values)) != {int}:
+        return None
+    deeper = inner + "  "
+    template = opening + deeper + ("," + deeper).join(fields) + inner + closing
+    return ("," + inner).join([template] * len(x)) % tuple(values)
 
 
 def to_json(obj) -> str:
@@ -104,8 +147,12 @@ def to_json(obj) -> str:
     included), written without the standard library's pure-Python
     indenting encoder: leaves are converted by ``int.__repr__``,
     ``float.__repr__`` and the C string escaper, and a container whose
-    children are all leaves is joined in one pass.  Values json.dumps
-    rejects raise TypeError.
+    children are all leaves is joined in one pass.  A list whose items are
+    dicts with the same str keys, or lists of one nonzero length, every
+    value an exact int, is written through one template (see ``_records``);
+    any other item (a bool, float, str or int-subclass value, a missing or
+    extra key, an empty item, a tuple) sends its list item by item through
+    the general path.  Values json.dumps rejects raise TypeError.
     """
     return _encode(obj, "\n") + "\n"
 

@@ -127,15 +127,28 @@ def _minimal_generators(apery: list[int]) -> tuple[int, ...]:
     """Minimal generators from the Apery set of the multiplicity m.
 
     They are m and each nonzero w_r that is not the sum of two nonzero
-    Apery elements (Rosales-Garcia-Sanchez, Numerical Semigroups, 2009):
-    m shifts of a max(w)-bit integer.
+    Apery elements (Rosales-Garcia-Sanchez, Numerical Semigroups, 2009).
+    Only sums up to max(w) can be Apery elements, so the nonzero w are held
+    reversed, as the bits max(w) - w of one integer built from a digit
+    string: shifting it right by w gives the sums w + v <= max(w) and drops
+    the rest, and a shift with w + min(w) > max(w) is skipped.  Each step is
+    O(max(w)), with no integer wider than max(w) + 2 bits.
     """
-    bits = sums = 0
-    for w in apery[1:]:
-        bits |= 1 << w
-    for w in apery[1:]:
-        sums |= bits << w  # bit x set: x is a sum of two nonzero Apery elements
-    return (len(apery),) + tuple(sorted(w for w in apery[1:] if not sums >> w & 1))
+    ws = apery[1:]
+    if not ws:
+        return (1,)
+    top = max(ws)
+    digits = bytearray(b"0") * (top + 1)
+    for w in ws:
+        digits[w] = 49  # "1": bit top - w
+    rev = int(digits, 2)
+    span = rev.bit_length()  # top - min(w) + 1
+    sums = 1 << top + 1  # a leading 1 keeps every digit of bin(sums)
+    for w in ws:
+        if w < span:
+            sums |= rev >> w  # bit top - (w + v) for each v with w + v <= top
+    sums = bin(sums)  # "0b1" and then the digit of x at index x + 3
+    return (len(apery),) + tuple(sorted([w for w in ws if sums[w + 3] == "0"]))
 
 
 def from_generators(gens) -> NumericalSemigroup:

@@ -177,6 +177,111 @@ def test_json_writer_matches_the_stdlib_encoder(x):
     assert formats.to_json(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
 
 
+class _Int(int):
+    """An int subclass, which json.dumps writes through int.__repr__."""
+
+    def __repr__(self):
+        return "_Int(%d)" % self
+
+
+_RECORD_KEYS = st.text(max_size=4) | st.sampled_from(
+    ["%", "%d", "%%s", '"', 'a"%b', "\\", "é", "日本", "😀", "\ud800"]
+)
+_RECORD_INTS = st.integers() | st.integers(min_value=-(2**100), max_value=2**100)
+_NOT_RECORD_INTS = (
+    st.booleans()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.none()
+    | st.integers().map(_Int)
+    | st.lists(st.integers(), max_size=2)
+)
+
+
+@st.composite
+def _near_miss(draw, item):
+    """item with one change that takes its list off the record template."""
+    item = item.copy()
+    keys = list(item) if isinstance(item, dict) else list(range(len(item)))
+    kind = draw(st.sampled_from(["value", "missing", "extra", "empty", "tuple", "nested"]))
+    if kind == "value":
+        item[draw(st.sampled_from(keys))] = draw(_NOT_RECORD_INTS)
+    elif kind == "missing":
+        item.pop(draw(st.sampled_from(keys)))
+    elif kind == "extra" and isinstance(item, dict):
+        item[draw(st.text(max_size=3).filter(lambda k: k not in item))] = draw(_RECORD_INTS)
+    elif kind == "extra":
+        item.append(draw(_RECORD_INTS))
+    elif kind == "empty":
+        item = type(item)()
+    elif kind == "tuple":
+        item = tuple(item.values() if isinstance(item, dict) else item)
+    else:
+        item = [item]
+    return item
+
+
+@st.composite
+def _integer_records(draw):
+    """A list of dicts sharing str keys, or of int lists of one length, all
+    values exact ints; sometimes one item is a near miss."""
+    if draw(st.booleans()):
+        keys = draw(st.lists(_RECORD_KEYS, min_size=1, max_size=4, unique=True))
+        record = st.fixed_dictionaries({k: _RECORD_INTS for k in keys})
+    else:
+        n = draw(st.integers(min_value=1, max_value=4))
+        record = st.lists(_RECORD_INTS, min_size=n, max_size=n)
+    items = draw(st.lists(record, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(items) - 1))
+        items[i] = draw(_near_miss(items[i]))
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _integer_records(),
+        _integer_records().map(lambda r: {"records": r, "n": len(r)}),
+        _integer_records().map(lambda r: [[r], r]),
+    )
+)
+def test_json_writer_matches_the_stdlib_encoder_on_integer_records(x):
+    assert formats.to_json(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "records,template",
+    [
+        ([{"id": 0, "chi": -1, "degree": -2}, {"id": 1, "chi": 2, "degree": 4}], True),
+        ([[0, 1], [1, 2], [2, -3]], True),
+        ([{"%d": 1, 'a"%%s': 2, "é": 3}, {"%d": 4, 'a"%%s': 5, "é": 6}], True),
+        ([[10**40]], True),
+        ([{"a": 1}, {"a": True}], False),  # bool
+        ([[1, 2], [1.5, 2]], False),  # float
+        ([{"a": 1}, {"a": "1"}], False),  # str
+        ([[1], [_Int(2)]], False),  # int subclass
+        ([{"a": 1}, {"a": None}], False),  # null
+        ([{"a": 1, "b": 2}, {"a": 1}], False),  # missing key
+        ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),  # a key swapped for another
+        ([{"a": 1}, {"a": 1, "b": 2}], False),  # extra key
+        ([[1, 2], [1]], False),  # shorter list
+        ([[1], []], False),  # empty item
+        ([{}, {}], False),  # empty dicts
+        ([[], []], False),  # empty lists
+        ([(1, 2), (3, 4)], False),  # tuples
+        ([[1, 2], (3, 4)], False),  # a tuple among lists
+        ([[1, [2]], [3, [4]]], False),  # nested lists
+        ([{1: 2}, {1: 3}], False),  # non-str key
+        ([{"a": 1}, [1]], False),  # a dict and a list
+    ],
+)
+def test_json_writer_record_template_and_its_near_misses(records, template):
+    assert (formats._records(records, "\n  ") is not None) == template
+    for x in (records, {"r": records}):
+        assert formats.to_json(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
 def test_json_writer_non_finite_floats_and_bad_values():
     # non-finite floats are written as json.dumps writes them, not rejected
     text = formats.to_json({"x": [float("nan"), float("inf"), -float("inf"), -0.0]})

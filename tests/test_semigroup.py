@@ -192,6 +192,16 @@ def test_conductor_ceiling_names_the_predicted_conductor():
     assert from_generators([999, 1000]).conductor == 997_002 < semigroup._MAX_CONDUCTOR
 
 
+def test_multiplicity_at_the_conductor():
+    # {0} and all from c on: m = c and every nonzero Apery element c + 1 ..
+    # 2c - 1 is a minimal generator, as no two of them sum to 2c - 1 or less
+    c = 200_000
+    start = time.monotonic()
+    S = from_members([0], c)
+    assert time.monotonic() - start < 1.0
+    assert S.min_gens == tuple(range(c, 2 * c))
+
+
 def test_conductor_renormalized():
     # declared conductor 10 but everything from 4 on is present
     T = from_members([0, 4, 5, 6, 7, 8, 9], 10)
