@@ -2,13 +2,14 @@
 
 Everything here is exact integer linear algebra on plain Python integers.
 The local algebra of the germ is approximated by the span of all truncated
-monomials in the coordinate functions.  The truncation window is certified
-rather than guessed: once the window-pure orders of every branch contain a
-run of multiplicity length right after the candidate conductor, Nakayama's
-lemma proves that the conductor ideal lies in the local ring, the span is
-exactly the local ring modulo the window, and its codimension counts are
-exactly the Hilbert function values h(l) on the conductor box (the proof is
-in :func:`hilbert_from_parametrization`).
+monomials in the coordinate functions, closed once per window; window-pure
+orders and h are both read off its echelon.  The truncation window is
+certified rather than guessed: once the window-pure orders of every branch
+contain a run of multiplicity length right after the candidate conductor,
+Nakayama's lemma proves that the conductor ideal lies in the local ring, the
+span is exactly the local ring modulo the window, and its codimension counts
+are exactly the Hilbert function values h(l) on the conductor box (the proof
+is in :func:`hilbert_from_parametrization`).
 """
 from __future__ import annotations
 
@@ -118,7 +119,7 @@ def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]
     Closure by repeated multiplication: every basis row is multiplied by
     every coordinate, new directions are inserted and queued, so the final
     span contains the truncation of every monomial.  Branch blocks are laid
-    out in the order of ``bounds`` and of each coordinate's term lists.
+    out in branch order.
     """
     offs = list(itertools.accumulate(bounds, initial=0))
     ech = _Echelon()
@@ -140,15 +141,6 @@ def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]
 # ---------------------------------------------------------------------------
 
 
-def _last_block_orders(ech: _Echelon, offs: list[int]) -> frozenset[int]:
-    """Orders on the last block of span elements vanishing on all others.
-
-    Rows whose leading entry lands inside the last block are exactly (a
-    basis of) the elements that are zero on every earlier block.
-    """
-    return frozenset(lead - offs[-2] for lead, _, _ in ech.rows if lead >= offs[-2])
-
-
 @dataclass(frozen=True)
 class _Analysis:
     bounds: tuple[int, ...]
@@ -157,26 +149,33 @@ class _Analysis:
     pure: tuple[frozenset[int], ...]
 
 
-def _analyze(coords, r: int, bounds: tuple[int, ...]) -> _Analysis:
-    """The span in branch order, and the window-pure orders of every branch.
+def _pure_orders(ech: _Echelon, lo: int, hi: int) -> frozenset[int]:
+    """Orders on block [lo, hi) of span elements vanishing on every other block.
 
-    Branch j's window-pure orders come from the span closed again with
-    branch j's block last.  Closing from the monomials keeps the integers
-    smaller: re-eliminating the first span's rows in the new column order
-    let them grow, and made three-branch grids at two and four times the
-    certified window 2-5x slower.
+    The echelon rows leading at or past column t span the elements vanishing
+    below t.  So an element vanishing before the block with order k on it is,
+    up to scale, the row leading at lo + k plus a combination of the rows
+    above it, and it can vanish past the block exactly when that row's
+    projection onto the columns from hi on lies in the span of theirs.
+    Walking the rows down to lo and adding each projection to one echelon
+    finds those rows: their projections reduce to zero.  On the last block
+    the projections are empty and every lead is pure.
     """
+    proj = _Echelon()
+    pure = set()
+    for lead, _, row in reversed(ech.rows):
+        if lead < lo:
+            break
+        if proj.add(row[hi:]) is None and lead < hi:
+            pure.add(lead - lo)
+    return frozenset(pure)
+
+
+def _analyze(coords, r: int, bounds: tuple[int, ...]) -> _Analysis:
+    """The span in branch order, and the window-pure orders of every branch."""
     ech, offs = _monomial_span(coords, bounds)
-    pure = []
-    for j in range(r - 1):
-        order = [i for i in range(r) if i != j] + [j]
-        ech_j, offs_j = _monomial_span(
-            [[terms[i] for i in order] for terms in coords],
-            tuple(bounds[i] for i in order),
-        )
-        pure.append(_last_block_orders(ech_j, offs_j))
-    pure.append(_last_block_orders(ech, offs))
-    return _Analysis(bounds, offs, ech, tuple(pure))
+    pure = tuple(_pure_orders(ech, offs[j], offs[j + 1]) for j in range(r))
+    return _Analysis(bounds, offs, ech, pure)
 
 
 def _candidate_conductor(pure: frozenset[int], nj: int) -> int:
@@ -406,14 +405,14 @@ _BAD_HINT = "conductor needs one nonnegative entry per branch"
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  A germ that never certifies
 # (a branch repeated under t -> 2t, say: (t^2, t^3) and (4t^2, 8t^3)) fails
-# after about 2.7 s on a shared 2-core VM.
+# after about 1.1 s on a shared 2-core VM.
 _MAX_ROUNDS = 13
 
-# No window may exceed this many orders on any branch: the cost grows about
-# quadratically with the window (2000 orders take 34 s on the two-branch curve
-# of tests/data/curve_six_coord_in.json, shared 2-core VM), and every window
-# of the tests and the benchmark stays below it, 1065 being the automatic
-# loop's last.
+# No window may exceed this many orders on any branch: the cost grows a little
+# faster than quadratically with the window (on the two-branch curve of
+# tests/data/curve_six_coord_in.json, shared 2-core VM: 1000 orders take 4.3 s
+# and 2000 take 19.5 s), and every window of the tests and the benchmark stays
+# below it, 1065 being the automatic loop's last.
 _MAX_WINDOW = 4096
 
 

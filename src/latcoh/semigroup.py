@@ -88,6 +88,12 @@ class GcdChain:
 _MAX_CONDUCTOR = 2_000_000
 _ABOVE_CEILING = "conductor %s is above the ceiling of %d"
 
+# No plane-branch enumeration may go past this conductor.  The generator chains
+# are searched before the first semigroup is built, and that search grows fast:
+# 0.2 s at 500, 2.1-2.8 s at 1000 and 76 s at 2000 (shared 2-core VM).  Every
+# test and benchmark sweep stays at or below 200.
+_MAX_ENUMERATED_CONDUCTOR = 1000
+
 
 def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
     """Trim to one past the last gap: the conductor, if all past the list are members."""
@@ -308,11 +314,17 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
     Emitted sorted by (conductor, minimal generators).  The smooth branch
     (all of N, conductor 0) is always first.  The argument is checked and
     the generator chains are found when the function is called; the
-    semigroups are built as the result is iterated.
+    semigroups are built as the result is iterated.  A max_conductor above
+    ``_MAX_ENUMERATED_CONDUCTOR`` raises InputError before the search.
     """
     max_conductor = as_int(max_conductor, "max_conductor")
     if max_conductor < 0:
         raise InputError("max_conductor must be non-negative")
+    if max_conductor > _MAX_ENUMERATED_CONDUCTOR:
+        raise InputError(
+            "max_conductor %d is above the enumeration ceiling of %d"
+            % (max_conductor, _MAX_ENUMERATED_CONDUCTOR)
+        )
 
     found = [(0, (1,))]
 

@@ -217,30 +217,35 @@ def frac_rank(rows):
 
 
 def _sparse_rank(rows):
-    """Row rank over Q of rows given as {column: nonzero exact number}.
+    """Row rank over Q of rows given as {column: nonzero exact number}."""
+    return sum(_new_directions(rows))
+
+
+def _new_directions(rows):
+    """For each row, whether it is independent of the rows before it, over Q.
 
     Each row is reduced against the pivot rows kept so far, always on its
-    largest column: while that column holds a pivot row p, the row becomes
-    p[col] * row - row[col] * p, which keeps the entries exact.  A row whose
-    largest column holds no pivot becomes that column's pivot row.
+    largest column: while that column holds a pivot row p, scaled to 1
+    there, the row becomes row - row[col] * p.  A row left nonzero becomes
+    the pivot row of its largest column; a row reduced to nothing depends
+    on the rows before it.
     """
     pivots = {}
     for row in rows:
-        while row:
-            col = max(row)
-            piv = pivots.get(col)
-            if piv is None:
-                pivots[col] = row
-                break
-            f, g = row[col], piv[col]
-            row = {c: g * v for c, v in row.items()}
-            for c, v in piv.items():
+        row = dict(row)
+        while row and (col := max(row)) in pivots:
+            f = row[col]
+            for c, v in pivots[col].items():
                 nv = row.get(c, 0) - f * v
                 if nv:
                     row[c] = nv
                 else:
                     del row[c]
-    return len(pivots)
+        if row:
+            lead = row[col]
+            inv = lead if lead in (1, -1) else 1 / Fraction(lead)  # integer rows stay integer
+            pivots[col] = {c: v * inv for c, v in row.items()}
+        yield bool(row)
 
 
 def _det(rows):
@@ -298,11 +303,19 @@ def _series_mul(a, b, cut):
 
 
 def naive_hilbert_grid(branches, bounds, box):
-    """h on the lattice box, from scratch.
+    """h on the lattice box, from scratch: h(l) for every l with 0 <= l <= box.
+
+    See :func:`naive_hilbert_values` for the arguments and the method.
+    """
+    return naive_hilbert_values(branches, bounds, itertools.product(*(range(b + 1) for b in box)))
+
+
+def naive_hilbert_values(branches, bounds, points):
+    """h at the given lattice points, from scratch, as a dict keyed by point.
 
     branches: per branch, a list of coordinate series given as
     [(coeff, exponent), ...] with Fraction coefficients.  bounds: truncation
-    window per branch.  box: compute h(l) for every l with 0 <= l <= box.
+    window per branch.  points: the points l to compute h(l) at.
 
     The local algebra is spanned by monomials in the coordinates; exponent
     vectors are enumerated exhaustively up to the window size.  Each monomial
@@ -352,9 +365,13 @@ def naive_hilbert_grid(branches, bounds, box):
             per_branch.append(acc)
         vectors.append([x for chunk in per_branch for x in chunk])
 
+    # h(l) reads only the span: keep the monomials independent of those before
+    sparse = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+    vectors = [v for v, new in zip(vectors, _new_directions(sparse)) if new]
+
     offs = [sum(cuts[:j]) for j in range(r)]
     h = {}
-    for l in itertools.product(*(range(b + 1) for b in box)):
+    for l in points:
         # h(l) = codimension of the vanishing-to-order-l subspace, which is
         # the rank of the evaluation on the coefficients below l
         low = []

@@ -892,6 +892,16 @@ def test_cli_roundtrip(capsys):
     assert stdout.strip() == "tested 43 passed 43"
 
 
+@pytest.mark.parametrize("command", ["roundtrip", "conjecture-sweep"])
+def test_cli_sweep_above_the_enumeration_ceiling_is_malformed_input(command, capsys):
+    start = time.monotonic()
+    code, stdout, stderr = run_cli([command, "--max-conductor", "2000"], capsys)
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: max_conductor 2000 is above the enumeration ceiling of 1000\n"
+
+
 def test_cli_conjecture_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code, stdout, _ = run_cli(

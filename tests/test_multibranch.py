@@ -50,6 +50,7 @@ from oracles import (
     naive_betti,
     naive_grid_root,
     naive_hilbert_grid,
+    naive_hilbert_values,
     naive_invariant_factors,
     naive_persistence_towers,
     naive_series,
@@ -305,6 +306,33 @@ def test_window_pure_orders_are_closed_under_the_multiplicity():
             an = hilbert._analyze(coords, P.r, bounds)
             for pure, m, n in zip(an.pure, mults, bounds):
                 assert all(k + m in pure for k in pure if k + m < n), bounds
+
+
+def test_window_pure_orders_match_the_far_edges_of_the_oracle():
+    # k < n_j is window-pure on branch j exactly when h steps by 1 from k to
+    # k + 1 along the far edge of the window box, where every other l_i = n_i:
+    # there the elements counted vanish on every other branch
+    cases = []
+    for branches, P, mults, W in oracle_batch():
+        cases.append((branches, P, mults, W.conductor))
+        one = [branches[0]]
+        P1 = curve(one)
+        cases.append((one, P1, mults[:1], hilbert_from_parametrization(P1).conductor))
+    assert sorted({P.r for _, P, _, _ in cases}) == [1, 2, 3]
+    for branches, P, mults, conductor in cases:
+        frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+        coords = hilbert._integer_coordinates(P)
+        tight = tuple(c + max(m, 2) for c, m in zip(conductor, mults))
+        for bounds in (tight, tuple(2 * n for n in tight)):
+            an = hilbert._analyze(coords, P.r, bounds)
+            edges = [
+                [bounds[:j] + (k,) + bounds[j + 1 :] for k in range(n + 1)]
+                for j, n in enumerate(bounds)
+            ]
+            h = naive_hilbert_values(frac, bounds, [l for edge in edges for l in edge])
+            for j, edge in enumerate(edges):
+                steps = {k for k in range(bounds[j]) if h[edge[k + 1]] - h[edge[k]] == 1}
+                assert an.pure[j] == steps, (conductor, bounds, j)
 
 
 def test_hint_checks_run_branch_by_branch():

@@ -243,6 +243,17 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_plane_branch_semigroups(30)) == 43
 
 
+def test_enumeration_above_its_ceiling_is_rejected_before_the_search():
+    ceiling = semigroup._MAX_ENUMERATED_CONDUCTOR
+    assert ceiling == 1000
+    start = time.monotonic()
+    with pytest.raises(InputError, match="^max_conductor 2000 is above the enumeration ceiling of 1000$"):
+        enumerate_plane_branch_semigroups(2000)
+    with pytest.raises(InputError, match="above the enumeration ceiling"):
+        enumerate_plane_branch_semigroups(ceiling + 1)
+    assert time.monotonic() - start < 0.5
+
+
 def test_enumeration_matches_brute_force():
     """Exhaustive bitmap search finds exactly the same semigroups."""
     brute = set()
