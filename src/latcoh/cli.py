@@ -17,12 +17,20 @@ when given.  Every file is written before anything goes to stdout, so a
 command that cannot write one prints nothing.  Side artifacts (weight
 tables, roots, modules) are chosen by flag, with root renderings picked by
 file extension (.dot, .json, or ASCII for anything else).
+
+``roundtrip`` maps one check over the plane-branch generator chains: in
+this process, or, where it can fork and runs no other thread, in a pool with
+one worker per usable CPU once each worker gets ``_MIN_PER_WORKER``
+semigroups.  Results come back in enumeration order, so both routes print
+and write the same bytes.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+import threading
 
 from . import formats
 from .errors import InputError, ValidationError
@@ -49,9 +57,9 @@ from .reconstruct import (
 )
 from .semigroup import (
     NumericalSemigroup,
-    enumerate_plane_branch_semigroups,
     from_generators,
     is_plane_branch,
+    plane_branch_chains,
 )
 from .weight1d import min_w0, weight_sequence
 
@@ -308,20 +316,53 @@ def cmd_curve(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # roundtrip
 
-def _roundtrip_one(S: NumericalSemigroup) -> tuple[tuple[int, ...], bool]:
+# A roundtrip sweep splits across worker processes once every worker gets at
+# least this many semigroups.  Serial against a 2-worker fork pool, min of 7
+# (shared 2-core VM, Python 3.11): 43 semigroups (c <= 30) 3.9 vs 18.6 ms,
+# 294 (c <= 80) 42 vs 59 ms, 380 (c <= 90) 58 vs 48 ms, 483 (c <= 100) 82 vs
+# 61 ms, 2778 (c <= 200) 845 vs 485 ms: break-even near 170 per worker.
+_MIN_PER_WORKER = 200
+
+
+def _roundtrip_one(gens: tuple[int, ...]) -> bool:
+    """True when the semigroup on gens comes back from its module unchanged."""
+    S = from_generators(gens)
     M = module_from_weight(weight_sequence(S))
     try:
-        back = reconstruct_semigroup(M)
+        return reconstruct_semigroup(M) == S
     except ValidationError:
-        return S.min_gens, False
-    return S.min_gens, back == S
+        return False
+
+
+def _sweep(fn, items: list) -> list:
+    """``fn`` over items, in order: on every usable CPU when the list is long
+    enough to pay for the workers and this process can fork, else serially.
+    A worker that dies raises ``BrokenProcessPool``; an exception in ``fn``
+    reaches the caller with its type.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(items) // _MIN_PER_WORKER)
+    # a forked child gets no copy of another thread, nor a lock it held
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return list(map(fn, items))
+    # imported here: about 20 ms, a quarter of importing the CLI itself
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the conductor grows along the list, so small chunks keep workers even
+    chunk = max(1, len(items) // (8 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def cmd_roundtrip(ns: argparse.Namespace) -> int:
     if ns.max_conductor < 0:
         raise InputError("--max-conductor must be non-negative")
-    semigroups = enumerate_plane_branch_semigroups(ns.max_conductor)
-    results = [_roundtrip_one(S) for S in semigroups]
+    chains = plane_branch_chains(ns.max_conductor)
+    results = list(zip(chains, _sweep(_roundtrip_one, chains)))
     failures = [gens for gens, ok in results if not ok]
     if ns.out:
         _write(

@@ -369,25 +369,28 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs(filt: _Filtration):
+def _persistence_pairs(filt: _Filtration, boundary: list[dict[int, int]] | None = None):
     """Persistence pairing over the rationals, on sparse integer columns.
 
     Columns are reduced top dimension first, each degree in filtration
     order; a column whose cube is already the pivot of a higher column would
     reduce to zero, so it is skipped and its faces are never read (clearing,
-    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``.  To
-    clear its low entry a column subtracts k times the column owning that
-    pivot when the pivot divides the entry, and is scaled by the pivot first
-    when it does not; scaling keeps every column's low, so the pairs are
-    those of the plain reduction over Q.
+    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``, or
+    taken from ``boundary`` when every cube's boundary was already read; such
+    a column is copied before its first reduction step, so ``boundary`` stays
+    as it was.  To clear its low entry a column subtracts k times the column
+    owning that pivot when the pivot divides the entry, and is scaled by the
+    pivot first when it does not; scaling keeps every column's low, so the
+    pairs are those of the plain reduction over Q.
     """
+    read = filt.boundary if boundary is None else boundary.__getitem__
     owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
     for q in range(filt.r, 0, -1):
         for j, d in enumerate(filt.dims):
             if d != q or j in owner:
                 continue
-            col = filt.boundary(j)
+            col = read(j)
             while col:
                 low = max(col)
                 prev = owner.get(low)
@@ -398,6 +401,8 @@ def _persistence_pairs(filt: _Filtration):
                 pivot = prev[low]
                 if col[low] % pivot:
                     col = {i: v * pivot for i, v in col.items()}
+                elif boundary is not None and col is boundary[j]:
+                    col = dict(col)
                 k = col[low] // pivot
                 for i, v in prev.items():
                     nv = col.get(i, 0) - k * v
@@ -477,7 +482,8 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     ranks are additionally verified level by level against integral Smith
     normal form cohomology, which also reports any torsion; those levels are
     recorded in ``snf_levels``.  For that check every cube's boundary is
-    read from the filtration once and the filtration is reduced by its
+    read from the filtration once, before persistence, which reads its
+    columns from the same list; then the filtration is reduced by its
     equal-weight unit pairs, which first checks that every face sorts before
     its cube, so that every prefix is a complex; each level n is then the
     prefix of the surviving cells of weight <= n, with their reduced
@@ -487,8 +493,10 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
-    check_snf = grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT
-    pairs, infinite = _persistence_pairs(filt)
+    boundary = None
+    if grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT:  # the SNF check runs
+        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
+    pairs, infinite = _persistence_pairs(filt, boundary)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
@@ -536,11 +544,9 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
-    if check_snf:
+    if boundary is not None:
         snf_levels = tuple(range(bottom, top_report + 1))
-        cells = _reduce_equal_weight_pairs(
-            [filt.boundary(j) for j in range(len(filt.ids))], weights
-        )
+        cells = _reduce_equal_weight_pairs(boundary, weights)
         known: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for n in snf_levels:
             level = [cell for cell in cells if weights[cell[0]] <= n]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import InputError, ValidationError
 from .graded import TowerModule, module_from_weight, rank_profile
 from .semigroup import (
+    _MAX_CONDUCTOR,
     NumericalSemigroup,
     _apery,
     from_generators as _from_generators,
@@ -55,7 +56,16 @@ def initial_part(M: TowerModule) -> InitialPart:
     Scanning levels from 0 down to e, the rank at each level fixes how many
     elements live there ((rank - 1) / 2, except possibly at the base) and
     the running offset fixes where they sit.
+
+    A branch module has base level min w0 >= 2 - c, so a base below
+    -``_MAX_CONDUCTOR`` raises InputError naming the conductor ceiling
+    before any level is read.
     """
+    if M.base < -_MAX_CONDUCTOR:
+        raise InputError(
+            "module base level %d is below -%d: no semigroup under the conductor"
+            " ceiling of %d has it" % (M.base, _MAX_CONDUCTOR, _MAX_CONDUCTOR)
+        )
     e = compute_e(M)
     if e > 0:
         raise ValidationError("inconsistent module: positive initial level")

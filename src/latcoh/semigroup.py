@@ -308,14 +308,13 @@ def is_plane_branch(S: NumericalSemigroup):
     return True, chain
 
 
-def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalSemigroup]:
-    """All plane-branch value semigroups with conductor <= max_conductor.
+def plane_branch_chains(max_conductor: int) -> list[tuple[int, ...]]:
+    """Minimal generators of every plane-branch semigroup with conductor <= max_conductor.
 
-    Emitted sorted by (conductor, minimal generators).  The smooth branch
-    (all of N, conductor 0) is always first.  The argument is checked and
-    the generator chains are found when the function is called; the
-    semigroups are built as the result is iterated.  A max_conductor above
-    ``_MAX_ENUMERATED_CONDUCTOR`` raises InputError before the search.
+    Sorted by (conductor, generators), the smooth branch (1,) first.  Only
+    generator chains are searched; no semigroup is built.  The argument is
+    checked first, and a max_conductor above ``_MAX_ENUMERATED_CONDUCTOR``
+    raises InputError before the search.
     """
     max_conductor = as_int(max_conductor, "max_conductor")
     if max_conductor < 0:
@@ -348,4 +347,17 @@ def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalS
     for b0 in range(2, max_conductor + 1):
         extend([b0], b0, 0, 1)
 
-    return (from_generators(gens) for _c, gens in sorted(set(found)))
+    return [gens for _c, gens in sorted(set(found))]
+
+
+def enumerate_plane_branch_semigroups(max_conductor: int) -> Iterator[NumericalSemigroup]:
+    """All plane-branch value semigroups with conductor <= max_conductor.
+
+    Emitted sorted by (conductor, minimal generators).  The smooth branch
+    (all of N, conductor 0) is always first.  The argument is checked and
+    the generator chains are found (``plane_branch_chains``) when the
+    function is called; the semigroups are built as the result is iterated.
+    A max_conductor above ``_MAX_ENUMERATED_CONDUCTOR`` raises InputError
+    before the search.
+    """
+    return map(from_generators, plane_branch_chains(max_conductor))

@@ -1,5 +1,9 @@
 """Serialization round trips, renderings, and command-line behavior."""
 import json
+import os
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from latcoh import (
     InputError,
     NumericalSemigroup,
     TowerModule,
+    ValidationError,
     from_generators,
     from_members,
     hilbert_from_parametrization,
@@ -20,6 +25,7 @@ from latcoh import (
 )
 import latcoh.cli
 import latcoh.reconstruct
+import latcoh.semigroup
 from latcoh import formats
 from latcoh.cli import _parser, cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
 from fixtures import (
@@ -519,6 +525,17 @@ def test_cli_semigroup_members_input_of_a_large_semigroup(tmp_path, capsys):
     assert stdout == run_cli(["semigroup", "--gens", "163,173"], capsys)[1]
 
 
+def test_cli_reconstruct_module_below_the_conductor_ceiling_is_malformed_input(tmp_path, capsys):
+    m = tmp_path / "deep.json"
+    m.write_text('{"base_weight": -10000000, "towers_weight": []}')
+    start = time.monotonic()
+    code, stdout, stderr = run_cli(["reconstruct", "--module", str(m)], capsys)
+    assert time.monotonic() - start < 0.5
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: module base level -10000000 is below -2000000")
+    assert stderr.count("\n") == 1
+
+
 def test_cli_reconstruct_rejects_alien_module(tmp_path, capsys):
     m = tmp_path / "bad.json"
     m.write_text(json.dumps({"base_weight": -1, "towers_weight": [[0, 0]]}))
@@ -890,6 +907,139 @@ def test_cli_roundtrip(capsys):
     code, stdout, _ = run_cli(["roundtrip", "--max-conductor", "30"], capsys)
     assert code == 0
     assert stdout.strip() == "tested 43 passed 43"
+
+
+# Past the pool's break-even: 757 semigroups.  Both routes must print and
+# write the same bytes; the pooled one runs only where it can fork and more
+# than one CPU is usable.
+ROUNDTRIP_120 = ["roundtrip", "--max-conductor", "120"]
+POOLED = hasattr(os, "fork") and len(
+    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+) > 1
+
+
+def _spy_pool(monkeypatch) -> list:
+    """Patch the process pool to record the worker count of every pool started."""
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+def _both_routes(argv, tmp_path, capsys, monkeypatch):
+    """(exit code, stdout, stderr, --out bytes) with the usable CPUs, then with one."""
+    runs = []
+    for route in ("pooled", "serial"):
+        if route == "serial":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = tmp_path / ("%s.json" % route)
+        code, stdout, stderr = run_cli(argv + ["--out", str(out)], capsys)
+        runs.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+    return runs
+
+
+def test_cli_roundtrip_routes_give_the_same_bytes(tmp_path, capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    pooled, serial = _both_routes(ROUNDTRIP_120, tmp_path, capsys, monkeypatch)
+    assert pooled == serial
+    assert pooled[:3] == (0, "tested 757 passed 757\n", "")
+    if POOLED:
+        assert len(started) == 1 and started[0] >= 2
+    assert len(started) == int(POOLED)  # none with one CPU
+
+
+def test_cli_roundtrip_small_sweep_stays_serial(capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    code, stdout, _ = run_cli(["roundtrip", "--max-conductor", "80"], capsys)  # 294 semigroups
+    assert (code, stdout) == (0, "tested 294 passed 294\n")
+    assert started == []
+
+
+def test_cli_roundtrip_with_another_thread_alive_stays_serial(capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        code, stdout, _ = run_cli(ROUNDTRIP_120, capsys)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert (code, stdout) == (0, "tested 757 passed 757\n")
+    assert started == []
+
+
+def test_cli_roundtrip_failures_in_order_on_both_routes(tmp_path, capsys, monkeypatch):
+    chains = latcoh.semigroup.plane_branch_chains(120)
+    chosen = {chains[100], chains[600]}
+    real = latcoh.cli.reconstruct_semigroup
+
+    def forged(M):
+        S = real(M)
+        if S.min_gens in chosen:
+            raise ValidationError("forged")
+        return S
+
+    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)  # workers fork with it
+    pooled, serial = _both_routes(ROUNDTRIP_120, tmp_path, capsys, monkeypatch)
+    assert pooled == serial
+    lines = ["failed: %s\n" % ",".join(map(str, chains[k])) for k in (100, 600)]
+    assert pooled[:3] == (1, "".join(lines) + "tested 757 passed 755\n", "")
+    assert json.loads(pooled[3])["failures"] == [list(chains[100]), list(chains[600])]
+
+
+def test_cli_roundtrip_worker_error_keeps_its_type(tmp_path, capsys, monkeypatch):
+    chosen = latcoh.semigroup.plane_branch_chains(120)[700]
+    real = latcoh.cli.reconstruct_semigroup
+
+    def forged(M):
+        S = real(M)
+        if S.min_gens == chosen:
+            raise InputError("forged")
+        return S
+
+    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)
+    pooled, serial = _both_routes(ROUNDTRIP_120, tmp_path, capsys, monkeypatch)
+    assert pooled == serial == (2, "", "error: forged\n", None)
+
+
+@pytest.mark.skipif(not POOLED, reason="the pool needs fork and two usable CPUs")
+def test_cli_roundtrip_dead_worker_breaks_the_pool(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    chosen = latcoh.semigroup.plane_branch_chains(120)[700]
+    parent = os.getpid()
+    real = latcoh.cli.reconstruct_semigroup
+
+    def forged(M):
+        S = real(M)
+        if S.min_gens == chosen and os.getpid() != parent:
+            os._exit(3)
+        return S
+
+    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)
+    start = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        main(ROUNDTRIP_120)
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_import_leaves_the_pool_modules_out():
+    probe = "import sys, latcoh, latcoh.cli; print(sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'}))"
+    src = str(Path(latcoh.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["roundtrip", "conjecture-sweep"])

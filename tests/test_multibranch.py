@@ -723,6 +723,16 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
         assert len(cells) == 2 * bars + 1, grid.conductor
 
 
+def test_persistence_on_read_boundaries_leaves_them_as_read():
+    # lattice_cohomology hands persistence the boundaries that the SNF check
+    # reduces next; every column must be copied before it is reduced
+    for P in (curve(CURVE_SIX_COORD), *pair_family(3)):
+        filt = complexes._Filtration(weight_grid_extend(hilbert_from_parametrization(P)))
+        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
+        assert complexes._persistence_pairs(filt, boundary) == complexes._persistence_pairs(filt)
+        assert boundary == [filt.boundary(j) for j in range(len(filt.ids))]
+
+
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
     real = complexes._reduce_equal_weight_pairs
 
@@ -753,9 +763,9 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
     real = complexes._persistence_pairs
 
-    def forged(filt):
+    def forged(filt, boundary=None):
         # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt)
+        pairs, infinite = real(filt, boundary)
         k = next(
             k for k, (i, j) in enumerate(pairs)
             if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1

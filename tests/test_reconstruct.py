@@ -1,4 +1,5 @@
 """Inverting the semigroup -> module pipeline, and rejecting impostors."""
+import time
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcoh import (
+    InputError,
     TowerModule,
     ValidationError,
     compute_e,
@@ -72,6 +74,17 @@ def test_initial_part_from_root_agrees():
         values = naive_weight_values(mem, S.conductor)
         M = module_from_weight(weight_sequence(S))
         assert initial_part(M).elements == naive_initial_elements(values), S
+
+
+def test_module_below_the_conductor_ceiling_is_rejected_at_once():
+    # a branch module has base level min w0 >= 2 - c; reading the levels of
+    # this one from its base up would take seconds and gigabytes
+    M = TowerModule(-10**7, ())
+    start = time.monotonic()
+    for call in (reconstruct_semigroup, initial_part):
+        with pytest.raises(InputError, match="^module base level -10000000 is below -2000000"):
+            call(M)
+    assert time.monotonic() - start < 0.1
 
 
 def test_initial_part_of_unclosed_lookalike():

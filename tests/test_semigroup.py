@@ -243,6 +243,14 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_plane_branch_semigroups(30)) == 43
 
 
+def test_enumeration_builds_the_chain_list_in_order():
+    chains = semigroup.plane_branch_chains(200)
+    assert len(chains) == 2778
+    semigroups = list(enumerate_plane_branch_semigroups(200))
+    assert semigroups == [from_generators(g) for g in chains]
+    assert [S.min_gens for S in semigroups] == chains
+
+
 def test_enumeration_above_its_ceiling_is_rejected_before_the_search():
     ceiling = semigroup._MAX_ENUMERATED_CONDUCTOR
     assert ceiling == 1000
