@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InputError, ValidationError
-from .semigroup import NumericalSemigroup, enumerate_plane_branch_semigroups
+from ._pool import sweep
+from .semigroup import from_generators, plane_branch_chains
 from .weight1d import WeightSequence, weight_sequence
 
 
@@ -317,38 +318,59 @@ class SweepReport:
     hits: tuple  # (gens_a, gens_b) pairs with equal module, non-iso roots
 
 
+def _weights(gens: tuple[int, ...]) -> WeightSequence:
+    return weight_sequence(from_generators(gens))
+
+
+def _module_digest(gens: tuple[int, ...]) -> int:
+    """``hash`` of the semigroup's module: one int for a worker to send back."""
+    return hash(module_from_weight(_weights(gens)))
+
+
 def conjecture_sweep(max_conductor: int) -> SweepReport:
     """Group plane-branch semigroups by module; check roots agree per group.
 
-    Modules come from ``module_from_weight``; graded roots are built only
-    inside groups of two or more semigroups, and each member's root is
-    compared with the first member's.  A pair with equal modules but
-    non-isomorphic roots is recorded as a hit (a finding to report, not an
-    error).
+    Modules come from ``module_from_weight``, mapped over the generator
+    chains through ``_pool.sweep``, which returns only each module's digest
+    (its ``hash``), so a pooled worker sends back one int per semigroup.
+    Semigroups are grouped by digest; the modules of a digest shared by two
+    or more are rebuilt here and regrouped by equality, so a hash collision
+    never merges two classes.  Graded roots are built only inside module
+    groups of two or more semigroups, and each member's root is compared with
+    the first member's.  A pair with equal modules but non-isomorphic roots
+    is recorded as a hit (a finding to report, not an error).  Groups are
+    read in the order of their first member in the enumeration, on every
+    route.
     """
-    tested = 0
-    groups: dict[TowerModule, list[NumericalSemigroup]] = {}
-    for S in enumerate_plane_branch_semigroups(max_conductor):
-        groups.setdefault(module_from_weight(weight_sequence(S)), []).append(S)
-        tested += 1
-    shared = 0
+    chains = plane_branch_chains(max_conductor)
+    by_digest: dict[int, list[int]] = {}
+    for i, digest in enumerate(sweep(_module_digest, chains)):
+        by_digest.setdefault(digest, []).append(i)
+    classes = 0
+    shared: list[list[int]] = []  # indices into chains, one list per group
+    for members in by_digest.values():
+        if len(members) < 2:
+            classes += 1
+            continue
+        exact: dict[TowerModule, list[int]] = {}
+        for i in members:
+            exact.setdefault(module_from_weight(_weights(chains[i])), []).append(i)
+        classes += len(exact)
+        shared.extend(group for group in exact.values() if len(group) > 1)
+    shared.sort()  # by first member: groups are disjoint, so firsts differ
     pairs = 0
     hits = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        shared += 1
-        first, *rest = members
-        first_root = root_from_weight(weight_sequence(first))
-        for S in rest:
+    for first, *rest in shared:
+        first_root = root_from_weight(_weights(chains[first]))
+        for i in rest:
             pairs += 1
-            if not roots_isomorphic(first_root, root_from_weight(weight_sequence(S))):
-                hits.append((first.min_gens, S.min_gens))
+            if not roots_isomorphic(first_root, root_from_weight(_weights(chains[i]))):
+                hits.append((chains[first], chains[i]))
     return SweepReport(
         max_conductor=max_conductor,
-        tested=tested,
-        module_classes=len(groups),
-        shared_module_groups=shared,
+        tested=len(chains),
+        module_classes=classes,
+        shared_module_groups=len(shared),
         pairs_checked=pairs,
         hits=tuple(hits),
     )

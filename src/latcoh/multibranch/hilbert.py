@@ -404,8 +404,9 @@ _BAD_HINT = "conductor needs one nonnegative entry per branch"
 
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  A germ that never certifies
-# (a branch repeated under t -> 2t, say: (t^2, t^3) and (4t^2, 8t^3)) fails
-# after about 1.1 s on a shared 2-core VM.
+# (a branch repeated under t -> 2t, say: (t^2, t^3) and (4t^2, 8t^3), which
+# make_parametrization rejects but BranchParametrization takes as given)
+# fails after about 1.1 s on a shared 2-core VM.
 _MAX_ROUNDS = 13
 
 # No window may exceed this many orders on any branch: the cost grows a little

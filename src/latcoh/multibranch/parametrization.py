@@ -81,6 +81,52 @@ def _normalize_series(raw: object, where: str) -> Series:
     return tuple(terms)
 
 
+def _exact_root(n: int, e: int) -> int | None:
+    """The integer r >= 1 with r**e == n, for n >= 1; None when there is none.
+
+    Bisection between 2 and 2**(bits(n)/e + 1), so no power built is much
+    larger than n, however large e is.
+    """
+    if n == 1:
+        return 1
+    if n.bit_length() <= e:  # below 2**e, the smallest e-th power above 1
+        return None
+    lo, hi = 2, 1 << (n.bit_length() // e + 1)
+    while lo < hi:  # the largest r with r**e <= n
+        mid = (lo + hi + 1) // 2
+        if mid**e <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**e == n else None
+
+
+def _rescaling(a: tuple[Series, ...], b: tuple[Series, ...]) -> Fraction | None:
+    """A rational lambda with b(t) = a(lambda*t), or None when there is none.
+
+    Both branches need the same exponents in every coordinate and, term by
+    term, c_b = lambda^e * c_a: every ratio c_b / c_a is an exact rational
+    e-th power of the same |lambda|, the even-order ratios are positive and
+    the odd-order ones share the sign of lambda.
+    """
+    if [[e for _c, e in s] for s in a] != [[e for _c, e in s] for s in b]:
+        return None
+    ratios = [(e, cb / ca) for sa, sb in zip(a, b) for (ca, e), (cb, _e) in zip(sa, sb)]
+    size = None
+    for e, ratio in ratios:
+        if ratio < 0 and e % 2 == 0:
+            return None
+        num = _exact_root(abs(ratio.numerator), e)
+        den = _exact_root(ratio.denominator, e)
+        if num is None or den is None or size not in (None, Fraction(num, den)):
+            return None
+        size = Fraction(num, den)
+    signs = {ratio > 0 for e, ratio in ratios if e % 2}
+    if len(signs) > 1:
+        return None
+    return size if signs != {False} else -size
+
+
 def make_parametrization(branches: object) -> BranchParametrization:
     """Build a validated parametrization from nested (coeff, exp) data.
 
@@ -90,11 +136,12 @@ def make_parametrization(branches: object) -> BranchParametrization:
     share the same constant in each coordinate (the branches must pass
     through one common point); the common point is translated to the origin.
 
-    Two branches that are equal, or equal after t -> -t, describe one branch
-    twice: the germ is not reduced, so it has no conductor, and they raise
-    ``InputError``.  Other reparametrizations of a repeated branch (t -> 2t,
-    t -> t + t^2, ...) are not detected here; the Hilbert grid of such a germ
-    never stabilizes, and ``hilbert_from_parametrization`` raises
+    Two branches that are equal after t -> lambda*t for a rational lambda
+    (lambda = 1 and lambda = -1 included) describe one branch twice: the germ
+    is not reduced, so it has no conductor, and they raise ``InputError``.
+    Other reparametrizations of a repeated branch (t -> t + t^2, ...) are not
+    detected here; the Hilbert grid of such a germ never stabilizes, and
+    ``hilbert_from_parametrization`` raises
     ``ValidationError("truncation not stabilized")``.
     """
     try:
@@ -144,11 +191,12 @@ def make_parametrization(branches: object) -> BranchParametrization:
             raise InputError(
                 "zero branch: branch %d has no coordinate of positive order" % j
             )
-        flipped = tuple(tuple((-c if e % 2 else c, e) for c, e in s) for s in branch)
         for k, earlier in enumerate(shifted):
-            if earlier in (branch, flipped):
+            lam = _rescaling(earlier, branch)
+            if lam is not None:
                 raise InputError(
-                    "branches %d and %d are the same branch (up to t -> -t)" % (k, j)
+                    "branches %d and %d are the same branch (up to t -> %s)"
+                    % (k, j, "-t" if abs(lam) == 1 else "%s*t" % lam)
                 )
         shifted.append(branch)
     return BranchParametrization(tuple(shifted))

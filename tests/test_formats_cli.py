@@ -24,6 +24,7 @@ from latcoh import (
     weight_sequence,
 )
 import latcoh.cli
+import latcoh.graded
 import latcoh.reconstruct
 import latcoh.semigroup
 from latcoh import formats
@@ -736,6 +737,20 @@ def test_cli_curve_rejects_a_repeated_branch(tmp_path, capsys):
     assert time.monotonic() - start < 0.5
 
 
+def test_cli_curve_rejects_a_branch_repeated_under_t_to_2t(tmp_path, capsys):
+    # (t^2, t^3) and (4t^2, 8t^3): exit 2 at once (it used to run the window
+    # loop out for about 1.1 s and exit 1)
+    c = tmp_path / "rescaled.json"
+    cusp = {"coords": [[{"c": 1, "e": 2}], [{"c": 1, "e": 3}]]}
+    rescaled = {"coords": [[{"c": 4, "e": 2}], [{"c": 8, "e": 3}]]}
+    c.write_text(json.dumps({"branches": [cusp, rescaled]}))
+    start = time.monotonic()
+    code, stdout, stderr = run_cli(["curve", "--in", str(c)], capsys)
+    assert time.monotonic() - start < 0.5
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: branches 0 and 1 are the same branch (up to t -> 2*t)\n"
+
+
 def test_cli_curve_bad_file(tmp_path, capsys):
     c = tmp_path / "broken.json"
     c.write_text('{"branches": [')
@@ -1031,6 +1046,64 @@ def test_cli_roundtrip_dead_worker_breaks_the_pool(capsys, monkeypatch):
         main(ROUNDTRIP_120)
     assert time.monotonic() - start < 30
     assert capsys.readouterr().out == ""
+
+
+def _sweep_report(max_c: int, tested: int) -> str:
+    # every module below conductor 200 is its own class
+    return (
+        "max conductor %d\ntested %d\nmodule classes %d\nshared module groups 0\n"
+        "pairs checked 0\nfindings 0\n" % (max_c, tested, tested)
+    )
+
+
+@pytest.mark.parametrize("max_c, tested", [(120, 757), (200, 2778)])
+def test_cli_conjecture_sweep_routes_give_the_same_bytes(max_c, tested, tmp_path, capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    argv = ["conjecture-sweep", "--max-conductor", str(max_c)]
+    pooled, serial = _both_routes(argv, tmp_path, capsys, monkeypatch)
+    assert pooled == serial
+    assert pooled[:3] == (0, _sweep_report(max_c, tested), "")
+    assert json.loads(pooled[3])["module_classes"] == tested
+    if POOLED:
+        assert len(started) == 1 and started[0] >= 2
+    assert len(started) == int(POOLED)  # none with one CPU
+
+
+def test_cli_conjecture_sweep_small_sweep_stays_serial(capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    code, stdout, _ = run_cli(["conjecture-sweep", "--max-conductor", "80"], capsys)
+    assert (code, stdout) == (0, _sweep_report(80, 294))
+    assert started == []
+
+
+def test_cli_conjecture_sweep_with_another_thread_alive_stays_serial(capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        code, stdout, _ = run_cli(["conjecture-sweep", "--max-conductor", "120"], capsys)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert (code, stdout) == (0, _sweep_report(120, 757))
+    assert started == []
+
+
+def test_cli_conjecture_sweep_worker_error_keeps_its_type(tmp_path, capsys, monkeypatch):
+    chosen = latcoh.semigroup.plane_branch_chains(120)[700]
+    real = latcoh.graded.module_from_weight
+
+    def forged(W):
+        if W.source.min_gens == chosen:
+            raise InputError("forged")
+        return real(W)
+
+    monkeypatch.setattr(latcoh.graded, "module_from_weight", forged)  # workers fork with it
+    argv = ["conjecture-sweep", "--max-conductor", "120"]
+    pooled, serial = _both_routes(argv, tmp_path, capsys, monkeypatch)
+    assert pooled == serial == (2, "", "error: forged\n", None)
 
 
 def test_cli_import_leaves_the_pool_modules_out():

@@ -267,6 +267,46 @@ def test_sweep_compares_roots_inside_a_shared_module_group(monkeypatch):
     assert rep.hits == expect
 
 
+def _grouping_oracle(max_conductor):
+    """conjecture_sweep's report by grouping modules in one pass, serially."""
+    groups = {}
+    for S in enumerate_plane_branch_semigroups(max_conductor):
+        groups.setdefault(latcoh.graded.module_from_weight(weight_sequence(S)), []).append(S)
+    shared = [members for members in groups.values() if len(members) > 1]
+    hits = []
+    for first, *rest in shared:
+        R = root_from_weight(weight_sequence(first))
+        hits.extend(
+            (first.min_gens, S.min_gens)
+            for S in rest
+            if not roots_isomorphic(R, root_from_weight(weight_sequence(S)))
+        )
+    tested = sum(len(members) for members in groups.values())
+    return (tested, len(groups), len(shared), tested - len(groups), tuple(hits))
+
+
+@pytest.mark.parametrize(
+    "digest",
+    [lambda M: 0, lambda M: int(M.base in (0, 4))],
+    ids=["constant", "two-valued"],
+)
+def test_sweep_survives_digest_collisions(digest, monkeypatch):
+    """Modules forged into five classes by conductor mod 5 (first members at
+    c = 0, 2, 4, 6, 8) and module hashes forced to collide: the sweep, pooled
+    where it can be, regroups each shared digest by equality and reads the
+    groups in enumeration order.  The two-valued digest puts the classes of
+    c = 0 and 4 under one digest, first seen before the other's."""
+    monkeypatch.setattr(
+        latcoh.graded, "module_from_weight", lambda W: TowerModule(W.conductor % 5, ())
+    )
+    monkeypatch.setattr(TowerModule, "__hash__", digest)
+    rep = conjecture_sweep(120)
+    expect = _grouping_oracle(120)
+    assert expect[:3] == (757, 5, 5) and expect[4]
+    got = (rep.tested, rep.module_classes, rep.shared_module_groups, rep.pairs_checked, rep.hits)
+    assert got == expect
+
+
 def test_module_euler_characteristic_counts_gaps():
     """-base plus the total tower length equals the gap count, and the
     module base is the minimal weight, for every enumerated semigroup."""

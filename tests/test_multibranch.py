@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latcoh import (
+    BranchParametrization,
     GradedRoot,
     InputError,
     TowerModule,
@@ -101,6 +102,54 @@ def test_repeated_branches_are_rejected():
     # an odd-order term that does not flip with the others: another branch
     P = curve([[[(1, 2)], [(1, 3), (1, 5)]], [[(1, 2)], [(-1, 3), (1, 5)]]])
     assert P.r == 2
+
+
+CUSP = [[(1, 2)], [(1, 3)]]
+
+
+@pytest.mark.parametrize(
+    "first, second, lam",
+    [
+        (CUSP, [[(4, 2)], [(8, 3)]], "2"),
+        (CUSP, [[(4, 2)], [(-8, 3)]], "-2"),
+        (CUSP, [[(Fraction(1, 4), 2)], [(Fraction(-1, 8), 3)]], "-1/2"),
+        ([[(1, 2), (1, 4)], [(1, 3)]], [[(9, 2), (81, 4)], [(27, 3)]], "3"),
+    ],
+)
+def test_a_branch_repeated_under_a_rational_rescaling_is_rejected_at_once(first, second, lam):
+    # the second branch is the first after t -> lam*t: rejected at once, not
+    # after the window loop runs out
+    start = time.monotonic()
+    with pytest.raises(InputError) as info:
+        curve([[[(1, 1)], [(1, 1)]], first, second])
+    assert time.monotonic() - start < 0.5
+    assert str(info.value) == "branches 1 and 2 are the same branch (up to t -> %s*t)" % lam
+
+
+def test_a_rescaling_must_hold_on_every_term():
+    for second in (
+        [[(2, 2)], [(3, 3)]],  # 2 is no rational square
+        [[(4, 2)], [(27, 3)]],  # |lambda| 2 from t^2, 3 from t^3
+        [[(4, 2)], [(8, 3), (1, 5)]],  # other exponents
+        [[(4, 2)], [(8, 4)]],  # other exponents, same count
+    ):
+        assert curve([CUSP, second]).r == 2
+    # t^4 and t^6 fix |lambda| = 2 but not its sign; t^7 picks -2 ...
+    assert "t -> -2*t" in _repeated([[(1, 4)], [(1, 6), (1, 7)]], [[(16, 4)], [(64, 6), (-128, 7)]])
+    # ... and an even-order ratio below 0 fits no lambda
+    assert curve([[[(1, 4)], [(1, 6)]], [[(16, 4)], [(-64, 6)]]]).r == 2
+    # two odd orders that disagree on the sign fit no lambda either
+    assert curve([[[(1, 3)], [(1, 5)]], [[(8, 3)], [(-32, 5)]]]).r == 2
+    # a huge exponent is rooted, not raised to
+    start = time.monotonic()
+    assert curve([[[(1, 2)], [(1, 10**9)]], [[(4, 2)], [(3, 10**9)]]]).r == 2
+    assert time.monotonic() - start < 0.5
+
+
+def _repeated(a, b) -> str:
+    with pytest.raises(InputError) as info:
+        curve([a, b])
+    return str(info.value)
 
 
 def test_common_constant_terms_are_stripped():
@@ -407,8 +456,14 @@ def test_windows_above_the_ceiling_are_rejected_at_once(kwargs):
 
 def test_automatic_windows_stay_below_the_ceiling():
     # a branch repeated under t -> 2t never certifies: the rounds run out at a
-    # window of 1065 orders, below the ceiling
-    P = curve([[[(1, 2)], [(1, 3)]], [[(4, 2)], [(8, 3)]]])
+    # window of 1065 orders, below the ceiling.  make_parametrization rejects
+    # the germ, so it is built with the constructor, which trusts its input
+    P = BranchParametrization(
+        (
+            (((Fraction(1), 2),), ((Fraction(1), 3),)),
+            (((Fraction(4), 2),), ((Fraction(8), 3),)),
+        )
+    )
     with pytest.raises(ValidationError, match="truncation not stabilized"):
         hilbert_from_parametrization(P)
 
