@@ -22,8 +22,6 @@ from .graded import (
 )
 from .multibranch import (
     BranchParametrization,
-    Cube,
-    CubicalComplex,
     EulerDeltaReport,
     LatticeCohomology,
     QCohomology,
@@ -56,7 +54,6 @@ from .semigroup import (
     from_members,
     gcd_chain,
     is_plane_branch,
-    is_symmetric,
 )
 from .weight1d import (
     Interval,
@@ -73,8 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchParametrization",
     "CofiniteSet",
-    "Cube",
-    "CubicalComplex",
     "EulerDeltaReport",
     "GcdChain",
     "GradedRoot",
@@ -104,7 +99,6 @@ __all__ = [
     "hilbert_from_parametrization",
     "initial_part",
     "is_plane_branch",
-    "is_symmetric",
     "lattice_cohomology",
     "local_minima",
     "make_parametrization",

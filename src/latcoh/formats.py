@@ -366,21 +366,6 @@ def _fraction_from_json(c, where):
     raise InputError("%s: expected an integer or a [numerator, denominator] pair" % where)
 
 
-def curve_to_dict(P: BranchParametrization) -> dict:
-    branches = []
-    for branch in P.branches:
-        coords = []
-        for series in branch:
-            coords.append(
-                [
-                    {"c": [t.numerator, t.denominator], "e": e}
-                    for t, e in series
-                ]
-            )
-        branches.append({"coords": coords})
-    return {"branches": branches}
-
-
 def curve_from_dict(d, where: str = "curve") -> BranchParametrization:
     raw = _require(d, "branches", where)
     if not isinstance(raw, list) or not raw:

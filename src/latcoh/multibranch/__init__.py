@@ -7,8 +7,6 @@ the multivariable weight function, sublevel cube complexes, and the graded
 cohomology modules they carry.
 """
 from .complexes import (
-    CubicalComplex,
-    Cube,
     EulerDeltaReport,
     LatticeCohomology,
     QCohomology,
@@ -35,8 +33,6 @@ __all__ = [
     "hilbert_from_parametrization",
     "weight_grid_extend",
     "series",
-    "Cube",
-    "CubicalComplex",
     "sublevel_complex",
     "cohomology",
     "root_from_grid",

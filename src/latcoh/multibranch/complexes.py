@@ -10,14 +10,15 @@ every branch count, cross-checked on degree zero against the graded root
 route and on every level against the Euler characteristic of the cubes.
 The reduction reads a cube's faces from the filtration only when it reduces
 that cube's column.  Integral cohomology comes from Smith normal form, which
-only ever sees pair-reduced complexes: a filtration (or, in ``cohomology``,
-one complex as a single weight class) is reduced once by eliminating pairs
-of a cube and a face of the same weight with incidence +-1, and each level's
-cohomology is that of the few cells of weight <= n left, with their reduced
-coboundaries.  A box point is its index in the grid's lexicographic order:
-the filtration and the graded root read ``grid.w0`` and ``grid.strides`` as
-they are, and only ``sublevel_complex``, the entry point of ``cohomology``
-for the oracles, builds ``Cube`` objects and point tuples.
+only ever sees pair-reduced complexes: a filtration (or, in
+``cohomology(W, n)``, the level-n prefix as a single weight class) is
+reduced once by eliminating pairs of a cube and a face of the same weight
+with incidence +-1, and each level's cohomology is that of the few cells of
+weight <= n left, with their reduced coboundaries.  A box point is its index
+in the grid's lexicographic order: the filtration and the graded root read
+``grid.w0`` and ``grid.strides`` as they are, and only
+``sublevel_complex(W, n)`` decodes the level-n prefix into (base point,
+axes) pairs, for the tests' oracles.
 """
 from __future__ import annotations
 
@@ -30,54 +31,6 @@ from ..errors import InputError, ValidationError
 from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
 from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
-
-
-@dataclass(frozen=True, order=True)
-class Cube:
-    """A unit cube of the lattice: a base vertex plus a set of spanned axes."""
-
-    base: tuple[int, ...]
-    axes: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    def faces(self):
-        """Boundary faces with orientation signs: sum of sign*(upper - lower)."""
-        for k, a in enumerate(self.axes):
-            rest = self.axes[:k] + self.axes[k + 1 :]
-            sign = -1 if k % 2 else 1
-            upper = self.base[:a] + (self.base[a] + 1,) + self.base[a + 1 :]
-            yield Cube(upper, rest), sign
-            yield Cube(self.base, rest), -sign
-
-
-@dataclass(frozen=True)
-class CubicalComplex:
-    """A finite cubical complex inside the weight-grid box."""
-
-    r: int
-    level: int
-    cubes: dict[int, tuple[Cube, ...]]
-
-    def __post_init__(self) -> None:
-        present: set[Cube] = set()
-        for q, qs in self.cubes.items():
-            for c in qs:
-                if c.dim != q:
-                    raise InputError("cube filed under the wrong dimension")
-                present.add(c)
-        for q, qs in self.cubes.items():
-            if q == 0:
-                continue
-            for c in qs:
-                for f, _ in c.faces():
-                    if f not in present:
-                        raise InputError("complex is not closed under faces")
-
-    def cube_count(self) -> int:
-        return sum(len(qs) for qs in self.cubes.values())
 
 
 def _top_axes(grid: WeightGrid) -> list[int]:
@@ -153,15 +106,20 @@ class _Filtration:
         return bisect_right(self.weights, n)
 
 
-def sublevel_complex(W: WeightGrid, n: int) -> CubicalComplex:
-    """All cubes of the (collared) box whose maximal vertex weight is <= n, per degree."""
+def sublevel_complex(
+    W: WeightGrid, n: int
+) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The cubes of the collared box of maximal vertex weight <= n, per degree.
+
+    Each cube is a (base point, axes) pair; each degree's list is sorted.
+    """
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
-    cubes: dict[int, list[Cube]] = {}
+    cubes: dict[int, list] = {}
     for c in filt.ids[: filt.end(n)]:
         axes = filt.axes[c & filt.mask]
-        cubes.setdefault(len(axes), []).append(Cube(box_point(c >> grid.r, grid.strides), axes))
-    return CubicalComplex(grid.r, n, {q: tuple(sorted(qs)) for q, qs in sorted(cubes.items())})
+        cubes.setdefault(len(axes), []).append((box_point(c >> grid.r, grid.strides), axes))
+    return {q: sorted(qs) for q, qs in sorted(cubes.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +225,17 @@ def _cohomology_of(
     return {q: (count - ranks[q + 1] - ranks[q], torsion[q]) for q, count in enumerate(counts)}
 
 
-def cohomology(K: CubicalComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Integral cohomology per degree: (free rank, invariant factors > 1).
+def cohomology(W: WeightGrid, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Integral cohomology of level n per degree: (free rank, invariant factors > 1).
 
-    K's cubes, ordered by degree, are reduced as one weight class by
+    The level-n prefix of the filtration is reduced as one weight class by
     ``_reduce_equal_weight_pairs``, and the cells left go to Smith normal
     form.
     """
-    cubes = [c for q in sorted(K.cubes) for c in K.cubes[q]]
-    index = {c: j for j, c in enumerate(cubes)}
-    boundary = [{index[f]: sign for f, sign in c.faces()} for c in cubes]
-    cells = _reduce_equal_weight_pairs(boundary, [0] * len(cubes))
-    return _cohomology_of(cells, [c.dim for c in cubes], max(K.cubes, default=-1))
+    filt = _Filtration(weight_grid_extend(W))
+    end = filt.end(n)
+    cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(end)], [0] * end)
+    return _cohomology_of(cells, filt.dims, max(filt.dims[:end], default=-1))
 
 
 def _reduce_equal_weight_pairs(

@@ -261,14 +261,6 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     return NumericalSemigroup(membership, c, _minimal_generators(apery))
 
 
-def is_symmetric(S: CofiniteSet) -> bool:
-    """True when x in S iff conductor - 1 - x not in S for every x."""
-    c = S.conductor
-    if c == 0:
-        return True
-    return all((x in S) != (c - 1 - x in S) for x in range(c))
-
-
 def gcd_chain(gens) -> GcdChain:
     """gcd ladder, Zariski exponents n_i, and partial conductors of a chain."""
     gens = tuple(gens)

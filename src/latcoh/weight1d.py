@@ -49,18 +49,18 @@ class WeightSequence:
 
 
 def weight_sequence(S: CofiniteSet) -> WeightSequence:
-    """w0 on [0, c] by the step recursion, checked against the direct count.
+    """w0 on [0, c] by the step recursion, checked at the conductor.
 
     Membership is read from ``S.membership`` below the conductor; every
-    point at or past it is a member.
+    point at or past it is a member.  The walk must end at
+    w0(c) = (c - delta) - delta, with delta the separately counted gaps.
     """
     c = S.conductor
-    below = S.membership[:c]
-    vals = tuple(accumulate(map((-1, 1).__getitem__, below), initial=0))
-    # cross-check against the direct counting formula 2 * #members - l
-    for l, members in enumerate(accumulate(below, initial=0)):
-        if 2 * members - l != vals[l]:
-            raise ValidationError("weight recursion disagrees with direct count at %d" % l)
+    vals = tuple(accumulate(map((-1, 1).__getitem__, S.membership[:c]), initial=0))
+    if vals[c] != c - 2 * S.delta:
+        raise ValidationError(
+            "weight walk ends at %d, but c - 2 delta is %d" % (vals[c], c - 2 * S.delta)
+        )
     return WeightSequence(vals, c, S)
 
 
