@@ -293,11 +293,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         ],
     }
     if W.r == 1:
-        seq = W.to_weight_sequence()
-        src = seq.source
-        report["generators"] = (
-            list(src.min_gens) if isinstance(src, NumericalSemigroup) else None
-        )
+        report["generators"] = list(W.to_weight_sequence().source.min_gens)
     if ns.weights_out:
         _write(ns.weights_out, formats.weights_tsv(W))
     if ns.root_out:

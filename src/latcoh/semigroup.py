@@ -1,4 +1,4 @@
-"""Numerical semigroups, symmetry, and the plane-branch criterion.
+"""Numerical semigroups and the plane-branch criterion.
 
 A numerical semigroup is an additively closed, cofinite subset of the
 non-negative integers containing 0.  The central structural data here are
@@ -20,7 +20,6 @@ with c_g equal to the conductor of the full semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd, inf
 from typing import Iterator
 
@@ -129,21 +128,29 @@ def _apery(gens: tuple[int, ...]) -> list[int]:
     return w
 
 
-def _minimal_generators(apery: list[int]) -> tuple[int, ...]:
-    """Minimal generators from the Apery set of the multiplicity m.
+def _from_apery(apery: list[int]) -> tuple[NumericalSemigroup, str]:
+    """The semigroup with Apery set w of m = len(w), and the sums of two
+    nonzero Apery elements up to max(w).
 
-    They are m and each nonzero w_r that is not the sum of two nonzero
-    Apery elements (Rosales-Garcia-Sanchez, Numerical Semigroups, 2009).
-    Only sums up to max(w) can be Apery elements, so the nonzero w are held
-    reversed, as the bits max(w) - w of one integer built from a digit
-    string: shifting it right by w gives the sums w + v <= max(w) and drops
-    the rest, and a shift with w + min(w) > max(w) is skipped.  Each step is
-    O(max(w)), with no integer wider than max(w) + 2 bits.
+    The conductor is max(w) - m + 1 (Selmer, 1977), membership is filled one
+    residue class at a time, and the minimal generators are m and each
+    nonzero w_r that is not such a sum (Rosales-Garcia-Sanchez, Numerical
+    Semigroups, 2009).  The nonzero w are held reversed, as the bits
+    max(w) - w of one integer built from a digit string: shifting it right by
+    w gives the sums w + v <= max(w) and drops the rest, and a shift with
+    w + min(w) > max(w) is skipped.  Each step is O(max(w)), with no integer
+    wider than max(w) + 2 bits.  The sums come back as a digit string whose
+    index x + 3 is "1" exactly when x <= max(w) is such a sum.
     """
+    m = len(apery)
+    top = max(apery)
+    c = top - m + 1
+    if c > _MAX_CONDUCTOR:
+        raise InputError(_ABOVE_CEILING % (c, _MAX_CONDUCTOR))
+    mem = [False] * (c + 1)
+    for w in apery:
+        mem[w::m] = [True] * ((c - w) // m + 1)
     ws = apery[1:]
-    if not ws:
-        return (1,)
-    top = max(ws)
     digits = bytearray(b"0") * (top + 1)
     for w in ws:
         digits[w] = 49  # "1": bit top - w
@@ -154,15 +161,15 @@ def _minimal_generators(apery: list[int]) -> tuple[int, ...]:
         if w < span:
             sums |= rev >> w  # bit top - (w + v) for each v with w + v <= top
     sums = bin(sums)  # "0b1" and then the digit of x at index x + 3
-    return (len(apery),) + tuple(sorted([w for w in ws if sums[w + 3] == "0"]))
+    gens = (m,) + tuple(sorted([w for w in ws if sums[w + 3] == "0"]))
+    return NumericalSemigroup(tuple(mem), c, gens), sums
 
 
 def from_generators(gens) -> NumericalSemigroup:
     """Numerical semigroup generated by ``gens``.
 
     Built from the Apery set w of m = min(gens) (round robin, no membership
-    window to grow): the conductor is max(w) - m + 1 (Selmer, 1977), and the
-    minimal generators are the irreducible Apery elements.
+    window to grow) by ``_from_apery``.
 
     Raises InputError("no generators") for an empty list,
     InputError("not cofinite") when the gcd of the generators exceeds 1,
@@ -186,37 +193,7 @@ def from_generators(gens) -> NumericalSemigroup:
     m = gens[0]
     if m > _MAX_CONDUCTOR:
         raise InputError(_ABOVE_CEILING % ("of at least %d" % m, _MAX_CONDUCTOR))
-    apery = _apery(gens)
-    c = max(apery) - m + 1
-    if c > _MAX_CONDUCTOR:
-        raise InputError(_ABOVE_CEILING % (c, _MAX_CONDUCTOR))
-    mem = [False] * (c + 1)
-    for w in apery:
-        mem[w::m] = [True] * ((c - w) // m + 1)
-    return NumericalSemigroup(tuple(mem), c, _minimal_generators(apery))
-
-
-def _closed(membership, c: int, apery: list[int]) -> bool:
-    """Additive closure of a set with conductor c from its Apery set w of m.
-
-    The set is closed exactly when x + m is a member with every member x
-    (so each residue class is w_r + mN) and w_r + w_s >= w_(r+s mod m) for
-    every r, s: O(c + m^2).  The first part puts every w_r below c + m, so a
-    pair summing to c + m - 1 or more needs no look.
-    """
-    m = len(apery)
-    if not all(membership[x + m] for x in range(c - m) if membership[x]):
-        return False
-    ws = sorted(apery)[1:]  # w_0 = 0 adds nothing
-    for i, a in enumerate(ws):
-        if 2 * a >= c + m - 1:
-            break
-        for b in islice(ws, i, None):
-            if a + b >= c + m - 1:
-                break
-            if a + b < apery[(a + b) % m]:
-                return False
-    return True
+    return _from_apery(_apery(gens))[0]
 
 
 def from_members(members_below, conductor: int, verify_closed: bool = True):
@@ -226,6 +203,12 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     a NumericalSemigroup is returned; otherwise a plain CofiniteSet.  The
     conductor is re-normalized to be minimal; above ``_MAX_CONDUCTOR`` the
     argument is rejected before anything is allocated.
+
+    Closure is read off the semigroup that ``_from_apery`` builds from the
+    set's Apery set w of its multiplicity m: the set is closed exactly when
+    it has that membership (every residue class is w_r + mN) and no gap is a
+    sum of two nonzero Apery elements.  Gaps lie below c <= max(w), so every
+    sum that could be one is in the builder's digit string.
     """
     conductor = as_int(conductor, "conductor")
     if conductor < 0:
@@ -245,8 +228,7 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     if any(x >= conductor for x in members):
         raise InputError("member at or past the conductor is redundant")
     membership = [x in members for x in range(conductor + 1)]
-    if conductor > 0:
-        membership[conductor] = True
+    membership[conductor] = True
     membership, c = _normalized(membership)
 
     if not verify_closed:
@@ -254,11 +236,12 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
 
     m = membership.index(True, 1) if c else 1
     apery = [next(x for x in range(r, c + m, m) if x >= c or membership[x]) for r in range(m)]
-    if not _closed(membership, c, apery):
+    S, sums = _from_apery(apery)
+    if S.membership != membership or any(sums[x + 3] == "1" for x in range(c) if not membership[x]):
         elems = [x for x in range(1, c) if membership[x]]
         a, b = next((a, b) for a in elems for b in elems if b >= a and a + b < c and not membership[a + b])
         raise InputError("not closed under addition: %d + %d" % (a, b))
-    return NumericalSemigroup(membership, c, _minimal_generators(apery))
+    return S
 
 
 def gcd_chain(gens) -> GcdChain:

@@ -470,6 +470,20 @@ def test_cli_semigroup_members_input(tmp_path, capsys):
     assert report["delta"] == 15
 
 
+def test_cli_semigroup_members_input_not_closed(tmp_path, capsys):
+    # 1 + 1 = 2 is a gap: the set is no semigroup, and the report says why it
+    # has no initial part
+    f = tmp_path / "open.json"
+    f.write_text(json.dumps({"members_below": [0, 1, 5, 7, 8, 10], "conductor": 12, "verify_closed": False}))
+    code, stdout, _ = run_cli(["semigroup", "--in", str(f)], capsys)
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["E"] is None
+    assert report["generators"] is None
+    assert report["gcd_chain"] is None
+    assert report["notes"] == ["initial part undefined: inconsistent module: positive initial level"]
+
+
 @pytest.mark.parametrize(
     "args",
     [["--gens", "10007,10009"], ["--in", "members.json"]],
