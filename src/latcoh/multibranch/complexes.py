@@ -9,8 +9,9 @@ reduction of that filtration over the rationals, on integer columns, for
 every branch count, cross-checked on degree zero against the graded root
 route and on every level against the Euler characteristic of the cubes.
 The reduction reads a cube's faces from the filtration only when it reduces
-that cube's column.  Integral cohomology comes from Smith normal form, which
-only ever sees pair-reduced complexes: a filtration (or, in
+that cube's column.  Integral cohomology comes from Smith normal form, for
+three or more branches only (planar complexes have no torsion), and Smith
+normal form only ever sees pair-reduced complexes: a filtration (or, in
 ``cohomology(W, n)``, the level-n prefix as a single weight class) is
 reduced once by eliminating pairs of a cube and a face of the same weight
 with incidence +-1, and each level's cohomology is that of the few cells of
@@ -31,6 +32,8 @@ from ..errors import InputError, ValidationError
 from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
 from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
+
+_MISORDERED = "cube filtration is not ordered: a face sorts after its cube"
 
 
 def _top_axes(grid: WeightGrid) -> list[int]:
@@ -264,7 +267,7 @@ def _reduce_equal_weight_pairs(
     for j, col in enumerate(boundary):
         for i in col:
             if i > j:
-                raise ValidationError("cube filtration is not ordered: a face sorts after its cube")
+                raise ValidationError(_MISORDERED)
             cofaces[i].append(j)
     alive = [True] * count
     for j in range(count):
@@ -326,30 +329,31 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs(filt: _Filtration, boundary: list[dict[int, int]] | None = None):
+def _persistence_pairs(filt: _Filtration):
     """Persistence pairing over the rationals, on sparse integer columns.
 
     Columns are reduced top dimension first, each degree in filtration
     order; a column whose cube is already the pivot of a higher column would
     reduce to zero, so it is skipped and its faces are never read (clearing,
-    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``, or
-    taken from ``boundary`` when every cube's boundary was already read; such
-    a column is copied before its first reduction step, so ``boundary`` stays
-    as it was.  To clear its low entry a column subtracts k times the column
-    owning that pivot when the pivot divides the entry, and is scaled by the
-    pivot first when it does not; scaling keeps every column's low, so the
-    pairs are those of the plain reduction over Q.
+    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``; a
+    low entry that sorts after its column's cube raises ``ValidationError``,
+    as the prefixes are then not complexes.  To clear its low entry a column
+    subtracts k times the column owning that pivot when the pivot divides
+    the entry, and is scaled by the pivot first when it does not; scaling
+    keeps every column's low, so the pairs are those of the plain reduction
+    over Q.
     """
-    read = filt.boundary if boundary is None else boundary.__getitem__
     owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
     for q in range(filt.r, 0, -1):
         for j, d in enumerate(filt.dims):
             if d != q or j in owner:
                 continue
-            col = read(j)
+            col = filt.boundary(j)
             while col:
                 low = max(col)
+                if low > j:
+                    raise ValidationError(_MISORDERED)
                 prev = owner.get(low)
                 if prev is None:
                     owner[low] = col
@@ -358,8 +362,6 @@ def _persistence_pairs(filt: _Filtration, boundary: list[dict[int, int]] | None 
                 pivot = prev[low]
                 if col[low] % pivot:
                     col = {i: v * pivot for i, v in col.items()}
-                elif boundary is not None and col is boundary[j]:
-                    col = dict(col)
                 k = col[low] // pivot
                 for i, v in prev.items():
                     nv = col.get(i, 0) - k * v
@@ -398,15 +400,12 @@ class LatticeCohomology:
     module: TowerModule
     per_q: tuple[QCohomology, ...]
     torsion: dict[tuple[int, int], tuple[int, ...]]
-    snf_levels: tuple[int, ...] = ()  # levels checked by Smith normal form
+    snf_levels: tuple[int, ...] = ()  # levels checked by Smith normal form: all when r >= 3
 
     def rank(self, q: int, n: int) -> int:
         if 0 <= q < len(self.per_q):
             return self.per_q[q].ranks.get(n, 1 if q == 0 and n > 1 else 0)
         return 0
-
-
-_VERIFY_CUBE_LIMIT = 2600
 
 
 def _check_level_euler(filt: _Filtration, per_q: list[QCohomology], bottom: int, top: int) -> None:
@@ -433,27 +432,29 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     """Cohomology of every sublevel complex, graded by level, per degree.
 
     One persistence reduction of the weight filtration yields all ranks and
-    all connecting-map ranks at once; the degree-zero result is recomputed
-    through connected components and the graded root, and the two routes
-    must agree.  On small grids (and always for three or more branches) the
-    ranks are additionally verified level by level against integral Smith
-    normal form cohomology, which also reports any torsion; those levels are
-    recorded in ``snf_levels``.  For that check every cube's boundary is
-    read from the filtration once, before persistence, which reads its
-    columns from the same list; then the filtration is reduced by its
-    equal-weight unit pairs, which first checks that every face sorts before
-    its cube, so that every prefix is a complex; each level n is then the
-    prefix of the surviving cells of weight <= n, with their reduced
-    coboundaries, and goes to Smith normal form.  On every grid the Euler
-    characteristic of each level is checked against its cube counts.
+    all connecting-map ranks at once, and checks that the faces of each
+    column it reads sort before its cube.  Degree zero is recomputed through
+    the graded root, and every level's Euler characteristic from its cube
+    counts; the routes must agree.  With three or more branches each level
+    is also checked by integral Smith normal form, which reports any torsion
+    (``snf_levels``): the filtration is reduced by its equal-weight unit
+    pairs, and level n is the surviving cells of weight <= n with their
+    reduced coboundaries.
+
+    With one or two branches there is no torsion to find.  A sublevel
+    complex K is then a finite cubical complex in the plane, so a proper
+    compact subset of S^2, and Alexander duality gives H~^2(K) =
+    H~_{-1}(S^2 - K) = 0 (Hatcher, Algebraic Topology, 3.44).  By universal
+    coefficients H^2(K) = Hom(H_2 K, Z) + Ext(H_1 K, Z), so H_1(K) is free,
+    and then so are H^1(K) and H^0(K).  Their ranks are the rational ones,
+    fixed by the checks above: degree 0 by the graded root, degree 2 by
+    persistence (a degree-2 class never dies, and an everlasting class
+    outside degree zero raises), and degree 1 by the Euler characteristic.
     """
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
-    boundary = None
-    if grid.r >= 3 or len(filt.ids) <= _VERIFY_CUBE_LIMIT:  # the SNF check runs
-        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
-    pairs, infinite = _persistence_pairs(filt, boundary)
+    pairs, infinite = _persistence_pairs(filt)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
@@ -501,31 +502,27 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
-    if boundary is not None:
+    if grid.r >= 3:
         snf_levels = tuple(range(bottom, top_report + 1))
-        cells = _reduce_equal_weight_pairs(boundary, weights)
+        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
         known: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for n in snf_levels:
             level = [cell for cell in cells if weights[cell[0]] <= n]
             hq = _cohomology_of(level, dims, grid.r, known)
+            top = hq.pop(grid.r)
             for q, (free, invs) in hq.items():
-                if q == grid.r:
-                    if free or invs:
-                        raise ValidationError(
-                            "cohomology routes disagree: nonzero cohomology in"
-                            " degree %d" % q
-                        )
-                elif free != per_q[q].ranks[n]:
+                if free != per_q[q].ranks[n]:
                     raise ValidationError(
-                        "cohomology routes disagree: rank at degree %d level %d"
-                        % (q, n)
+                        "cohomology routes disagree: rank at degree %d level %d" % (q, n)
                     )
-                elif invs:
+                if invs:
                     torsion[(q, n)] = invs
+            if top != (0, ()):
+                raise ValidationError(
+                    "cohomology routes disagree: nonzero cohomology in degree %d" % grid.r
+                )
 
-    return LatticeCohomology(
-        grid.r, bottom, root, module, tuple(per_q), torsion, snf_levels
-    )
+    return LatticeCohomology(grid.r, bottom, root, module, tuple(per_q), torsion, snf_levels)
 
 
 # ---------------------------------------------------------------------------

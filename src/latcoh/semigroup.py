@@ -94,16 +94,6 @@ _ABOVE_CEILING = "conductor %s is above the ceiling of %d"
 _MAX_ENUMERATED_CONDUCTOR = 1000
 
 
-def _normalized(membership: list[bool]) -> tuple[tuple[bool, ...], int]:
-    """Trim to one past the last gap: the conductor, if all past the list are members."""
-    last_gap = -1
-    for x in range(len(membership)):
-        if not membership[x]:
-            last_gap = x
-    c = last_gap + 1
-    return tuple(membership[: c + 1]) if c > 0 else (True,), c
-
-
 def _apery(gens: tuple[int, ...]) -> list[int]:
     """Apery set w of m = gens[0] for sorted coprime ``gens``: w[r] is the least
     element congruent to r mod m.  Round robin (Bocker-Liptak, "A fast and
@@ -205,10 +195,15 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
     argument is rejected before anything is allocated.
 
     Closure is read off the semigroup that ``_from_apery`` builds from the
-    set's Apery set w of its multiplicity m: the set is closed exactly when
-    it has that membership (every residue class is w_r + mN) and no gap is a
-    sum of two nonzero Apery elements.  Gaps lie below c <= max(w), so every
-    sum that could be one is in the builder's digit string.
+    set's Apery set w of its multiplicity m (the least member of each
+    residue class mod m): the set is closed exactly when no member x has
+    x + m a gap (then every residue class is w_r + mN) and no gap is a sum of
+    two nonzero Apery elements, which the builder's digit string holds, as
+    gaps lie below c <= max(w).  Membership below c is held as the bits of
+    one integer, so each test is a shift and a mask.  A set that is not
+    closed names the least pair a <= b of members with a + b a gap; a is m
+    or a nonzero Apery element, as a + b a gap makes (a - m) + b one once
+    x + m is a member for every member x.
     """
     conductor = as_int(conductor, "conductor")
     if conductor < 0:
@@ -227,21 +222,27 @@ def from_members(members_below, conductor: int, verify_closed: bool = True):
         raise InputError("0 must be a member")
     if any(x >= conductor for x in members):
         raise InputError("member at or past the conductor is redundant")
-    membership = [x in members for x in range(conductor + 1)]
-    membership[conductor] = True
-    membership, c = _normalized(membership)
+    membership = bytearray(b"0") * (conductor + 1)  # the digit "1" at each member
+    for x in members:
+        membership[x] = 49
+    membership[conductor] = 49
+    c = membership.rfind(b"0") + 1  # one past the last gap
 
     if not verify_closed:
-        return CofiniteSet(membership, c)
+        return CofiniteSet(tuple(d == 49 for d in membership[: c + 1]), c)
 
-    m = membership.index(True, 1) if c else 1
-    apery = [next(x for x in range(r, c + m, m) if x >= c or membership[x]) for r in range(m)]
+    m = membership.index(b"1", 1) if c else 1
+    apery = [c + (r - c) % m for r in range(m)]  # the least members from c on
+    for x in sorted((x for x in members if x < c), reverse=True):
+        apery[x % m] = x
     S, sums = _from_apery(apery)
-    if S.membership != membership or any(sums[x + 3] == "1" for x in range(c) if not membership[x]):
-        elems = [x for x in range(1, c) if membership[x]]
-        a, b = next((a, b) for a in elems for b in elems if b >= a and a + b < c and not membership[a + b])
-        raise InputError("not closed under addition: %d + %d" % (a, b))
-    return S
+    mem = int(b"0" + membership[:c], 2)  # bit c - 1 - x: x is a member
+    gaps = mem ^ ((1 << c) - 1)
+    if not (mem & gaps << m or int("0" + sums[3 : c + 3], 2) & gaps):
+        return S
+    hits = ((a, mem & gaps << a) for a in [m] + sorted(w for w in apery if 0 < w < c))
+    a, bits = next((a, bits) for a, bits in hits if bits)  # bits: members b with a + b a gap
+    raise InputError("not closed under addition: %d + %d" % (a, c - bits.bit_length()))
 
 
 def gcd_chain(gens) -> GcdChain:

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,8 @@ from oracles import (
     naive_sublevel_cubes,
 )
 
+
+THREE_BRANCH_IN = Path(__file__).parent / "data" / "curve_three_branch_in.json"
 
 NODE = [
     [[(1, 1)], []],  # branch 1: (t, 0)
@@ -702,14 +705,13 @@ def test_persistence_towers_match_the_plain_reduction_oracle():
 
 
 def test_snf_levels_are_recorded():
-    # small two-branch grids and every three-branch grid are checked by SNF
-    for P in (curve(CURVE_SIX_COORD), curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])):
+    # SNF checks every level of every grid with three or more branches and no
+    # level of a planar one, whatever its size
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    planar = [monomial_branch((6, 15, 31)), curve(CURVE_SIX_COORD), pair_family(4)[0]]
+    for P in (*planar, triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))):
         H = lattice_cohomology(hilbert_from_parametrization(P))
-        assert H.snf_levels == tuple(range(H.min_w0, 2))
-    # 30 x 30 points, 3481 cubes: over the limit, so only the Euler check runs
-    W = hilbert_from_parametrization(pair_family(4)[0])
-    assert W.box == (29, 29)
-    assert lattice_cohomology(W).snf_levels == ()
+        assert H.snf_levels == (tuple(range(H.min_w0, 2)) if P.r >= 3 else ()), P.r
 
 
 def test_snf_levels_match_the_cube_route():
@@ -718,15 +720,30 @@ def test_snf_levels_match_the_cube_route():
     parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
     for P in parametrizations:
-        W = hilbert_from_parametrization(P)
-        H = lattice_cohomology(W)
-        assert H.snf_levels, W.conductor
-        for n in H.snf_levels:
-            hq = cohomology(W, n)
-            for q in range(W.r + 1):
-                free, invs = hq.get(q, (0, ()))
-                assert free == H.rank(q, n), (W.conductor, q, n)
-                assert invs == H.torsion.get((q, n), ()), (W.conductor, q, n)
+        _assert_levels_match_the_cube_route(hilbert_from_parametrization(P))
+
+
+def _assert_levels_match_the_cube_route(W):
+    # every level, whether or not SNF checked it; planar levels have no
+    # torsion and nothing in the top degree
+    H = lattice_cohomology(W)
+    for n in range(H.min_w0, 2):
+        hq = cohomology(W, n)
+        for q in range(W.r + 1):
+            free, invs = hq.get(q, (0, ()))
+            assert free == H.rank(q, n), (W.conductor, q, n)
+            assert invs == H.torsion.get((q, n), ()), (W.conductor, q, n)
+        if W.r <= 2:
+            assert all(not invs for _, invs in hq.values()), (W.conductor, n)
+            assert hq.get(W.r, (0, ())) == (0, ()), (W.conductor, n)
+
+
+def test_planar_grid_above_the_old_cube_limit_has_no_torsion():
+    # 30 x 30 points, 3481 cubes: above the 2600 at which SNF used to stop
+    # checking two branches
+    W = hilbert_from_parametrization(pair_family(4)[0])
+    assert len(complexes._Filtration(weight_grid_extend(W)).ids) == 3481
+    _assert_levels_match_the_cube_route(W)
 
 
 def test_cube_route_ranks_match_the_naive_betti_numbers():
@@ -756,11 +773,19 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
             seq[i], seq[j] = seq[j], seq[i]
         filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
 
-    W = hilbert_from_parametrization(curve(CURVE_SIX_COORD))
-    assert lattice_cohomology(W).snf_levels
-    monkeypatch.setattr(complexes._Filtration, "__init__", misordered)
-    with pytest.raises(ValidationError, match="a face sorts after its cube"):
+    # two branches: persistence, the only reduction, trips on the edge's low
+    # entry; three branches: whichever reduction reads the edge first
+    for P in (curve(CURVE_SIX_COORD), formats.read_curve_file(str(THREE_BRANCH_IN))):
+        W = hilbert_from_parametrization(P)
         lattice_cohomology(W)
+        with monkeypatch.context() as m:
+            m.setattr(complexes._Filtration, "__init__", misordered)
+            if P.r == 2:
+                filt = complexes._Filtration(weight_grid_extend(W))
+                with pytest.raises(ValidationError, match="a face sorts after its cube"):
+                    complexes._persistence_pairs(filt)
+            with pytest.raises(ValidationError, match="a face sorts after its cube"):
+                lattice_cohomology(W)
 
 
 def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class():
@@ -780,16 +805,6 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
         assert len(cells) == 2 * bars + 1, grid.conductor
 
 
-def test_persistence_on_read_boundaries_leaves_them_as_read():
-    # lattice_cohomology hands persistence the boundaries that the SNF check
-    # reduces next; every column must be copied before it is reduced
-    for P in (curve(CURVE_SIX_COORD), *pair_family(3)):
-        filt = complexes._Filtration(weight_grid_extend(hilbert_from_parametrization(P)))
-        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
-        assert complexes._persistence_pairs(filt, boundary) == complexes._persistence_pairs(filt)
-        assert boundary == [filt.boundary(j) for j in range(len(filt.ids))]
-
-
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
     real = complexes._reduce_equal_weight_pairs
 
@@ -807,8 +822,9 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
         weights[j] = weights[i]
         return real(boundary, weights)
 
+    # SNF checks three or more branches only
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
-    for P in (curve(CURVE_SIX_COORD), triple_point):
+    for P in (triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))):
         W = hilbert_from_parametrization(P)
         assert lattice_cohomology(W).snf_levels
         with monkeypatch.context() as m:
@@ -820,9 +836,9 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
     real = complexes._persistence_pairs
 
-    def forged(filt, boundary=None):
+    def forged(filt):
         # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt, boundary)
+        pairs, infinite = real(filt)
         k = next(
             k for k, (i, j) in enumerate(pairs)
             if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1

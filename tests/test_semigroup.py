@@ -208,6 +208,14 @@ def test_multiplicity_at_the_conductor():
     assert time.monotonic() - start < 1.0
     assert S.conductor == 32000
     assert S.min_gens == tuple(range(16000, 24001))
+    # the members of <m, ..., 3m/2> and all from 2m on, except 3m - 1 =
+    # (3m/2 - 1) + 3m/2: the first unclosed pair has a large a, so it is named
+    # from the Apery set, not found by a scan of member pairs
+    members = [0] + list(range(16000, 24001)) + list(range(32000, 47999))
+    start = time.monotonic()
+    with pytest.raises(InputError, match=r"^not closed under addition: 23999 \+ 24000$"):
+        from_members(members, 48000)
+    assert time.monotonic() - start < 1.0
 
 
 def test_conductor_renormalized():
