@@ -170,6 +170,8 @@ def read_json(path: str):
         raise InputError(
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError("%s: %s" % (path, exc)) from exc
     except RecursionError as exc:
         raise InputError("%s: JSON nested too deeply" % path) from exc
 

@@ -5,21 +5,18 @@ sublevel complex collects every cube whose maximal vertex weight is at most
 n.  All cubes are integer ids in one filtration sorted by weight, so every
 level is a prefix of it.  The whole graded package (all levels at once,
 with the connecting-map ranks) comes from one persistence-style matrix
-reduction of that filtration over the rationals, on integer columns, for
-every branch count, cross-checked on degree zero against the graded root
-route and on every level against the Euler characteristic of the cubes.
-The reduction reads a cube's faces from the filtration only when it reduces
-that cube's column.  Integral cohomology comes from Smith normal form, for
-three or more branches only (planar complexes have no torsion), and Smith
-normal form only ever sees pair-reduced complexes: a filtration (or, in
-``cohomology(W, n)``, the level-n prefix as a single weight class) is
-reduced once by eliminating pairs of a cube and a face of the same weight
-with incidence +-1, and each level's cohomology is that of the few cells of
-weight <= n left, with their reduced coboundaries.  A box point is its index
-in the grid's lexicographic order: the filtration and the graded root read
-``grid.w0`` and ``grid.strides`` as they are, and only
-``sublevel_complex(W, n)`` decodes the level-n prefix into (base point,
-axes) pairs, for the tests' oracles.
+reduction over the rationals, on integer columns, cross-checked on degree
+zero against the graded root route and on every level against the Euler
+characteristic of the cubes.  With one or two branches it reads a cube's
+faces from the filtration only when it reduces that cube's column.  With
+three or more branches the filtration is first reduced once, by eliminating
+pairs of a cube and a face of the same weight with incidence +-1, and both
+persistence and integral Smith normal form read the few cells left (planar
+complexes have no torsion); ``cohomology(W, n)`` reduces the level-n prefix
+so too, as one weight class.  A box point is its index in the grid's
+lexicographic order: the filtration and the graded root read ``grid.w0`` and
+``grid.strides`` as they are, and only ``sublevel_complex(W, n)`` decodes
+the level-n prefix into (base point, axes) pairs, for the tests' oracles.
 """
 from __future__ import annotations
 
@@ -103,6 +100,11 @@ class _Filtration:
         """Faces of the cube at position j: face position -> sign."""
         c, pos = self.ids[j], self.pos
         return {pos[c + off]: s for off, s in self.face_offsets[c & self.mask]}
+
+    __getitem__ = boundary  # with __iter__, the position -> column map persistence reads
+
+    def __iter__(self):
+        return iter(range(len(self.ids)))
 
     def end(self, n: int) -> int:
         """Number of cubes of weight <= n: the level-n prefix."""
@@ -196,19 +198,13 @@ def _smith_invariants(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
 
 def _cohomology_of(
-    cells: list[tuple[int, dict[int, int]]],
-    dims: list[int],
-    top: int,
-    known: dict[tuple[int, int], tuple[int, list[int]]] | None = None,
+    cells: list[tuple[int, dict[int, int]]], dims: list[int], top: int
 ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Free rank and invariant factors > 1 of H^q for q <= top.
 
     ``cells`` lists the cells as (position, boundary), the boundary mapping
     face positions to incidences, and ``dims[position]`` is a cell's degree.
-    The boundaries of the (q+1)-cells are the rows of D^q.  ``known`` keeps
-    the Smith invariants of D^q by (q, row count) across prefixes of one
-    cell list: a prefix's rows fix D^q, since a q-cell that no row holds
-    only adds a zero column.
+    The boundaries of the (q+1)-cells are the rows of D^q.
     """
     counts = [0] * (top + 1)
     coboundaries: list[list[dict[int, int]]] = [[] for _ in range(top)]
@@ -217,11 +213,8 @@ def _cohomology_of(
         if dims[j]:
             coboundaries[dims[j] - 1].append(faces)
     ranks, torsion = [0], [()]  # rank and factors of D^(q-1), from D^(-1) = 0
-    known = {} if known is None else known
-    for q, rows in enumerate(coboundaries):
-        if (q, len(rows)) not in known:
-            known[q, len(rows)] = _smith_invariants(rows)
-        rank, invs = known[q, len(rows)]
+    for rows in coboundaries:
+        rank, invs = _smith_invariants(rows)
         ranks.append(rank)
         torsion.append(tuple(invs))
     ranks.append(0)
@@ -258,8 +251,8 @@ def _reduce_equal_weight_pairs(
     A boundary only ever gains cells no heavier than its cell, and no pair
     crosses a weight, so the cells of weight <= n left here, with their
     reduced boundaries, are the reduction of the level-n complex
-    (Mischaikow-Nanda 2013): one pass serves every level.  Vertices survive
-    with an empty boundary.
+    (Mischaikow-Nanda 2013): one pass serves every level, and persistence.
+    Vertices survive with an empty boundary.
     """
     count = len(boundary)
     # every cell whose boundary holds i, and possibly some that no longer do
@@ -329,27 +322,28 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _persistence_pairs(filt: _Filtration):
+def _persistence_pairs(columns, dims: list[int]):
     """Persistence pairing over the rationals, on sparse integer columns.
 
-    Columns are reduced top dimension first, each degree in filtration
-    order; a column whose cube is already the pivot of a higher column would
-    reduce to zero, so it is skipped and its faces are never read (clearing,
-    Chen-Kerber 2011).  Every other column is read by ``filt.boundary``; a
-    low entry that sorts after its column's cube raises ``ValidationError``,
-    as the prefixes are then not complexes.  To clear its low entry a column
-    subtracts k times the column owning that pivot when the pivot divides
-    the entry, and is scaled by the pivot first when it does not; scaling
-    keeps every column's low, so the pairs are those of the plain reduction
-    over Q.
+    ``columns`` maps each cell's position to its boundary (face position ->
+    incidence) in filtration order, as ``_Filtration`` and the survivors of
+    ``_reduce_equal_weight_pairs`` do; ``dims[position]`` is a cell's degree.
+    Columns are reduced in place, top dimension first, each degree in order;
+    a column whose cell is already the pivot of a higher column would reduce
+    to zero, so it is skipped and never read (clearing, Chen-Kerber 2011).  A
+    low entry that sorts after its column's cell raises ``ValidationError``.
+    To clear its low entry a column subtracts k times the column owning that
+    pivot when the pivot divides the entry, and is scaled by the pivot first
+    when it does not; scaling keeps every column's low, so the pairs are
+    those of the plain reduction over Q.
     """
     owner: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
-    for q in range(filt.r, 0, -1):
-        for j, d in enumerate(filt.dims):
-            if d != q or j in owner:
+    for q in range(max(dims, default=0), 0, -1):
+        for j in columns:
+            if dims[j] != q or j in owner:
                 continue
-            col = filt.boundary(j)
+            col = columns[j]
             while col:
                 low = max(col)
                 if low > j:
@@ -369,10 +363,10 @@ def _persistence_pairs(filt: _Filtration):
                         col[i] = nv
                     else:
                         col.pop(i, None)
-    paired = [False] * len(filt.dims)
+    paired = [False] * len(dims)
     for i, j in pairs:
         paired[i] = paired[j] = True
-    return pairs, [j for j, p in enumerate(paired) if not p]
+    return pairs, [j for j in columns if not paired[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +425,15 @@ def _check_level_euler(filt: _Filtration, per_q: list[QCohomology], bottom: int,
 def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     """Cohomology of every sublevel complex, graded by level, per degree.
 
-    One persistence reduction of the weight filtration yields all ranks and
-    all connecting-map ranks at once, and checks that the faces of each
-    column it reads sort before its cube.  Degree zero is recomputed through
-    the graded root, and every level's Euler characteristic from its cube
-    counts; the routes must agree.  With three or more branches each level
-    is also checked by integral Smith normal form, which reports any torsion
-    (``snf_levels``): the filtration is reduced by its equal-weight unit
-    pairs, and level n is the surviving cells of weight <= n with their
-    reduced coboundaries.
+    One persistence reduction yields all ranks and all connecting-map ranks
+    at once.  With one or two branches it reads the weight filtration itself
+    and checks that the faces of each column it reads sort before its cube.
+    With three or more branches the filtration's equal-weight unit pairs are
+    reduced once, checking every face's order, and both persistence and
+    integral Smith normal form, which checks every level (``snf_levels``) and
+    reports any torsion, read the cells left.  Degree zero is recomputed
+    through the graded root, and every level's Euler characteristic from its
+    raw cube counts; the routes must agree.
 
     With one or two branches there is no torsion to find.  A sublevel
     complex K is then a finite cubical complex in the plane, so a proper
@@ -454,7 +448,11 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     weights, dims = filt.weights, filt.dims
-    pairs, infinite = _persistence_pairs(filt)
+    columns = filt
+    if grid.r >= 3:
+        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
+        columns = {j: dict(faces) for j, faces in cells}  # copies: Smith normal form reads cells
+    pairs, infinite = _persistence_pairs(columns, dims)
     bottom = grid.min_w0
     top_report = 1
     towers: dict[int, list[tuple[int, int]]] = {}
@@ -504,11 +502,9 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     snf_levels: tuple[int, ...] = ()
     if grid.r >= 3:
         snf_levels = tuple(range(bottom, top_report + 1))
-        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
-        known: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for n in snf_levels:
             level = [cell for cell in cells if weights[cell[0]] <= n]
-            hq = _cohomology_of(level, dims, grid.r, known)
+            hq = _cohomology_of(level, dims, grid.r)
             top = hq.pop(grid.r)
             for q, (free, invs) in hq.items():
                 if free != per_q[q].ranks[n]:

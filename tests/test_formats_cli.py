@@ -797,6 +797,28 @@ def test_cli_unreadable_json_is_malformed_input(command, content, tmp_path, caps
     assert stderr == "error: %s: %s\n" % (f, message)
 
 
+_HUGE = "1" + "0" * 4999  # above the 4300 digits that int() parses by default
+_HUGE_INTEGER_FILES = {
+    "reconstruct": (["reconstruct", "--module"], '{"base_weight": %s, "towers_weight": []}' % _HUGE),
+    "root-iso": (["root-iso"], '{"vertices": [{"id": 0, "chi": %s}], "edges": []}' % _HUGE),
+    "curve": (["curve", "--in"], '{"branches": [{"coords": [[{"c": 1, "e": %s}]]}]}' % _HUGE[:4400]),
+    "semigroup": (["semigroup", "--in"], '{"members_below": [0], "conductor": %s}' % _HUGE),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_HUGE_INTEGER_FILES))
+def test_cli_integer_above_the_digit_limit_is_malformed_input(reader, tmp_path, capsys):
+    # json.load raises a plain ValueError here, not a JSONDecodeError
+    command, document = _HUGE_INTEGER_FILES[reader]
+    f = tmp_path / "huge.json"
+    f.write_text(document)
+    argv = command + [str(f)] * (2 if reader == "root-iso" else 1)
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: %s: Exceeds the limit (4300 digits)" % f), stderr
+    assert stderr.count("\n") == 1
+
+
 def test_cli_root_iso(tmp_path, capsys):
     R1, R2 = example_root_pair()
     a = tmp_path / "a.json"

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +64,7 @@ from oracles import (
 
 
 THREE_BRANCH_IN = Path(__file__).parent / "data" / "curve_three_branch_in.json"
+SIX_COORD_IN = Path(__file__).parent / "data" / "curve_six_coord_in.json"
 
 NODE = [
     [[(1, 1)], []],  # branch 1: (t, 0)
@@ -774,7 +776,8 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
         filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
 
     # two branches: persistence, the only reduction, trips on the edge's low
-    # entry; three branches: whichever reduction reads the edge first
+    # entry; three branches: the pair reduction, the only reader of the
+    # filtration's boundaries
     for P in (curve(CURVE_SIX_COORD), formats.read_curve_file(str(THREE_BRANCH_IN))):
         W = hilbert_from_parametrization(P)
         lattice_cohomology(W)
@@ -783,7 +786,7 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
             if P.r == 2:
                 filt = complexes._Filtration(weight_grid_extend(W))
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
-                    complexes._persistence_pairs(filt)
+                    complexes._persistence_pairs(filt, filt.dims)
             with pytest.raises(ValidationError, match="a face sorts after its cube"):
                 lattice_cohomology(W)
 
@@ -798,7 +801,7 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
     for P in parametrizations:
         grid = weight_grid_extend(hilbert_from_parametrization(P))
         filt = complexes._Filtration(grid)
-        pairs, _ = complexes._persistence_pairs(filt)
+        pairs, _ = complexes._persistence_pairs(filt, filt.dims)
         bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
         boundary = [filt.boundary(j) for j in range(len(filt.ids))]
         cells = complexes._reduce_equal_weight_pairs(boundary, filt.weights)
@@ -807,6 +810,7 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
 
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
     real = complexes._reduce_equal_weight_pairs
+    real_smith = complexes._smith_invariants
 
     def forged(boundary, weights):
         # the first edge heavier than one of its vertices may pair with it, so
@@ -822,23 +826,84 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
         weights[j] = weights[i]
         return real(boundary, weights)
 
-    # SNF checks three or more branches only
+    def forged_rank(rows):
+        rank, invs = real_smith(rows)
+        return rank + 1, invs
+
+    # SNF checks three or more branches only.  Persistence reads the cells the
+    # forged pair leaves too, so its everlasting class or its degree-zero bars
+    # disagree first; a forged Smith rank trips the SNF rank check alone
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
-    for P in (triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))):
+    for P, message in (
+        (triple_point, "everlasting class born at"),
+        (formats.read_curve_file(str(THREE_BRANCH_IN)), "filtration pairing vs graded root"),
+    ):
         W = hilbert_from_parametrization(P)
         assert lattice_cohomology(W).snf_levels
         with monkeypatch.context() as m:
             m.setattr(complexes, "_reduce_equal_weight_pairs", forged)
+            with pytest.raises(ValidationError, match=message):
+                lattice_cohomology(W)
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_smith_invariants", forged_rank)
             with pytest.raises(ValidationError, match="rank at degree 0"):
                 lattice_cohomology(W)
+
+
+def test_pair_reduced_cells_have_the_bars_of_the_whole_filtration():
+    # equal-weight pairs keep every level (Mischaikow-Nanda 2013), so
+    # persistence of the cells they leave has the positive-length bars and
+    # the everlasting class of persistence of the whole filtration
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations = [P for n in range(2, 7) for P in pair_family(n)]
+    parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
+    parametrizations += [formats.read_curve_file(str(f)) for f in (SIX_COORD_IN, THREE_BRANCH_IN)]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
+    for P in parametrizations:
+        filt = complexes._Filtration(weight_grid_extend(hilbert_from_parametrization(P)))
+        weights, dims = filt.weights, filt.dims
+
+        def barcode(columns):
+            pairs, infinite = complexes._persistence_pairs(columns, dims)
+            bars = sorted(
+                (dims[i], weights[i], weights[j]) for i, j in pairs if weights[j] > weights[i]
+            )
+            return bars, [(dims[j], weights[j]) for j in infinite]
+
+        cells = complexes._reduce_equal_weight_pairs([filt.boundary(j) for j in filt], weights)
+        assert barcode(dict(cells)) == barcode(filt), (P.r, len(dims))
+
+
+def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
+    # the pair reduction reads every boundary; persistence and Smith normal
+    # form read only the cells it leaves
+    real = complexes._Filtration.boundary
+    reads = Counter()
+
+    def counted(filt, j):
+        reads[j] += 1
+        return real(filt, j)
+
+    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
+    parametrizations = [triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))]
+    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20) if len(b) >= 3]
+    assert len(parametrizations) > 2
+    for P in parametrizations:
+        W = hilbert_from_parametrization(P)
+        cubes = len(complexes._Filtration(weight_grid_extend(W)).ids)
+        reads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(complexes._Filtration, "boundary", counted)
+            lattice_cohomology(W)
+        assert reads == Counter(range(cubes)), P.r
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
     real = complexes._persistence_pairs
 
-    def forged(filt):
+    def forged(filt, dims):
         # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt)
+        pairs, infinite = real(filt, dims)
         k = next(
             k for k, (i, j) in enumerate(pairs)
             if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1
@@ -856,18 +921,20 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
 class _StubFiltration:
     """Three vertices 0, 1, 2 and two edges 3, 4 whose columns are not unimodular."""
 
-    r = 1
     dims = [0, 0, 0, 1, 1]
 
-    def boundary(self, j):
-        return {3: {0: 1, 1: 2}, 4: {0: 1, 1: 3}}[j]
+    def __iter__(self):
+        return iter(range(5))
+
+    def __getitem__(self, j):
+        return {3: {0: 1, 1: 2}, 4: {0: 1, 1: 3}}.get(j, {})
 
 
 def test_persistence_scales_a_column_the_pivot_does_not_divide():
     # column 3 owns row 1 with pivot 2; column 4 has 3 there, so it is
     # doubled, loses 3 times column 3 and ends as {0: -1}: over Q,
     # col4 - 3/2 col3 = {0: -1/2}
-    pairs, infinite = complexes._persistence_pairs(_StubFiltration())
+    pairs, infinite = complexes._persistence_pairs(_StubFiltration(), _StubFiltration.dims)
     assert pairs == [(1, 3), (0, 4)]
     assert infinite == [2]
 
