@@ -38,7 +38,6 @@ from .errors import InputError, ValidationError
 from .graded import (
     GradedRoot,
     conjecture_sweep,
-    module_from_root,
     module_from_weight,
     root_from_weight,
     roots_isomorphic,
@@ -170,7 +169,7 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
         S = formats.read_semigroup_file(ns.infile)
     W = weight_sequence(S)
     R = root_from_weight(W)
-    M = module_from_root(R)
+    M = module_from_weight(W)
 
     plane, chain = (False, None)
     if isinstance(S, NumericalSemigroup):

@@ -5,12 +5,14 @@ order), so identical inputs give byte-identical files.  All readers raise
 InputError with a field diagnostic on malformed input; every JSON writer's
 output parses back through its own reader.
 
-JSON text comes from one canonical writer, ``to_json``: the bytes that the
-standard library's ``json.dumps`` writes with sorted keys and an indent of
-two, and a newline, without the pure-Python encoder that ``json.dumps``
-falls back to whenever it indents.  A list of uniform integer records
-(root vertices, edges, tower pairs) is written through one %-template
-built from its keys and indent, in a single formatting call.
+JSON text comes from one canonical writer, ``to_json``, which takes only
+what the reports hold (exact ints, bools, None, strs, lists and str-keyed
+dicts) and writes the bytes that the standard library's ``json.dumps``
+writes with sorted keys and an indent of two, and a newline, without the
+pure-Python encoder that ``json.dumps`` falls back to whenever it indents.
+A list of uniform integer records (root vertices, edges, tower pairs) is
+written through one %-template built from its keys and indent, in a single
+formatting call.
 The root and module readers check each list in one pass and build a
 field's location string only for the error they raise.
 
@@ -22,7 +24,6 @@ doubled ones.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -40,35 +41,13 @@ from .weight1d import WeightSequence
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# The JSON text of a leaf, keyed by its exact type; _scalar takes subclasses.
+# The JSON text of a leaf, keyed by its exact type.
 _LEAF = {
     str: _ESCAPE,
     int: int.__repr__,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-
-
-def _scalar(x) -> str:
-    """JSON text of a str, int, float, bool or None, subclasses included."""
-    leaf = _LEAF.get(type(x))
-    if leaf is None:
-        leaf = next((_LEAF[base] for base in (str, int, float) if isinstance(x, base)), None)
-        if leaf is None:
-            raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
-    return leaf(x)
 
 
 def _encode(x, nl: str) -> str:
@@ -77,19 +56,13 @@ def _encode(x, nl: str) -> str:
     if leaf is not None:
         return leaf(x)
     inner = nl + "  "
-    if isinstance(x, dict):
+    if type(x) is dict:
         if not x:
             return "{}"
-        items = sorted(x.items())
-        try:  # every key a str and every value a leaf: one pass of C conversions
-            parts = [_ESCAPE(k) + ": " + _LEAF[type(v)](v) for k, v in items]
-        except (KeyError, TypeError):
-            parts = [
-                _ESCAPE(k if isinstance(k, str) else _scalar(k)) + ": " + _encode(v, inner)
-                for k, v in items
-            ]
+        # _ESCAPE raises TypeError on a key that is not a str
+        parts = [_ESCAPE(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if isinstance(x, (list, tuple)):
+    if type(x) is list:
         if not x:
             return "[]"
         try:  # every item a leaf
@@ -99,7 +72,7 @@ def _encode(x, nl: str) -> str:
             if body is None:
                 body = ("," + inner).join([_encode(v, inner) for v in x])
         return "[" + inner + body + nl + "]"
-    return _scalar(x)
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
 def _records(x, inner: str) -> str | None:
@@ -142,17 +115,16 @@ def _records(x, inner: str) -> str | None:
 def to_json(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    The bytes are those of ``json.dumps`` with ``sort_keys`` and an indent
-    of 2, plus a newline (the tests hold it to that, non-finite floats
-    included), written without the standard library's pure-Python
-    indenting encoder: leaves are converted by ``int.__repr__``,
-    ``float.__repr__`` and the C string escaper, and a container whose
-    children are all leaves is joined in one pass.  A list whose items are
-    dicts with the same str keys, or lists of one nonzero length, every
-    value an exact int, is written through one template (see ``_records``);
-    any other item (a bool, float, str or int-subclass value, a missing or
-    extra key, an empty item, a tuple) sends its list item by item through
-    the general path.  Values json.dumps rejects raise TypeError.
+    obj holds what latcoh's reports hold: exact ``int``, ``bool``, ``None``
+    and ``str`` leaves, exact ``list``s, and exact ``dict``s with str keys;
+    anything else (a float, a tuple, a subclass, a key that is not a str)
+    raises TypeError.  The bytes are those of ``json.dumps`` with
+    ``sort_keys`` and an indent of 2, plus a newline (the tests hold it to
+    that), written without the standard library's pure-Python indenting
+    encoder: leaves are converted by ``int.__repr__`` and the C string
+    escaper, a list of leaves is joined in one pass, and a list of dicts
+    with the same keys, or of lists of one nonzero length, every value an
+    exact int, through one template (see ``_records``).
     """
     return _encode(obj, "\n") + "\n"
 

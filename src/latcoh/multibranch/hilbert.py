@@ -406,11 +406,11 @@ _BAD_HINT = "conductor needs one nonnegative entry per branch"
 
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  This bounds rounds, not time:
-# a germ that never certifies fails after the last round, which takes about
-# 1.1 s for (t^2, t^3) and (4t^2, 8t^3) (a branch repeated under t -> 2t,
-# which make_parametrization rejects but BranchParametrization takes as
-# given) but about 48 s for (t^2, t^3) with its t -> t + t^2 image, which
-# nothing rejects up front (shared 2-core VM).
+# a germ that never certifies raises InputError (exit 2) after the last round,
+# which takes about 1.1 s for (t^2, t^3) and (4t^2, 8t^3) (a branch repeated
+# under t -> 2t, which make_parametrization rejects but BranchParametrization
+# takes as given) but about 48 s for (t^2, t^3) with its t -> t + t^2 image,
+# which nothing rejects up front (shared 2-core VM).
 _MAX_ROUNDS = 13
 
 # No window may exceed this many orders on any branch: the cost grows a little
@@ -463,8 +463,11 @@ def hilbert_from_parametrization(
     by construction, and the certificate for the candidate is the room
     check c_j + max(m_j, 2) <= n_j.  The first window with room on every
     branch gives the grid.  Otherwise each window grows to
-    max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); when the rounds run out the
-    result is ``ValidationError("truncation not stabilized")``.  A round
+    max(c_j + max(m_j, 2) + 1, ⌈3 n_j / 2⌉); when the ``_MAX_ROUNDS``
+    rounds run out the result is an ``InputError`` naming the last window: by
+    step 1 the germ is not reduced, or its conductor lies past that window.
+    A pinned or hinted window without room is
+    ``ValidationError("truncation not stabilized")``.  A round
     whose window exceeds ``_MAX_WINDOW`` orders on some branch raises
     ``InputError`` before any work, so pinned, hinted and grown windows are
     bounded alike.  A window
@@ -527,11 +530,18 @@ def hilbert_from_parametrization(
                     raise ValidationError("conductor not minimal on branch %d" % j)
             box = tuple(x + 1 for x in c)
             return WeightGrid(r, c, box, _h_box(an, box))
-        bounds = tuple(
+        if rounds == 1:
+            raise ValidationError("truncation not stabilized")
+        last, bounds = bounds, tuple(
             max(x + max(m, 2) + 1, -(-3 * n // 2))
             for x, m, n in zip(cand, mults, bounds)
         )
-    raise ValidationError("truncation not stabilized")
+    raise InputError(
+        "no conductor certified up to the truncation window %s: the curve is not"
+        " reduced (a repeated or multiply covered branch), or its conductor needs"
+        " a larger window, which a pinned window or a conductor hint can reach"
+        " up to the ceiling of %d orders" % (list(last), _MAX_WINDOW)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ def make_parametrization(branches: object) -> BranchParametrization:
     (lambda = 1 and lambda = -1 included) describe one branch twice: the germ
     is not reduced, so it has no conductor, and they raise ``InputError``.
     Other reparametrizations of a repeated branch (t -> t + t^2, ...) are not
-    detected here; the Hilbert grid of such a germ never stabilizes, and
-    ``hilbert_from_parametrization`` raises
-    ``ValidationError("truncation not stabilized")``.
+    detected here; no window certifies a conductor for such a germ, and the
+    automatic window loop of ``hilbert_from_parametrization`` raises
+    ``InputError`` when its rounds run out.
     """
     try:
         branch_list = list(branches)  # type: ignore[arg-type]

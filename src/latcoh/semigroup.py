@@ -139,7 +139,8 @@ def _from_apery(apery: list[int]) -> tuple[NumericalSemigroup, str]:
         raise InputError(_ABOVE_CEILING % (c, _MAX_CONDUCTOR))
     mem = [False] * (c + 1)
     for w in apery:
-        mem[w::m] = [True] * ((c - w) // m + 1)
+        if w <= c:  # the slice of a w past c is empty
+            mem[w::m] = [True] * ((c - w) // m + 1)
     ws = apery[1:]
     digits = bytearray(b"0") * (top + 1)
     for w in ws:

@@ -472,15 +472,16 @@ def test_windows_above_the_ceiling_are_rejected_at_once(kwargs):
 
 def test_automatic_windows_stay_below_the_ceiling():
     # a branch repeated under t -> 2t never certifies: the rounds run out at a
-    # window of 1065 orders, below the ceiling.  make_parametrization rejects
-    # the germ, so it is built with the constructor, which trusts its input
+    # window of 1065 orders, below the ceiling, and the germ is malformed
+    # input, not a property violation.  make_parametrization rejects the
+    # germ, so it is built with the constructor, which trusts its input
     P = BranchParametrization(
         (
             (((Fraction(1), 2),), ((Fraction(1), 3),)),
             (((Fraction(4), 2),), ((Fraction(8), 3),)),
         )
     )
-    with pytest.raises(ValidationError, match="truncation not stabilized"):
+    with pytest.raises(InputError, match=r"window \[1065, 1065\]: the curve is not reduced"):
         hilbert_from_parametrization(P)
 
 

@@ -201,6 +201,7 @@ def test_multiplicity_at_the_conductor():
     S = from_members([0], c)
     assert time.monotonic() - start < 1.0
     assert S.min_gens == tuple(range(c, 2 * c))
+    assert S.membership == (True,) + (False,) * (c - 1) + (True,)
     # <m, ..., 3m/2> with m = 16000 and c = 2m: 8000 nonzero Apery elements
     # below c, so closure is not checked pair by pair
     start = time.monotonic()
