@@ -1,22 +1,16 @@
 """Sublevel cube complexes of a weight grid and their graded cohomology.
 
 The weight function on the box decomposes it into unit cubes; the level-n
-sublevel complex collects every cube whose maximal vertex weight is at most
-n.  All cubes are integer ids in one filtration sorted by weight, so every
-level is a prefix of it.  The whole graded package (all levels at once,
-with the connecting-map ranks) comes from one persistence-style matrix
-reduction over the rationals, on integer columns, cross-checked on degree
-zero against the graded root route and on every level against the Euler
-characteristic of the cubes.  With one or two branches it reads a cube's
-faces from the filtration only when it reduces that cube's column.  With
-three or more branches the filtration is first reduced once, by eliminating
-pairs of a cube and a face of the same weight with incidence +-1, and both
-persistence and integral Smith normal form read the few cells left (planar
-complexes have no torsion); ``cohomology(W, n)`` reduces the level-n prefix
-so too, as one weight class.  A box point is its index in the grid's
-lexicographic order: the filtration and the graded root read ``grid.w0`` and
-``grid.strides`` as they are, and only ``sublevel_complex(W, n)`` decodes
-the level-n prefix into (base point, axes) pairs, for the tests' oracles.
+sublevel complex K_n collects every cube whose maximal vertex weight is at
+most n.  With one or two branches K_n is planar, so b_1(n) = b_0(n) -
+chi(K_n): degree zero is the graded root, chi comes from counting cubes by
+weight and dimension, and only where b_1 is not zero is degree one read off
+a merge tree of the holes of K_n (Alexander and digital 4/8 duality, Garin
+et al. 2020; see ``lattice_cohomology``).  With three or more branches the
+cubes are integer ids in one filtration sorted by weight; its equal-weight
+unit pairs are reduced once, and persistence over the rationals and Smith
+normal form read the cells left, as ``cohomology(W, n)`` does for a level.
+A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
 
@@ -42,42 +36,66 @@ def _top_axes(grid: WeightGrid) -> list[int]:
     return tops
 
 
+def _cube_weights(grid: WeightGrid) -> tuple[list[int], list[int]]:
+    """Per id ``p << r | mask`` (see ``_Filtration``) the max of its vertex weights, and tops.
+
+    One pass over the masks in increasing order, each cube taking the max over
+    its two faces along its last axis.  The id is a cube of the box exactly
+    when its mask misses ``tops[p]``, from ``_top_axes``; other ids get junk.
+    """
+    r, strides = grid.r, grid.strides
+    npts, R = len(grid.w0), 1 << r
+    wt = [0] * (npts << r)
+    wt[::R] = grid.w0
+    for mask in range(1, R):
+        a = mask.bit_length() - 1
+        lower = mask ^ (1 << a)
+        wt[mask : (npts - strides[a]) << r : R] = map(
+            max, wt[lower::R], wt[lower + (strides[a] << r) :: R]
+        )
+    return wt, _top_axes(grid)
+
+
+def _level_euler(grid: WeightGrid) -> list[int]:
+    """chi(K_n) for n = min w0, ..., max w0: the cubes counted by weight and dimension."""
+    R, bottom = 1 << grid.r, grid.min_w0
+    wt, tops = _cube_weights(grid)
+    chis = [0] * (max(grid.w0) - bottom + 1)
+    for mask in range(R):
+        sign = -1 if mask.bit_count() & 1 else 1
+        for w, top in zip(wt[mask::R], tops):
+            if not mask & top:
+                chis[w - bottom] += sign
+    for k in range(1, len(chis)):
+        chis[k] += chis[k - 1]
+    return chis
+
+
 class _Filtration:
     """Every cube of a collared box, as integer ids sorted for persistence.
 
     A cube is ``p << r | mask``: p is the lexicographic index of its base
     point and bit a of mask says it spans axis a.  Its two faces along axis a
     sit at the offsets ``-(1 << a)`` (lower) and ``-(1 << a) + (stride_a << r)``
-    (upper), so boundaries need no lookups.  A cube weighs the max of its
-    vertex weights, computed in one pass over the masks in increasing order as
-    the max over its two faces along its last axis.  ``ids`` lists the cubes
-    sorted by (weight, dim, base, axes), so the level-n sublevel complex is
-    the prefix of the cubes of weight <= n.
+    (upper), so boundaries need no lookups.  ``ids`` lists the cubes sorted by
+    (weight, dim, base, axes), so the level-n sublevel complex is the prefix
+    of the cubes of weight <= n.
     """
 
     def __init__(self, grid: WeightGrid) -> None:
         r, strides = grid.r, grid.strides
         npts, R = len(grid.w0), 1 << r
-        wt = [0] * (npts << r)
-        wt[::R] = grid.w0
-        for mask in range(1, R):
-            a = mask.bit_length() - 1
-            lower = mask ^ (1 << a)
-            # ids of cells that leave the box get junk here; none is listed below
-            wt[mask : (npts - strides[a]) << r : R] = map(
-                max, wt[lower::R], wt[lower + (strides[a] << r) :: R]
-            )
+        wt, tops = _cube_weights(grid)
         self.axes = [tuple(a for a in range(r) if m >> a & 1) for m in range(R)]
         by_dim = [
             sorted((m for m in range(R) if m.bit_count() == q), key=self.axes.__getitem__)
             for q in range(r + 1)
         ]
-        tops = _top_axes(grid)
         ids = [
             p << r | m for masks in by_dim for p in range(npts) for m in masks if not m & tops[p]
         ]
         ids.sort(key=wt.__getitem__)  # stable: (dim, base, axes) within a weight
-        self.r, self.mask = r, R - 1
+        self.mask = R - 1
         self.ids = ids
         self.weights = [wt[c] for c in ids]
         self.dims = [len(self.axes[c & (R - 1)]) for c in ids]
@@ -101,15 +119,6 @@ class _Filtration:
         c, pos = self.ids[j], self.pos
         return {pos[c + off]: s for off, s in self.face_offsets[c & self.mask]}
 
-    __getitem__ = boundary  # with __iter__, the position -> column map persistence reads
-
-    def __iter__(self):
-        return iter(range(len(self.ids)))
-
-    def end(self, n: int) -> int:
-        """Number of cubes of weight <= n: the level-n prefix."""
-        return bisect_right(self.weights, n)
-
 
 def sublevel_complex(
     W: WeightGrid, n: int
@@ -121,7 +130,7 @@ def sublevel_complex(
     grid = weight_grid_extend(W)
     filt = _Filtration(grid)
     cubes: dict[int, list] = {}
-    for c in filt.ids[: filt.end(n)]:
+    for c in filt.ids[: bisect_right(filt.weights, n)]:
         axes = filt.axes[c & filt.mask]
         cubes.setdefault(len(axes), []).append((box_point(c >> grid.r, grid.strides), axes))
     return {q: sorted(qs) for q, qs in sorted(cubes.items())}
@@ -229,7 +238,7 @@ def cohomology(W: WeightGrid, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     form.
     """
     filt = _Filtration(weight_grid_extend(W))
-    end = filt.end(n)
+    end = bisect_right(filt.weights, n)  # the level-n prefix
     cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(end)], [0] * end)
     return _cohomology_of(cells, filt.dims, max(filt.dims[:end], default=-1))
 
@@ -293,7 +302,7 @@ def _reduce_equal_weight_pairs(
 
 
 # ---------------------------------------------------------------------------
-# graded root of the grid (degree-zero route)
+# barcodes of the weight filtration: merge trees and persistence
 # ---------------------------------------------------------------------------
 
 
@@ -317,16 +326,39 @@ def root_from_grid(W: WeightGrid) -> GradedRoot:
     return _merge_tree(grid.w0, neighbors, max(1, max(grid.w0)))
 
 
-# ---------------------------------------------------------------------------
-# persistence of the weight filtration
-# ---------------------------------------------------------------------------
+def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
+    """Degree-1 towers of a two-branch grid: the merge tree of the holes.
+
+    K_n joins points only along the axes, so the bounded components of
+    R^2 - K_n are the 8-connected components of the points of weight > n that
+    hold no point on the box's edge (Garin et al., SoCG 2020).  They are the
+    components of ``_merge_tree`` on the negated weights, over the 8-connected
+    grid plus one outside vertex below every point and joined to every edge
+    point; its tower (m', t') is a hole at the levels -t' - 1 to -m' - 1.
+    """
+    w0, s = grid.w0, grid.strides[0]
+    out = len(w0)
+    neighbors: list[list[int]] = [[] for _ in range(out + 1)]
+    for p, top in enumerate(_top_axes(grid)):
+        low = p % s == 0  # at the bottom of axis 1, as p < s is of axis 0
+        ends = [] if top & 2 else [p + 1]
+        if not top & 1:  # p + s along axis 0, and its diagonal neighbours
+            ends += [p + s + d for d in (-1, 0, 1) if not (d < 0 and low or d > 0 and top & 2)]
+        if top or low or p < s:
+            ends.append(out)
+        for q in ends:
+            neighbors[p].append(q)
+            neighbors[q].append(p)
+    dual = [-w for w in w0] + [-max(w0) - 1]
+    towers = module_from_root(_merge_tree(dual, neighbors, -grid.min_w0)).towers
+    return tuple(sorted((-t - 1, -m - 1) for m, t in towers))
 
 
 def _persistence_pairs(columns, dims: list[int]):
     """Persistence pairing over the rationals, on sparse integer columns.
 
     ``columns`` maps each cell's position to its boundary (face position ->
-    incidence) in filtration order, as ``_Filtration`` and the survivors of
+    incidence) in filtration order, as the survivors of
     ``_reduce_equal_weight_pairs`` do; ``dims[position]`` is a cell's degree.
     Columns are reduced in place, top dimension first, each degree in order;
     a column whose cell is already the pivot of a higher column would reduce
@@ -363,10 +395,8 @@ def _persistence_pairs(columns, dims: list[int]):
                         col[i] = nv
                     else:
                         col.pop(i, None)
-    paired = [False] * len(dims)
-    for i, j in pairs:
-        paired[i] = paired[j] = True
-    return pairs, [j for j in columns if not paired[j]]
+    paired = {i for pair in pairs for i in pair}
+    return pairs, [j for j in columns if j not in paired]
 
 
 # ---------------------------------------------------------------------------
@@ -402,106 +432,75 @@ class LatticeCohomology:
         return 0
 
 
-def _check_level_euler(filt: _Filtration, per_q: list[QCohomology], bottom: int, top: int) -> None:
-    """Euler characteristic of every level from its cube counts and its ranks.
+def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
+    """Cohomology of every sublevel complex, graded by level, per degree.
 
-    At each level n the alternating count of the cubes of weight <= n (a
-    prefix of the sorted filtration) must equal the alternating sum of the
-    ranks; the counts share nothing with the reduction that gave the ranks.
+    Degree zero is the graded root's module.  At every level n from min w0 to
+    max w0, the everlasting class and the towers alive at n must count, with
+    alternating signs, to chi(K_n) from the cubes.  With one or two branches
+    K_n is a proper compact subset of the plane, so Alexander duality gives
+    H~^2(K_n) = H~_{-1}(S^2 - K_n) = 0 (Hatcher, Algebraic Topology, 3.44),
+    and H^2 = Hom(H_2, Z) + Ext(H_1, Z) = 0 makes H_1, so H^1 and H^0, free:
+    there is no torsion, and b_1(n) = b_0(n) - chi(K_n).  Only where that is
+    not zero at some level does ``_hole_towers`` read the degree-1 towers off
+    the holes of K_n, by digital 4/8 duality (Garin, Heiss, Maggs, Bleile and
+    Robins, "Duality in persistent homology of images", SoCG 2020,
+    arXiv:2005.04597); no cube is sorted and no persistence runs.  With three
+    or more branches persistence of the cells the filtration's equal-weight
+    unit pairs leave gives every tower; its degree zero must be the graded
+    root's, with one everlasting class born at min w0, and Smith normal form
+    of those cells checks every level (``snf_levels``) for torsion.
     """
-    chi, done = 0, 0
-    for n in range(bottom, top + 1):
-        end = filt.end(n)
-        chi += sum(-1 if q & 1 else 1 for q in filt.dims[done:end])
-        done = end
-        from_ranks = sum(-qc.ranks[n] if qc.q & 1 else qc.ranks[n] for qc in per_q)
+    grid = weight_grid_extend(W)
+    bottom = grid.min_w0
+    root = root_from_grid(grid)
+    module = module_from_root(root)
+    chis = _level_euler(grid)
+    towers = {0: module.towers}
+    if grid.r == 2 and any(module.rank(n) != chi for n, chi in enumerate(chis, bottom)):
+        towers[1] = _hole_towers(grid)
+    elif grid.r >= 3:
+        filt = _Filtration(grid)
+        weights, dims = filt.weights, filt.dims
+        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
+        # copies: Smith normal form reads cells
+        pairs, infinite = _persistence_pairs({j: dict(faces) for j, faces in cells}, dims)
+        if len(infinite) != 1 or dims[infinite[0]]:
+            raise ValidationError(
+                "cohomology routes disagree: box complex must have exactly one"
+                " everlasting class, in degree zero"
+            )
+        if weights[infinite[0]] != bottom:
+            raise ValidationError(
+                "cohomology routes disagree: everlasting class born at %d, min weight %d"
+                % (weights[infinite[0]], bottom)
+            )
+        bars = sorted(
+            (dims[i], weights[i], weights[j] - 1) for i, j in pairs if weights[j] > weights[i]
+        )
+        towers = {q: tuple((m, t) for d, m, t in bars if d == q) for q in range(grid.r)}
+        if towers[0] != module.towers:
+            raise ValidationError("cohomology routes disagree: filtration pairing vs graded root")
+    for n, chi in enumerate(chis, bottom):
+        from_ranks = 1 + sum((-1) ** q * (m <= n <= t) for q, tq in towers.items() for m, t in tq)
         if chi != from_ranks:
             raise ValidationError(
                 "cohomology routes disagree: Euler characteristic at level %d is"
                 " %d from the cubes, %d from the ranks" % (n, chi, from_ranks)
             )
 
-
-def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
-    """Cohomology of every sublevel complex, graded by level, per degree.
-
-    One persistence reduction yields all ranks and all connecting-map ranks
-    at once.  With one or two branches it reads the weight filtration itself
-    and checks that the faces of each column it reads sort before its cube.
-    With three or more branches the filtration's equal-weight unit pairs are
-    reduced once, checking every face's order, and both persistence and
-    integral Smith normal form, which checks every level (``snf_levels``) and
-    reports any torsion, read the cells left.  Degree zero is recomputed
-    through the graded root, and every level's Euler characteristic from its
-    raw cube counts; the routes must agree.
-
-    With one or two branches there is no torsion to find.  A sublevel
-    complex K is then a finite cubical complex in the plane, so a proper
-    compact subset of S^2, and Alexander duality gives H~^2(K) =
-    H~_{-1}(S^2 - K) = 0 (Hatcher, Algebraic Topology, 3.44).  By universal
-    coefficients H^2(K) = Hom(H_2 K, Z) + Ext(H_1 K, Z), so H_1(K) is free,
-    and then so are H^1(K) and H^0(K).  Their ranks are the rational ones,
-    fixed by the checks above: degree 0 by the graded root, degree 2 by
-    persistence (a degree-2 class never dies, and an everlasting class
-    outside degree zero raises), and degree 1 by the Euler characteristic.
-    """
-    grid = weight_grid_extend(W)
-    filt = _Filtration(grid)
-    weights, dims = filt.weights, filt.dims
-    columns = filt
-    if grid.r >= 3:
-        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
-        columns = {j: dict(faces) for j, faces in cells}  # copies: Smith normal form reads cells
-    pairs, infinite = _persistence_pairs(columns, dims)
-    bottom = grid.min_w0
-    top_report = 1
-    towers: dict[int, list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        birth, death = weights[i], weights[j]
-        if death > birth:
-            towers.setdefault(dims[i], []).append((birth, death - 1))
-    inf_by_q: dict[int, list[int]] = {}
-    for j in infinite:
-        inf_by_q.setdefault(dims[j], []).append(weights[j])
-    if sorted(inf_by_q.keys()) != [0] or len(inf_by_q[0]) != 1:
-        raise ValidationError(
-            "cohomology routes disagree: box complex must have exactly one"
-            " everlasting class, in degree zero"
-        )
-    if inf_by_q[0][0] != bottom:
-        raise ValidationError(
-            "cohomology routes disagree: everlasting class born at %d, min weight %d"
-            % (inf_by_q[0][0], bottom)
-        )
-
-    root = root_from_grid(grid)
-    module = module_from_root(root)
-    q0 = sorted(towers.get(0, []))
-    if module.base != bottom or tuple(q0) != module.towers:
-        raise ValidationError(
-            "cohomology routes disagree: filtration pairing vs graded root"
-        )
-
     per_q: list[QCohomology] = []
+    levels = range(bottom, 2)  # ranks are reported up to level 1
     for q in range(grid.r):
-        tq = tuple(sorted(towers.get(q, [])))
-        ranks: dict[int, int] = {}
-        u_ranks: dict[int, int] = {}
-        for n in range(bottom, top_report + 1):
-            alive = sum(1 for m, t in tq if m <= n <= t)
-            holding = sum(1 for m, t in tq if m <= n and t >= n + 1)
-            if q == 0:
-                alive += 1
-                holding += 1
-            ranks[n] = alive
-            u_ranks[n] = holding
+        tq, everlasting = towers.get(q, ()), int(q == 0)
+        ranks = {n: everlasting + sum(1 for m, t in tq if m <= n <= t) for n in levels}
+        u_ranks = {n: everlasting + sum(1 for m, t in tq if m <= n < t) for n in levels}
         per_q.append(QCohomology(q, tq, ranks, u_ranks))
-    _check_level_euler(filt, per_q, bottom, top_report)
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
     if grid.r >= 3:
-        snf_levels = tuple(range(bottom, top_report + 1))
+        snf_levels = tuple(levels)
         for n in snf_levels:
             level = [cell for cell in cells if weights[cell[0]] <= n]
             hq = _cohomology_of(level, dims, grid.r)

@@ -516,3 +516,20 @@ def naive_betti(cubes_by_dim, max_q):
         n_q = len(cubes_by_dim.get(q, []))
         betti[q] = n_q - ranks.get(q, 0) - ranks.get(q - 1, 0)
     return betti
+
+
+# ---------------------------------------------------------------------------
+# Plane curve topology: closed formulas
+
+def hironaka_delta(first, second):
+    """delta of the plane curve of two monomial branches (t^x, t^y), gcd(x, y) = 1.
+
+    Hironaka's formula delta = delta_1 + delta_2 + (C_1 . C_2).  The branch
+    (t^x, t^y) has the semigroup <x, y>, so delta_i = (x_i - 1)(y_i - 1) / 2,
+    and C_1 . C_2 is the order in u of y^x_1 - x^y_1 at (u^x_2, u^y_2),
+    min(x_1 y_2, x_2 y_1) when the two differ (else the branches coincide).
+    """
+    (x1, y1), (x2, y2) = first, second
+    if gcd(x1, y1) != 1 or gcd(x2, y2) != 1 or x1 * y2 == x2 * y1:
+        raise ValueError("need two distinct primitive branches")
+    return (x1 - 1) * (y1 - 1) // 2 + (x2 - 1) * (y2 - 1) // 2 + min(x1 * y2, x2 * y1)

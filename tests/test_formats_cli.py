@@ -1,15 +1,19 @@
 """Serialization round trips, renderings, and command-line behavior."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import OrderedDict
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latcoh import (
@@ -41,6 +45,7 @@ from fixtures import (
     pair_family,
     random_space_curves,
 )
+from oracles import hironaka_delta
 
 DATA = Path(__file__).parent / "data"
 
@@ -620,6 +625,7 @@ def test_cli_curve_full_run(tmp_path, capsys):
 SIX_COORD_IN = DATA / "curve_six_coord_in.json"  # fixtures.CURVE_SIX_COORD
 THREE_BRANCH = random_space_curves(ORACLE_SEED, 20)[19]
 THREE_BRANCH_IN = DATA / "curve_three_branch_in.json"  # THREE_BRANCH
+TWO_BRANCH_H1_IN = DATA / "curve_two_branch_h1_in.json"
 
 
 def test_three_branch_input_file_holds_the_fixture_terms():
@@ -641,7 +647,7 @@ def _curve_file(source, tmp_path):
 @pytest.mark.parametrize(
     "source,extra,expected",
     [
-        # 36 box points, 100 cubes: under the SNF limit, so every level is checked
+        # two branches, 36 box points, 100 cubes and no degree-1 tower
         (SIX_COORD_IN, [], "curve_six_coord.json"),
         (SIX_COORD_IN, ["--bound", "16"], "curve_six_coord.json"),
         (SIX_COORD_IN, ["--conductor", "4,4"], "curve_six_coord.json"),
@@ -649,10 +655,13 @@ def _curve_file(source, tmp_path):
         (THREE_BRANCH, [], "curve_three_branch.json"),
         (THREE_BRANCH, ["--bound", "40"], "curve_three_branch.json"),
         (THREE_BRANCH, ["--conductor", "8,12,6"], "curve_three_branch.json"),
+        # two branches with degree-1 towers, read off the dual sweep
+        (TWO_BRANCH_H1_IN, [], "curve_two_branch_h1.json"),
     ],
     ids=[
         "two-branch", "two-branch-bound", "two-branch-conductor",
         "three-branch", "three-branch-bound", "three-branch-conductor",
+        "two-branch-h1",
     ],
 )
 def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):
@@ -660,6 +669,28 @@ def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):
     code, stdout, _ = run_cli(["curve", "--in", str(c)] + extra, capsys)
     assert code == 0
     assert stdout == (DATA / expected).read_text()
+
+
+_PRIMITIVE = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda xy: gcd(*xy) == 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_PRIMITIVE, _PRIMITIVE, st.booleans())
+def test_cli_curve_delta_matches_hironakas_formula(first, second, swap):
+    # two monomial plane branches, the second one tangent to the other axis
+    # when swapped: delta and the graded Euler characteristic of the report
+    # both equal a closed formula that shares nothing with the library
+    second = second[::-1] if swap else second
+    assume(first[0] * second[1] != first[1] * second[0])
+    coords = [[[{"c": 1, "e": x}], [{"c": 1, "e": y}]] for x, y in (first, second)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        path.write_text(json.dumps({"branches": [{"coords": cs} for cs in coords]}))
+        with contextlib.redirect_stdout(out):
+            assert main(["curve", "--in", str(path)]) == 0
+    report = json.loads(out.getvalue())
+    assert report["delta"] == report["euler"]["euler"] == hironaka_delta(first, second)
 
 
 @pytest.mark.parametrize(

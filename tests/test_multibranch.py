@@ -65,6 +65,7 @@ from oracles import (
 
 THREE_BRANCH_IN = Path(__file__).parent / "data" / "curve_three_branch_in.json"
 SIX_COORD_IN = Path(__file__).parent / "data" / "curve_six_coord_in.json"
+TWO_BRANCH_H1_IN = Path(__file__).parent / "data" / "curve_two_branch_h1_in.json"
 
 NODE = [
     [[(1, 1)], []],  # branch 1: (t, 0)
@@ -692,19 +693,43 @@ def test_cohomology_rank_bookkeeping():
     assert q0.u_ranks[0] == 1
 
 
-def test_persistence_towers_match_the_plain_reduction_oracle():
-    parametrizations = [P for n in (2, 3) for P in pair_family(n)]
+def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
+    # with two branches no cube is sorted and nothing runs persistence; the
+    # Euler guard runs the dual sweep on the grids with a degree-1 tower, and
+    # on the others the sweep, called directly, finds none
+    def unused(*args):
+        raise AssertionError("the planar route reads no filtration")
+
+    real_holes, swept = complexes._hole_towers, []
+
+    def counted(grid):
+        swept.append(grid)
+        return real_holes(grid)
+
+    monkeypatch.setattr(complexes, "_hole_towers", counted)
+    parametrizations = [P for n in range(2, 7) for P in pair_family(n)]
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
+    kinds = set()
     for P in parametrizations:
         W = weight_grid_extend(hilbert_from_parametrization(P))
         towers, unpaired = naive_persistence_towers(by_point(W, W.w0))
-        H = lattice_cohomology(W)
+        swept.clear()
+        with monkeypatch.context() as m:
+            if W.r == 2:
+                m.setattr(complexes, "_Filtration", unused)
+                m.setattr(complexes, "_persistence_pairs", unused)
+            H = lattice_cohomology(W)
         assert unpaired == [(0, W.min_w0)], W.conductor
         assert max(towers, default=0) < W.r
         for qc in H.per_q:
             assert qc.towers == towers.get(qc.q, ()), (W.conductor, qc.q)
+        if W.r == 2:
+            assert bool(swept) == (1 in towers), W.conductor
+            assert swept or real_holes(W) == (), W.conductor
+            kinds.add(bool(swept))
+    assert kinds == {False, True}
 
 
 def test_snf_levels_are_recorded():
@@ -776,9 +801,8 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
             seq[i], seq[j] = seq[j], seq[i]
         filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
 
-    # two branches: persistence, the only reduction, trips on the edge's low
-    # entry; three branches: the pair reduction, the only reader of the
-    # filtration's boundaries
+    # persistence trips on the edge's low entry; with three branches the pair
+    # reduction, the only reader of the filtration's boundaries, trips first
     for P in (curve(CURVE_SIX_COORD), formats.read_curve_file(str(THREE_BRANCH_IN))):
         W = hilbert_from_parametrization(P)
         lattice_cohomology(W)
@@ -786,10 +810,12 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
             m.setattr(complexes._Filtration, "__init__", misordered)
             if P.r == 2:
                 filt = complexes._Filtration(weight_grid_extend(W))
+                columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
-                    complexes._persistence_pairs(filt, filt.dims)
-            with pytest.raises(ValidationError, match="a face sorts after its cube"):
-                lattice_cohomology(W)
+                    complexes._persistence_pairs(columns, filt.dims)
+            else:
+                with pytest.raises(ValidationError, match="a face sorts after its cube"):
+                    lattice_cohomology(W)
 
 
 def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class():
@@ -802,7 +828,8 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
     for P in parametrizations:
         grid = weight_grid_extend(hilbert_from_parametrization(P))
         filt = complexes._Filtration(grid)
-        pairs, _ = complexes._persistence_pairs(filt, filt.dims)
+        columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
+        pairs, _ = complexes._persistence_pairs(columns, filt.dims)
         bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
         boundary = [filt.boundary(j) for j in range(len(filt.ids))]
         cells = complexes._reduce_equal_weight_pairs(boundary, filt.weights)
@@ -871,8 +898,9 @@ def test_pair_reduced_cells_have_the_bars_of_the_whole_filtration():
             )
             return bars, [(dims[j], weights[j]) for j in infinite]
 
-        cells = complexes._reduce_equal_weight_pairs([filt.boundary(j) for j in filt], weights)
-        assert barcode(dict(cells)) == barcode(filt), (P.r, len(dims))
+        whole = {j: filt.boundary(j) for j in range(len(dims))}
+        cells = complexes._reduce_equal_weight_pairs([filt.boundary(j) for j in whole], weights)
+        assert barcode(dict(cells)) == barcode(whole), (P.r, len(dims))
 
 
 def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
@@ -900,23 +928,27 @@ def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
-    real = complexes._persistence_pairs
+    real_module, real_holes = complexes.module_from_root, complexes._hole_towers
 
-    def forged(filt, dims):
-        # one degree-1 pair that dies at once now lives until the last cube
-        pairs, infinite = real(filt, dims)
-        k = next(
-            k for k, (i, j) in enumerate(pairs)
-            if filt.dims[i] == 1 and filt.weights[i] == filt.weights[j] <= 1
-        )
-        pairs[k] = (pairs[k][0], len(filt.ids) - 1)
-        return pairs, infinite
+    def dropped(root):
+        # the graded root loses one degree-0 tower
+        module = real_module(root)
+        return TowerModule(module.base, module.towers[1:])
+
+    def lengthened(grid):
+        # one hole now lives one level longer
+        (m, t), *rest = real_holes(grid)
+        return ((m, t + 1), *rest)
 
     W = hilbert_from_parametrization(pair_family(4)[0])
     assert lattice_cohomology(W).per_q[1].towers == ()
-    monkeypatch.setattr(complexes, "_persistence_pairs", forged)
-    with pytest.raises(ValidationError, match="Euler characteristic at level"):
-        lattice_cohomology(W)
+    W1 = hilbert_from_parametrization(formats.read_curve_file(str(TWO_BRANCH_H1_IN)))
+    assert lattice_cohomology(W1).per_q[1].towers
+    for grid, name, forged in ((W, "module_from_root", dropped), (W1, "_hole_towers", lengthened)):
+        with monkeypatch.context() as m:
+            m.setattr(complexes, name, forged)
+            with pytest.raises(ValidationError, match="Euler characteristic at level"):
+                lattice_cohomology(grid)
 
 
 class _StubFiltration:
