@@ -12,16 +12,17 @@ import threading
 
 # A sweep splits across worker processes once every worker gets at least this
 # many items.  Serial against a 2-worker fork pool, min of 7 (shared 2-core
-# VM, Python 3.11).  roundtrip, about 330 us an item: 43 semigroups (c <= 30)
-# 3.9 vs 18.6 ms, 294 (c <= 80) 42 vs 59 ms, 380 (c <= 90) 58 vs 48 ms, 483
-# (c <= 100) 82 vs 61 ms, 2778 (c <= 200) 845 vs 485 ms: break-even near 170
-# per worker.  conjecture-sweep, about 100 us an item and one int back, min of
-# 7 or 15 over three runs: 294 (c <= 80) 12 vs 28-29 ms, 380 (c <= 90) 18-25
-# vs 23-34 ms, 483 23-37 vs 25-40 ms, 615 (c <= 110) 33-44 vs 30-43 ms, 757
-# (c <= 120) 48-63 vs 44-49 ms, 2778 286 vs 211 ms: break-even between 483
-# and 615, 240-310 per worker.  One threshold serves both: at 200 a
-# conjecture sweep of 400-599 semigroups pools at a loss of a few ms, where
-# 250 would keep roundtrips of 340-499 serial at a loss of 10-20 ms.
+# VM, Python 3.11).  roundtrip, about 200 us an item, min of 7 over two runs:
+# 43 semigroups (c <= 30) 3.6-4.0 vs 15-19 ms, 294 (c <= 80) 30-33 vs 31-43 ms,
+# 380 (c <= 90) 43-47 vs 36-46 ms, 483 (c <= 100) 61-65 vs 52-60 ms, 615
+# (c <= 110) 83 vs 66-72 ms, 2778 (c <= 200) 543-544 vs 343-360 ms: break-even
+# near 150-240 per worker.  conjecture-sweep, about 100 us an item and one
+# int back, min of 7 or 15 over three runs: 294 (c <= 80) 12 vs 28-29 ms, 380
+# (c <= 90) 18-25 vs 23-34 ms, 483 23-37 vs 25-40 ms, 615 (c <= 110) 33-44 vs
+# 30-43 ms, 757 (c <= 120) 48-63 vs 44-49 ms, 2778 286 vs 211 ms: break-even
+# between 483 and 615, 240-310 per worker.  One threshold serves both: at 200
+# a conjecture sweep of 400-599 semigroups pools at a loss of a few ms, where
+# 250 would keep roundtrips of 400-499 serial at a loss of up to 13 ms.
 MIN_PER_WORKER = 200
 
 

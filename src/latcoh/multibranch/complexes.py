@@ -56,10 +56,9 @@ def _cube_weights(grid: WeightGrid) -> tuple[list[int], list[int]]:
     return wt, _top_axes(grid)
 
 
-def _level_euler(grid: WeightGrid) -> list[int]:
-    """chi(K_n) for n = min w0, ..., max w0: the cubes counted by weight and dimension."""
+def _level_euler(grid: WeightGrid, wt: list[int], tops: list[int]) -> list[int]:
+    """chi(K_n), n = min w0 .. max w0: the cubes of ``_cube_weights(grid)`` by weight and dim."""
     R, bottom = 1 << grid.r, grid.min_w0
-    wt, tops = _cube_weights(grid)
     chis = [0] * (max(grid.w0) - bottom + 1)
     for mask in range(R):
         sign = -1 if mask.bit_count() & 1 else 1
@@ -79,13 +78,12 @@ class _Filtration:
     sit at the offsets ``-(1 << a)`` (lower) and ``-(1 << a) + (stride_a << r)``
     (upper), so boundaries need no lookups.  ``ids`` lists the cubes sorted by
     (weight, dim, base, axes), so the level-n sublevel complex is the prefix
-    of the cubes of weight <= n.
+    of the cubes of weight <= n.  ``wt`` and ``tops`` are ``_cube_weights(grid)``.
     """
 
-    def __init__(self, grid: WeightGrid) -> None:
+    def __init__(self, grid: WeightGrid, wt: list[int], tops: list[int]) -> None:
         r, strides = grid.r, grid.strides
         npts, R = len(grid.w0), 1 << r
-        wt, tops = _cube_weights(grid)
         self.axes = [tuple(a for a in range(r) if m >> a & 1) for m in range(R)]
         by_dim = [
             sorted((m for m in range(R) if m.bit_count() == q), key=self.axes.__getitem__)
@@ -128,7 +126,7 @@ def sublevel_complex(
     Each cube is a (base point, axes) pair; each degree's list is sorted.
     """
     grid = weight_grid_extend(W)
-    filt = _Filtration(grid)
+    filt = _Filtration(grid, *_cube_weights(grid))
     cubes: dict[int, list] = {}
     for c in filt.ids[: bisect_right(filt.weights, n)]:
         axes = filt.axes[c & filt.mask]
@@ -237,7 +235,8 @@ def cohomology(W: WeightGrid, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     ``_reduce_equal_weight_pairs``, and the cells left go to Smith normal
     form.
     """
-    filt = _Filtration(weight_grid_extend(W))
+    grid = weight_grid_extend(W)
+    filt = _Filtration(grid, *_cube_weights(grid))
     end = bisect_right(filt.weights, n)  # the level-n prefix
     cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(end)], [0] * end)
     return _cohomology_of(cells, filt.dims, max(filt.dims[:end], default=-1))
@@ -455,12 +454,13 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     bottom = grid.min_w0
     root = root_from_grid(grid)
     module = module_from_root(root)
-    chis = _level_euler(grid)
+    wt, tops = _cube_weights(grid)  # one mask pass, for chi and the filtration
+    chis = _level_euler(grid, wt, tops)
     towers = {0: module.towers}
     if grid.r == 2 and any(module.rank(n) != chi for n, chi in enumerate(chis, bottom)):
         towers[1] = _hole_towers(grid)
     elif grid.r >= 3:
-        filt = _Filtration(grid)
+        filt = _Filtration(grid, wt, tops)
         weights, dims = filt.weights, filt.dims
         cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
         # copies: Smith normal form reads cells

@@ -8,7 +8,12 @@ The module alone determines the semigroup.  The pipeline is:
 3. take the additively irreducible initial elements as generators; when
    their gcd is not 1 there is exactly one missing top generator, pinned by
    the delta invariant and the partial conductor of the known prefix,
-4. rebuild the semigroup and verify it reproduces the input module exactly.
+4. rebuild the semigroup, check that it is a plane branch with the module's
+   delta and multiplicity (``_candidate``), and verify that it reproduces the
+   input module exactly (``_check_round_trip``, the closing rebuild).
+   ``reconstruct_semigroup`` and ``latcoh reconstruct`` run both; ``latcoh
+   roundtrip`` starts from a semigroup S and its module, so it only compares
+   the candidate with S, which implies the module check.
 
 Every consistency failure raises ValidationError: these inputs are
 syntactically fine modules that do not come from any plane branch.
@@ -22,6 +27,7 @@ from .errors import InputError, ValidationError
 from .graded import TowerModule, module_from_weight, rank_profile
 from .semigroup import (
     _MAX_CONDUCTOR,
+    GcdChain,
     NumericalSemigroup,
     _apery,
     from_generators as _from_generators,
@@ -147,11 +153,17 @@ def reconstruct_semigroup(M: TowerModule) -> NumericalSemigroup:
 
     Raises ValidationError when no plane branch produces M.
     """
-    return _reconstruct(M)[0]
+    S = _candidate(M)[0]
+    _check_round_trip(S, M)
+    return S
 
 
-def _reconstruct(M: TowerModule) -> tuple[NumericalSemigroup, InitialPart]:
-    """The semigroup of :func:`reconstruct_semigroup` and the initial part it was read from."""
+def _candidate(M: TowerModule) -> tuple[NumericalSemigroup, InitialPart, GcdChain]:
+    """The plane-branch semigroup read off M, the initial part and the gcd chain.
+
+    Steps 1-3 and the plane-branch, delta and multiplicity checks of step 4;
+    whether the candidate's own module is M is left to ``_check_round_trip``.
+    """
     ip = initial_part(M)
     delta = ip.delta
     m = multiplicity_from_module(M)
@@ -181,14 +193,17 @@ def _reconstruct(M: TowerModule) -> tuple[NumericalSemigroup, InitialPart]:
         S = _from_generators(gens)
     except InputError as exc:
         raise ValidationError("validation failed: %s" % exc) from exc
-    ok, _chain = _is_plane_branch(S)
+    ok, chain = _is_plane_branch(S)
     if not ok:
         raise ValidationError("validation failed: reconstruction is not a plane branch")
     if S.delta != delta:
         raise ValidationError("validation failed: delta mismatch")
     if S.multiplicity != m:
         raise ValidationError("validation failed: multiplicity mismatch")
-    back = module_from_weight(weight_sequence(S))
-    if back != M:
+    return S, ip, chain
+
+
+def _check_round_trip(S: NumericalSemigroup, M: TowerModule) -> None:
+    """Raise ValidationError unless the module of S is M (the closing rebuild)."""
+    if module_from_weight(weight_sequence(S)) != M:
         raise ValidationError("validation failed: module mismatch after round trip")
-    return S, ip

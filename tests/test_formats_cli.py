@@ -583,6 +583,34 @@ def test_cli_reconstruct_module_below_the_conductor_ceiling_is_malformed_input(t
     assert stderr.count("\n") == 1
 
 
+def test_cli_roundtrip_builds_each_module_once(monkeypatch, capsys):
+    # the candidate equal to S implies the closing rebuild, so only S's own
+    # module is built: 160 semigroups, serial below the pool's threshold
+    real = latcoh.reconstruct.module_from_weight
+    calls = []
+
+    def counting(W):
+        calls.append(W.source.min_gens)
+        return real(W)
+
+    for module in (latcoh.reconstruct, latcoh.cli):
+        monkeypatch.setattr(module, "module_from_weight", counting)
+    code, stdout, _ = run_cli(["roundtrip", "--max-conductor", "60"], capsys)
+    assert (code, stdout) == (0, "tested 160 passed 160\n")
+    assert calls == list(latcoh.semigroup.plane_branch_chains(60))
+
+
+def test_reconstruct_keeps_the_closing_module_check(monkeypatch, capsys):
+    M = formats.read_module_file(str(DATA / "module_6_10_31.json"))
+    assert latcoh.reconstruct.reconstruct_semigroup(M) == from_generators([6, 10, 31])
+    monkeypatch.setattr(latcoh.reconstruct, "module_from_weight", lambda W: TowerModule(0, ()))
+    with pytest.raises(ValidationError, match="module mismatch after round trip"):
+        latcoh.reconstruct.reconstruct_semigroup(M)
+    code, stdout, stderr = run_cli(["reconstruct", "--module", str(DATA / "module_6_10_31.json")], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "violation: validation failed: module mismatch after round trip\n"
+
+
 def test_cli_reconstruct_rejects_alien_module(tmp_path, capsys):
     m = tmp_path / "bad.json"
     m.write_text(json.dumps({"base_weight": -1, "towers_weight": [[0, 0]]}))
@@ -1106,15 +1134,15 @@ def test_cli_roundtrip_with_another_thread_alive_stays_serial(capsys, monkeypatc
 def test_cli_roundtrip_failures_in_order_on_both_routes(tmp_path, capsys, monkeypatch):
     chains = latcoh.semigroup.plane_branch_chains(120)
     chosen = {chains[100], chains[600]}
-    real = latcoh.cli.reconstruct_semigroup
+    real = latcoh.cli._candidate
 
     def forged(M):
-        S = real(M)
-        if S.min_gens in chosen:
+        found = real(M)
+        if found[0].min_gens in chosen:
             raise ValidationError("forged")
-        return S
+        return found
 
-    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)  # workers fork with it
+    monkeypatch.setattr(latcoh.cli, "_candidate", forged)  # workers fork with it
     pooled, serial = _both_routes(ROUNDTRIP_120, tmp_path, capsys, monkeypatch)
     assert pooled == serial
     lines = ["failed: %s\n" % ",".join(map(str, chains[k])) for k in (100, 600)]
@@ -1124,15 +1152,15 @@ def test_cli_roundtrip_failures_in_order_on_both_routes(tmp_path, capsys, monkey
 
 def test_cli_roundtrip_worker_error_keeps_its_type(tmp_path, capsys, monkeypatch):
     chosen = latcoh.semigroup.plane_branch_chains(120)[700]
-    real = latcoh.cli.reconstruct_semigroup
+    real = latcoh.cli._candidate
 
     def forged(M):
-        S = real(M)
-        if S.min_gens == chosen:
+        found = real(M)
+        if found[0].min_gens == chosen:
             raise InputError("forged")
-        return S
+        return found
 
-    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)
+    monkeypatch.setattr(latcoh.cli, "_candidate", forged)
     pooled, serial = _both_routes(ROUNDTRIP_120, tmp_path, capsys, monkeypatch)
     assert pooled == serial == (2, "", "error: forged\n", None)
 
@@ -1143,15 +1171,15 @@ def test_cli_roundtrip_dead_worker_breaks_the_pool(capsys, monkeypatch):
 
     chosen = latcoh.semigroup.plane_branch_chains(120)[700]
     parent = os.getpid()
-    real = latcoh.cli.reconstruct_semigroup
+    real = latcoh.cli._candidate
 
     def forged(M):
-        S = real(M)
-        if S.min_gens == chosen and os.getpid() != parent:
+        found = real(M)
+        if found[0].min_gens == chosen and os.getpid() != parent:
             os._exit(3)
-        return S
+        return found
 
-    monkeypatch.setattr(latcoh.cli, "reconstruct_semigroup", forged)
+    monkeypatch.setattr(latcoh.cli, "_candidate", forged)
     start = time.monotonic()
     with pytest.raises(BrokenProcessPool):
         main(ROUNDTRIP_120)

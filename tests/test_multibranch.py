@@ -610,6 +610,10 @@ def test_series_matches_the_corner_sum_oracle():
 # ---------------------------------------------------------------------------
 # sublevel complexes and cohomology
 
+def _filtration(grid):
+    return complexes._Filtration(grid, *complexes._cube_weights(grid))
+
+
 @pytest.mark.parametrize(
     "branches,shape",
     [
@@ -770,7 +774,7 @@ def test_planar_grid_above_the_old_cube_limit_has_no_torsion():
     # 30 x 30 points, 3481 cubes: above the 2600 at which SNF used to stop
     # checking two branches
     W = hilbert_from_parametrization(pair_family(4)[0])
-    assert len(complexes._Filtration(weight_grid_extend(W)).ids) == 3481
+    assert len(_filtration(weight_grid_extend(W)).ids) == 3481
     _assert_levels_match_the_cube_route(W)
 
 
@@ -791,10 +795,10 @@ def test_cube_route_ranks_match_the_naive_betti_numbers():
 def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
     real_init = complexes._Filtration.__init__
 
-    def misordered(filt, grid):
+    def misordered(filt, grid, wt, tops):
         # swap the first edge with one of its vertices of the same weight:
         # every level is the same set of cubes, but one face now sorts last
-        real_init(filt, grid)
+        real_init(filt, grid, wt, tops)
         j = filt.dims.index(1)
         i = next(i for i in filt.boundary(j) if filt.weights[i] == filt.weights[j])
         for seq in (filt.ids, filt.dims):
@@ -809,7 +813,7 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(complexes._Filtration, "__init__", misordered)
             if P.r == 2:
-                filt = complexes._Filtration(weight_grid_extend(W))
+                filt = _filtration(weight_grid_extend(W))
                 columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
                     complexes._persistence_pairs(columns, filt.dims)
@@ -827,7 +831,7 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
     for P in parametrizations:
         grid = weight_grid_extend(hilbert_from_parametrization(P))
-        filt = complexes._Filtration(grid)
+        filt = _filtration(grid)
         columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
         pairs, _ = complexes._persistence_pairs(columns, filt.dims)
         bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
@@ -888,7 +892,7 @@ def test_pair_reduced_cells_have_the_bars_of_the_whole_filtration():
     parametrizations += [formats.read_curve_file(str(f)) for f in (SIX_COORD_IN, THREE_BRANCH_IN)]
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
     for P in parametrizations:
-        filt = complexes._Filtration(weight_grid_extend(hilbert_from_parametrization(P)))
+        filt = _filtration(weight_grid_extend(hilbert_from_parametrization(P)))
         weights, dims = filt.weights, filt.dims
 
         def barcode(columns):
@@ -919,12 +923,27 @@ def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
     assert len(parametrizations) > 2
     for P in parametrizations:
         W = hilbert_from_parametrization(P)
-        cubes = len(complexes._Filtration(weight_grid_extend(W)).ids)
+        cubes = len(_filtration(weight_grid_extend(W)).ids)
         reads.clear()
         with monkeypatch.context() as m:
             m.setattr(complexes._Filtration, "boundary", counted)
             lattice_cohomology(W)
         assert reads == Counter(range(cubes)), P.r
+
+
+def test_three_branch_cohomology_runs_one_cube_weight_pass(monkeypatch):
+    # chi(K_n) and the filtration read the same cube weights
+    real, calls = complexes._cube_weights, []
+
+    def counted(grid):
+        calls.append(grid.r)
+        return real(grid)
+
+    monkeypatch.setattr(complexes, "_cube_weights", counted)
+    for P in (formats.read_curve_file(str(THREE_BRANCH_IN)), curve(CURVE_SIX_COORD)):
+        calls.clear()
+        lattice_cohomology(hilbert_from_parametrization(P))
+        assert calls == [P.r]
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
