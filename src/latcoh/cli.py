@@ -168,7 +168,6 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
     else:
         S = formats.read_semigroup_file(ns.infile)
     W = weight_sequence(S)
-    R = root_from_weight(W)
     M = module_from_weight(W)
 
     plane, chain = (False, None)
@@ -198,7 +197,7 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
             else None
         ),
         "min_w0": min_w0(W),
-        "truncation_level": R.truncation_level,
+        "truncation_level": max(1, max(W.values)),  # the root's, built only for --root
         "module": formats.module_to_dict(M),
         "e": compute_e(M),
         "E": E,
@@ -209,7 +208,7 @@ def cmd_semigroup(ns: argparse.Namespace) -> int:
     if ns.weights_out:
         _write(ns.weights_out, formats.weights_tsv(W))
     if ns.root_out:
-        _write_root(ns.root_out, R)
+        _write_root(ns.root_out, root_from_weight(W))
     if ns.module_out:
         _write(ns.module_out, formats.to_json(formats.module_to_dict(M)))
     _emit_report(report, ns.out)

@@ -6,6 +6,12 @@ set S_n, and edges record containment between consecutive levels.  Above
 some level the picture is a single infinite chain; we store the tree up to
 a truncation level and treat everything above as that chain.
 
+Two builders make roots.  One branch reads its root straight off the weight
+walk (``root_from_weight``): on a path every component is a run, named by
+its left end, so no merging is needed.  Lattice grids of several branches,
+and the hole sweep over their negated weights, go through the union-find
+merge-tree sweep ``_merge_tree``.
+
 Collapsing the root along upward containment produces a module built from
 "towers": one infinite tower starting at the base level b = min chi, and a
 finite tower (m, t) for every branch of the tree that is born at level m
@@ -15,8 +21,10 @@ tie is broken by id, which provably does not change the resulting multiset.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import InputError, ValidationError
 from ._pool import sweep
@@ -113,6 +121,10 @@ class TowerModule:
 def _merge_tree(weights: list[int], neighbors: list, top: int) -> GradedRoot:
     """Merge tree of the sublevel sets of ``weights`` on a graph, up to ``top``.
 
+    The builder for lattice grids (``root_from_grid``) and for the hole
+    sweep over their negated weights (``_hole_towers``); a one-branch walk
+    is read directly by ``root_from_weight``.
+
     The join-tree sweep of Carr-Snoeyink-Axen (2003): points are bucketed by
     weight once, each joins at its level and is united with its neighbours
     already present, by smallest index, so a component's root is its smallest
@@ -155,17 +167,35 @@ def _merge_tree(weights: list[int], neighbors: list, top: int) -> GradedRoot:
 
 
 def root_from_weight(W: WeightSequence) -> GradedRoot:
-    """Graded root of a weight sequence.
+    """Graded root of a weight sequence, read straight off the walk.
 
     Levels run from min w0 up to T = max(1, max w0); above T the root is a
-    single chain and is not materialized.  It is the merge tree of the path
-    graph on [0, c], from one union-find sweep: O(c) plus O(log k) per vertex.
+    single chain and is not materialized.  A vertex at level n is a maximal
+    run of {l : w0(l) <= n} in [0, c], named by its left end.  A point l > 0
+    starts a run at every level n with w0(l) <= n < w0(l - 1), which is one
+    level at each descent of a unit-step walk; point 0 starts one at every
+    level from w0(0) up to T.  This holds for any integer sequence, plateaus
+    and jumps included.  Each start is keyed (n - min w0) * (c + 1) + l and
+    the keys sorted once, so a vertex's id is its key's index and ids run by
+    (n, left end).  Below T a run's one edge goes to the run at n + 1 holding
+    its left end l, the one with the largest start <= l at that level: the
+    last key <= key + c + 1.  Only point 0 starts a run at T, so the top
+    vertex is the last.  No union-find; O(c + V log V) for V vertices.
     """
-    c = W.conductor
-    path = [(l - 1, l + 1) for l in range(c + 1)]
-    path[0] = path[0][1:]
-    path[c] = path[c][:-1]
-    return _merge_tree(list(W.values), path, max(1, max(W.values)))
+    vals = W.values
+    step = W.conductor + 1
+    lo = min(vals)
+    top = max(1, max(vals))
+    keys = [(n - lo) * step for n in range(vals[0], top + 1)]
+    for l in range(1, step):
+        for n in range(vals[l], vals[l - 1]):
+            keys.append((n - lo) * step + l)
+    keys.sort()
+    return GradedRoot(
+        tuple((i, k // step + lo) for i, k in enumerate(keys)),
+        tuple((i, bisect_right(keys, k + step) - 1) for i, k in enumerate(keys[:-1])),
+        top,
+    )
 
 
 def module_from_root(R: GradedRoot) -> TowerModule:
@@ -253,56 +283,66 @@ def module_from_weight(W: WeightSequence) -> TowerModule:
     return TowerModule(births[0], tuple(sorted(towers)))
 
 
+def _rank_steps(M: TowerModule, hi: int) -> list[int]:
+    """rank(n) - rank(n - 1) for n from base up, by one difference-array pass.
+
+    Its running sums are the ranks from base up to hi; one more entry may
+    follow, which callers drop.  O(towers + levels).
+    """
+    steps = [1] + [0] * max(0, hi - M.base + 1)  # the infinite tower opens at base
+    for m, t in M.towers:
+        lo, top = max(m, M.base), min(t, hi)
+        if lo <= top:
+            steps[lo - M.base] += 1
+            steps[top - M.base + 1] -= 1
+    return steps
+
+
 def rank_profile(M: TowerModule, up_to: int | None = None) -> dict[int, tuple[int, int]]:
     """Per-level (rank, kernel rank) from base up to max(1, top tower level).
 
     Above the returned range the module is the bare infinite tower: rank 1,
-    kernel rank 0.  Built in one difference-array pass: O(towers + levels).
+    kernel rank 0.  Built from difference arrays: O(towers + levels).
     """
     hi = max(1, M.top_level) if up_to is None else up_to
-    opened = [1] + [0] * max(0, hi - M.base + 1)  # rank(n) - rank(n - 1) from base up
-    born = opened[:]  # the infinite tower is born at base
-    for m, t in M.towers:
-        lo, top = max(m, M.base), min(t, hi)
-        if lo <= top:
-            opened[lo - M.base] += 1
-            opened[top - M.base + 1] -= 1
+    born = [1] + [0] * max(0, hi - M.base + 1)  # the infinite tower is born at base
+    for m, _t in M.towers:
         if M.base <= m <= hi:
             born[m - M.base] += 1
-    return dict(zip(range(M.base, hi + 1), zip(accumulate(opened), born)))
+    return dict(zip(range(M.base, hi + 1), zip(accumulate(_rank_steps(M, hi)), born)))
 
 
 def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
     """AHU canonical label of R, from a label table shared between roots.
 
     The tree is read from the lowest level t* at which everything above is a
-    single chain; the uniform chain higher up carries no information.  Levels
-    are labelled bottom-up (Aho-Hopcroft-Ullman, 1974): a vertex's label is
-    the table index of (chi, sorted child labels), a flat tuple of ints, so
+    single chain; the uniform chain higher up carries no information.  In one
+    pass over the vertices sorted by level (Aho-Hopcroft-Ullman, 1974), a
+    vertex's label is the table index of (chi, sorted child labels), a flat
+    tuple of ints, and is appended to the list kept for its upper neighbour;
     neither the labelling nor hashing recurses.
     """
-    by = R.levels()
-    lvls = sorted(by)
-    t_star = lvls[0]
-    for n in reversed(lvls):
-        if len(by[n]) == 1:
-            t_star = n
-        else:
-            break
-    kids = R.children()
-    label: dict[int, int] = {}
-    for n in lvls[: lvls.index(t_star) + 1]:
-        for v in by[n]:
-            key = (n, tuple(sorted(label[k] for k in kids[v])))
-            label[v] = table.setdefault(key, len(table))
-    return label[by[t_star][0]]
+    order = sorted(R.vertices, key=itemgetter(1))
+    # t*: walk down from the top while each level holds one vertex
+    i = len(order) - 1
+    while i and order[i - 1][1] != order[i][1]:
+        i -= 1
+    if i:
+        i += 1  # order[i - 1] shares a level with order[i], so t* is one up
+    up = dict(R.edges)
+    kids: dict[int, list[int]] = {}
+    for v, n in order[:i]:
+        label = table.setdefault((n, tuple(sorted(kids.pop(v, ())))), len(table))
+        kids.setdefault(up[v], []).append(label)
+    v, n = order[i]
+    return table.setdefault((n, tuple(sorted(kids.pop(v, ())))), len(table))
 
 
 def roots_isomorphic(R1: GradedRoot, R2: GradedRoot) -> bool:
     """Level-preserving tree isomorphism (truncation chains disregarded).
 
-    Both roots are labelled level by level with one shared AHU label table
-    and their labels at t* compared: O(V log V) for V vertices, iterative.
+    Both roots are labelled bottom-up with one shared AHU label table and
+    their labels at t* compared: O(V log V) for V vertices, iterative.
     """
     table: dict[tuple, int] = {}
     return _canonical_label(R1, table) == _canonical_label(R2, table)

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError, ValidationError
-from .graded import TowerModule, module_from_weight, rank_profile
+from .graded import TowerModule, _rank_steps, module_from_weight
 from .semigroup import (
     _MAX_CONDUCTOR,
     GcdChain,
@@ -75,12 +76,12 @@ def initial_part(M: TowerModule) -> InitialPart:
     e = compute_e(M)
     if e > 0:
         raise ValidationError("inconsistent module: positive initial level")
-    profile = rank_profile(M, up_to=0)
-    delta = sum(r for r, _k in profile.values()) - 1
+    ranks = list(accumulate(_rank_steps(M, 0)))  # ranks[n - base] = rank(n)
+    delta = sum(ranks[: 1 - M.base]) - 1
     s = 0
     elements: list[int] = []
     for n in range(0, e - 1, -1):
-        r = profile[n][0]
+        r = ranks[n - M.base]
         if r <= 0:
             raise ValidationError("inconsistent module: vanishing rank at level %d" % n)
         k = r // 2

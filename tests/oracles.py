@@ -112,6 +112,38 @@ def naive_root(values):
     return tuple((i, n) for (n, _a), i in ids.items()), tuple(sorted(edges)), top
 
 
+def _nested_form(root, level):
+    """The root read down from ``level`` as nested (chi, sorted child forms) tuples.
+
+    Above its truncation level the root is continued as a single chain up to
+    ``level``.
+    """
+    chi = dict(root.vertices)
+    kids = {v: [] for v in chi}
+    for lo, hi in root.edges:
+        kids[hi].append(lo)
+
+    def form(v):
+        return (chi[v], tuple(sorted(form(k) for k in kids[v])))
+
+    (top,) = [v for v, n in chi.items() if n == root.truncation_level]
+    nested = form(top)
+    for n in range(root.truncation_level + 1, level + 1):
+        nested = (n, (nested,))
+    return nested
+
+
+def naive_isomorphic(first, second):
+    """Level-preserving isomorphism of two graded roots, by the definition.
+
+    Each root is continued upward as a single chain to the higher of the two
+    truncation levels; the two are isomorphic exactly when their nested forms
+    read down from that level agree.  Recursive; small roots only.
+    """
+    level = max(first.truncation_level, second.truncation_level)
+    return _nested_form(first, level) == _nested_form(second, level)
+
+
 def naive_initial_elements(values):
     """Initial elements of a one-branch weight walk, by counting root vertices.
 

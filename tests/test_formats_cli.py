@@ -478,6 +478,25 @@ def test_cli_semigroup_artifacts(tmp_path, capsys):
     assert len(lines) == S.conductor + 2
 
 
+def test_cli_semigroup_builds_a_root_only_for_root_output(tmp_path, monkeypatch, capsys):
+    # the report's truncation level is read off the walk, not off a root
+    real = latcoh.cli.root_from_weight
+    calls = []
+
+    def counting(W):
+        calls.append(W)
+        return real(W)
+
+    monkeypatch.setattr(latcoh.cli, "root_from_weight", counting)
+    code, stdout, _ = run_cli(["semigroup", "--gens", "6,10,31"], capsys)
+    assert (code, calls) == (0, [])
+    assert stdout == (DATA / "semigroup_6_10_31.json").read_text()
+    root = tmp_path / "root.json"
+    code, with_root, _ = run_cli(["semigroup", "--gens", "6,10,31", "--root", str(root)], capsys)
+    assert (code, with_root, len(calls)) == (0, stdout, 1)
+    assert root.read_text() == (DATA / "root_6_10_31.json").read_text()
+
+
 def test_cli_semigroup_members_input(tmp_path, capsys):
     f = tmp_path / "sprime.json"
     f.write_text(

@@ -23,7 +23,7 @@ from latcoh import (
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS, example_root_pair
-from oracles import naive_root
+from oracles import naive_isomorphic, naive_root
 
 
 def pipeline(S):
@@ -96,10 +96,11 @@ LADDER = ((43, 47), (61, 67), (83, 89), (44, 50, 1101))
 
 
 def assert_module_routes_agree(W):
-    """The stack barcode, the merge-tree route and the oracle's root agree."""
+    """The stack barcode, the root read off the walk and the oracle's root agree."""
     M = module_from_weight(W)
-    assert M == module_from_root(root_from_weight(W))
-    assert M == module_from_root(GradedRoot(*naive_root(W.values)))
+    R = root_from_weight(W)
+    assert R == GradedRoot(*naive_root(W.values))
+    assert M == module_from_root(R)
 
 
 def test_module_from_weight_matches_root_route_and_oracle():
@@ -206,6 +207,83 @@ def test_isomorphism_is_label_independent():
     R1p = GradedRoot(verts, edges, R1.truncation_level)
     R1p.validate()
     assert roots_isomorphic(R1, R1p)
+
+
+@st.composite
+def small_roots(draw):
+    """A graded root of up to five levels and four vertices a level, ids shuffled.
+
+    Built top-down: one vertex at the top, and every vertex on a lower level
+    gets its one edge to a vertex drawn from the level above.
+    """
+    top = draw(st.integers(min_value=-3, max_value=2))
+    base = top - draw(st.integers(min_value=0, max_value=4))
+    levels = [[(top, 0)]]
+    edges = []
+    for n in range(top - 1, base - 1, -1):
+        above = levels[-1]
+        here = [(n, i) for i in range(draw(st.integers(min_value=1, max_value=4)))]
+        edges.extend((v, above[draw(st.integers(0, len(above) - 1))]) for v in here)
+        levels.append(here)
+    named = [v for level in levels for v in level]
+    ids = dict(zip(named, draw(st.permutations(range(len(named))))))
+    return GradedRoot(
+        tuple(sorted((ids[v], v[0]) for v in named)),
+        tuple(sorted((ids[lo], ids[hi]) for lo, hi in edges)),
+        top,
+    )
+
+
+def _relabelled(R, perm):
+    ids = dict(zip(sorted(v for v, _n in R.vertices), perm))
+    return GradedRoot(
+        tuple(sorted((ids[v], n) for v, n in R.vertices)),
+        tuple(sorted((ids[lo], ids[hi]) for lo, hi in R.edges)),
+        R.truncation_level,
+    )
+
+
+def _leaf_moved(R, pick):
+    """R with one leaf below the top re-hung from another vertex one level up, if any."""
+    kids = R.children()
+    by = R.levels()
+    moves = [
+        (leaf, up)
+        for leaf, n in sorted(R.vertices)
+        if not kids[leaf] and n < R.truncation_level
+        for up in by[n + 1]
+        if (leaf, up) not in R.edges
+    ]
+    if not moves:
+        return R
+    leaf, up = moves[pick % len(moves)]
+    return GradedRoot(
+        R.vertices,
+        tuple(sorted((lo, up if lo == leaf else hi) for lo, hi in R.edges)),
+        R.truncation_level,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_roots(), small_roots(), st.data())
+def test_isomorphism_matches_the_nested_form_oracle(R, other, data):
+    """On random roots, relabelled copies, a leaf moved and a shift by one level."""
+    perm = data.draw(st.permutations(range(len(R.vertices))))
+    shifted = GradedRoot(
+        tuple((v, n + 1) for v, n in R.vertices), R.edges, R.truncation_level + 1
+    )
+    copies = [
+        other,
+        _relabelled(R, perm),
+        _leaf_moved(R, data.draw(st.integers(min_value=0, max_value=50))),
+        shifted,
+    ]
+    for copy in copies:
+        copy.validate()
+        assert roots_isomorphic(R, copy) == naive_isomorphic(R, copy)
+        assert roots_isomorphic(copy, R) == naive_isomorphic(R, copy)
+    assert roots_isomorphic(R, copies[1])
+    assert not roots_isomorphic(R, shifted)
 
 
 def test_isomorphism_distinguishes_known_trees():
