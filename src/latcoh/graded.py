@@ -8,9 +8,11 @@ a truncation level and treat everything above as that chain.
 
 Two builders make roots.  One branch reads its root straight off the weight
 walk (``root_from_weight``): on a path every component is a run, named by
-its left end, so no merging is needed.  Lattice grids of several branches,
-and the hole sweep over their negated weights, go through the union-find
-merge-tree sweep ``_merge_tree``.
+its left end, so no merging is needed.  Lattice grids of several branches
+read theirs off the level masks (``multibranch.complexes.root_from_grid``).
+The hole sweep over a grid's negated weights needs only the towers, which
+the union-find sweep ``_merge_tree`` closes by the elder rule as components
+merge, with no root built.
 
 Collapsing the root along upward containment produces a module built from
 "towers": one infinite tower starting at the base level b = min chi, and a
@@ -118,22 +120,24 @@ class TowerModule:
         return max([self.base] + [t for _m, t in self.towers])
 
 
-def _merge_tree(weights: list[int], neighbors: list, top: int) -> GradedRoot:
-    """Merge tree of the sublevel sets of ``weights`` on a graph, up to ``top``.
+def _merge_tree(weights: list[int], neighbors: list) -> tuple[tuple[int, int], ...]:
+    """Finite towers of the merge tree of the sublevel sets of ``weights`` on a graph.
 
-    The builder for lattice grids (``root_from_grid``) and for the hole
-    sweep over their negated weights (``_hole_towers``); a one-branch walk
-    is read directly by ``root_from_weight``.
+    The hole sweep of lattice grids (``_hole_towers``) runs it on their
+    negated weights; roots are read off directly, by ``root_from_weight`` on
+    a walk and by ``root_from_grid`` on a grid's level masks.
 
-    The join-tree sweep of Carr-Snoeyink-Axen (2003): points are bucketed by
-    weight once, each joins at its level and is united with its neighbours
-    already present, by smallest index, so a component's root is its smallest
-    point.  At each level n the live roots, ascending, become the vertices at
-    n, each with one edge to the root holding it at n + 1; ids thus run by
-    (n, smallest point index).  Cost: near-linear in points, graph edges and
-    levels, plus O(log k) per vertex for k live components.
+    The join-tree sweep of Carr-Snoeyink-Axen (2003), read by the elder
+    rule: the points join in weight order, each united with its neighbours
+    already present, and each component keeps its birth, its lowest weight.
+    When two components meet at level n the younger one, born at b, closes
+    as the tower (b, n - 1); one born at n itself closes none.  The graph
+    must be connected, so the one component left is the infinite tower.
+    The sorted towers are those ``module_from_root`` reads off the merge
+    tree.  Cost: near-linear in points and graph edges.
     """
     parent = list(range(len(weights)))
+    birth = list(weights)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -141,29 +145,19 @@ def _merge_tree(weights: list[int], neighbors: list, top: int) -> GradedRoot:
             x = parent[x]
         return x
 
-    at: dict[int, list[int]] = {}
-    for i, w in enumerate(weights):
-        at.setdefault(w, []).append(i)
-    live: set[int] = set()
-    vertices: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] = []
-    below: dict[int, int] = {}  # root at the previous level -> its vertex id
-    for n in range(min(at), top + 1):
-        live.update(at.get(n, ()))
-        for i in at.get(n, ()):
-            for j in neighbors[i]:
-                if weights[j] <= n:
-                    a, b = find(i), find(j)
-                    if a > b:
+    towers = []
+    for i in sorted(range(len(weights)), key=weights.__getitem__):
+        n, a = weights[i], find(i)  # a stays the root of i's component
+        for j in neighbors[i]:
+            if weights[j] <= n:
+                b = find(j)
+                if a != b:
+                    if birth[a] > birth[b]:
                         a, b = b, a
-                    if a != b:
-                        parent[b] = a
-                        live.discard(b)
-        here = {root: len(vertices) + off for off, root in enumerate(sorted(live))}
-        vertices.extend((vid, n) for vid in here.values())
-        edges.extend((vid, here[find(root)]) for root, vid in below.items())
-        below = here
-    return GradedRoot(tuple(vertices), tuple(edges), top)
+                    if birth[b] < n:
+                        towers.append((birth[b], n - 1))
+                    parent[b] = a
+    return tuple(sorted(towers))
 
 
 def root_from_weight(W: WeightSequence) -> GradedRoot:

@@ -2,11 +2,14 @@
 
 The weight function on the box decomposes it into unit cubes; the level-n
 sublevel complex K_n collects every cube whose maximal vertex weight is at
-most n.  With one or two branches K_n is planar, so b_1(n) = b_0(n) -
-chi(K_n): degree zero is the graded root, chi comes from counting cubes by
-weight and dimension, and only where b_1 is not zero is degree one read off
-a merge tree of the holes of K_n (Alexander and digital 4/8 duality, Garin
-et al. 2020; see ``lattice_cohomology``).  With three or more branches the
+most n.  Each sublevel set S_n = {w0 <= n} is held as one int, bit i for
+box point i, and two algorithms read these level masks: the graded root
+grows each component by one masked dilation per level, and chi(K_n) is an
+alternating sum of popcounts of the cubes' base masks.  With one or two
+branches K_n is planar, so b_1(n) = b_0(n) - chi(K_n): degree zero is the
+graded root, and only where b_1 is not zero is degree one read off a merge
+tree of the holes of K_n (Alexander and digital 4/8 duality, Garin et al.
+2020; see ``lattice_cohomology``).  With three or more branches the
 cubes are integer ids in one filtration sorted by weight; its equal-weight
 unit pairs are reduced once, and persistence over the rationals and Smith
 normal form read the cells left, as ``cohomology(W, n)`` does for a level.
@@ -17,10 +20,11 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from ..errors import InputError, ValidationError
-from ..graded import GradedRoot, TowerModule, _merge_tree, module_from_root
+from ..graded import GradedRoot, TowerModule, _merge_tree, _rank_steps, module_from_root
 from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
 
@@ -56,17 +60,67 @@ def _cube_weights(grid: WeightGrid) -> tuple[list[int], list[int]]:
     return wt, _top_axes(grid)
 
 
-def _level_euler(grid: WeightGrid, wt: list[int], tops: list[int]) -> list[int]:
-    """chi(K_n), n = min w0 .. max w0: the cubes of ``_cube_weights(grid)`` by weight and dim."""
-    R, bottom = 1 << grid.r, grid.min_w0
-    chis = [0] * (max(grid.w0) - bottom + 1)
-    for mask in range(R):
-        sign = -1 if mask.bit_count() & 1 else 1
-        for w, top in zip(wt[mask::R], tops):
-            if not mask & top:
-                chis[w - bottom] += sign
-    for k in range(1, len(chis)):
-        chis[k] += chis[k - 1]
+def _sublevel_masks(grid: WeightGrid) -> list[int]:
+    """S_n = {i : w0[i] <= n} for n = min w0 .. max w0, as ints with bit i for box index i.
+
+    The points are bucketed by weight, each sets its bit in one ``bytearray``
+    and every level is read off it by one ``int.from_bytes``: O(p) Python
+    steps for p box points.
+    """
+    w0, bottom = grid.w0, grid.min_w0
+    at: list[list[int]] = [[] for _ in range(max(w0) - bottom + 1)]
+    for i, w in enumerate(w0):
+        at[w - bottom].append(i)
+    bits = bytearray((len(w0) + 7) >> 3)
+    masks = []
+    for level in at:
+        for i in level:
+            bits[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(bits, "little"))
+    return masks
+
+
+def _axis_moves(grid: WeightGrid) -> list[tuple[int, int]]:
+    """Per axis a, its stride and the mask of the box indices below the top of axis a.
+
+    Point i has the neighbour i + stride_a when its bit is in the mask, and
+    i - stride_a when the bit of i - stride_a is; a mask is one block of its
+    axis, doubled until it spans the box.
+    """
+    size = len(grid.w0)
+    moves = []
+    for s, b in zip(grid.strides, grid.box):
+        below, period = (1 << b * s) - 1, s * (b + 1)
+        while period < size:
+            below |= below << period
+            period <<= 1
+        moves.append((s, below & ((1 << size) - 1)))
+    return moves
+
+
+def _level_euler(grid: WeightGrid, masks: list[int]) -> list[int]:
+    """chi(K_n) for n = min w0 .. max w0, by popcounts of ``_sublevel_masks(grid)``.
+
+    A cube of K_n spanning the axes in m is the base point of its lowest
+    vertex, and the bases of those inside S_n are C_m: C_0 = S_n, and
+    C_m = C_l & (C_l >> stride_a) & below_a for a in m and l = m - {a}, since
+    such a cube lies in K_n exactly when its two faces along a do.  chi is
+    the alternating sum of their popcounts: O(2^r) word-parallel operations
+    per level, for every r.
+    """
+    moves = _axis_moves(grid)
+    chis = []
+    for S in masks:
+        bases = [S]  # bases[m]: C_m
+        chi = S.bit_count()
+        for m in range(1, 1 << grid.r):
+            a = m.bit_length() - 1
+            s, below = moves[a]
+            face = bases[m ^ (1 << a)]
+            cubes = face & face >> s & below
+            bases.append(cubes)
+            chi += -cubes.bit_count() if m.bit_count() & 1 else cubes.bit_count()
+        chis.append(chi)
     return chis
 
 
@@ -305,24 +359,79 @@ def _reduce_equal_weight_pairs(
 # ---------------------------------------------------------------------------
 
 
-def root_from_grid(W: WeightGrid) -> GradedRoot:
+def root_from_grid(W: WeightGrid, masks: list[int] | None = None) -> GradedRoot:
     """Connected components of the sublevel filtration, as a graded tree.
 
-    The merge tree of the collared box's grid graph, built by the same
-    union-find sweep as the one-branch root over the points in lexicographic
-    order, where point i's neighbours along axis a are i +- stride_a: each
-    component at level n is a vertex ordered by (n, smallest point), joined
-    to the component that absorbs it one level up.  Cost: O(p log p + r p)
-    for p box points plus O(log k) per vertex of the root.
+    Read off the level masks of the collared box: ``masks`` when given (so
+    ``lattice_cohomology`` builds them once for this and ``_level_euler``),
+    else ``_sublevel_masks``.  ``WeightGrid`` holds every axis step of h to 0 or
+    1, so neighbouring weights differ by exactly 1 and the points entering at
+    level n are pairwise non-adjacent: a component of S_n is either one new
+    point or components of S_(n-1) joined through the new points next to
+    them.  So each component at n - 1 grows by one masked dilation (r shifts
+    each way, kept below the top of their axis, then to the new points),
+    grown components that meet share a new point and merge, and the new
+    points no component reaches are the new leaves.  Each component at level
+    n is a vertex, ids ordered by (n, lowest point), joined to the component
+    holding it one level up.  Cost: O(p) Python steps for p box points plus
+    O((L + V) r p / 30) word operations for L levels and V root vertices.
     """
     grid = weight_grid_extend(W)
-    neighbors: list[list[int]] = [[] for _ in grid.w0]
-    for i, top in enumerate(_top_axes(grid)):
-        for a, s in enumerate(grid.strides):
-            if not top >> a & 1:
-                neighbors[i].append(i + s)
-                neighbors[i + s].append(i)
-    return _merge_tree(grid.w0, neighbors, max(1, max(grid.w0)))
+    if masks is None:
+        masks = _sublevel_masks(grid)
+    moves = _axis_moves(grid)
+    bottom, top = grid.min_w0, max(1, max(grid.w0))
+    vertices: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
+    comps: list[int] = []  # the components one level down, by lowest point
+    old = 0
+    group: list[int] = []
+
+    def find(k: int) -> int:
+        while group[k] != k:
+            group[k] = k = group[group[k]]
+        return k
+
+    for n in range(bottom, top + 1):
+        S = masks[min(n - bottom, len(masks) - 1)]  # past max w0 every point is in
+        new, old = S ^ old, S
+        grown, once, twice = [], 0, 0
+        for C in comps:
+            reach = 0
+            for s, below in moves:
+                reach |= (C & below) << s | C >> s & below
+            reach &= new
+            twice |= once & reach  # new points reached twice join components
+            once |= reach
+            grown.append(C | reach)
+        group = list(range(len(comps)))
+        if twice:
+            owner: dict[int, int] = {}  # a shared new point -> the first component reaching it
+            for k, G in enumerate(grown):
+                shared = G & twice
+                while shared:
+                    point = shared & -shared
+                    shared ^= point
+                    i, j = find(owner.setdefault(point.bit_length(), k)), find(k)
+                    group[max(i, j)] = min(i, j)
+        joined: dict[int, int] = {}
+        for k, G in enumerate(grown):
+            i = find(k)
+            joined[i] = joined.get(i, 0) | G
+        lows = {i: (G & -G).bit_length() for i, G in joined.items()}  # lowest point + 1
+        level = [(lows[i], G) for i, G in joined.items()]
+        leaves = new & ~once
+        while leaves:
+            point = leaves & -leaves
+            leaves ^= point
+            level.append((point.bit_length(), point))
+        level.sort()
+        first = len(vertices)
+        ids = {low: first + i for i, (low, _G) in enumerate(level)}
+        edges.extend((first - len(comps) + k, ids[lows[find(k)]]) for k in range(len(comps)))
+        vertices.extend((vid, n) for vid in ids.values())
+        comps = [G for _low, G in level]
+    return GradedRoot(tuple(vertices), tuple(edges), top)
 
 
 def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
@@ -331,9 +440,10 @@ def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
     K_n joins points only along the axes, so the bounded components of
     R^2 - K_n are the 8-connected components of the points of weight > n that
     hold no point on the box's edge (Garin et al., SoCG 2020).  They are the
-    components of ``_merge_tree`` on the negated weights, over the 8-connected
-    grid plus one outside vertex below every point and joined to every edge
-    point; its tower (m', t') is a hole at the levels -t' - 1 to -m' - 1.
+    components of the sublevel sets of the negated weights over the
+    8-connected grid plus one outside vertex below every point and joined to
+    every edge point, and each finite tower (m', t') that ``_merge_tree``
+    closes on that graph is a hole at the levels -t' - 1 to -m' - 1.
     """
     w0, s = grid.w0, grid.strides[0]
     out = len(w0)
@@ -349,8 +459,7 @@ def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
             neighbors[p].append(q)
             neighbors[q].append(p)
     dual = [-w for w in w0] + [-max(w0) - 1]
-    towers = module_from_root(_merge_tree(dual, neighbors, -grid.min_w0)).towers
-    return tuple(sorted((-t - 1, -m - 1) for m, t in towers))
+    return tuple(sorted((-t - 1, -m - 1) for m, t in _merge_tree(dual, neighbors)))
 
 
 def _persistence_pairs(columns, dims: list[int]):
@@ -434,9 +543,13 @@ class LatticeCohomology:
 def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     """Cohomology of every sublevel complex, graded by level, per degree.
 
-    Degree zero is the graded root's module.  At every level n from min w0 to
-    max w0, the everlasting class and the towers alive at n must count, with
-    alternating signs, to chi(K_n) from the cubes.  With one or two branches
+    Degree zero is the module of the graded root.  At every level n from min
+    w0 to max w0, the everlasting class and the towers alive at n must count,
+    with alternating signs, to chi(K_n) from the cubes.  The root and chi read
+    the same level masks S_n, built once (``_sublevel_masks``), each through
+    its own algorithm: ``root_from_grid`` grows components by dilation and
+    ``_level_euler`` counts cubes by popcounts; the ranks per level come from
+    one difference-array pass.  With one or two branches
     K_n is a proper compact subset of the plane, so Alexander duality gives
     H~^2(K_n) = H~_{-1}(S^2 - K_n) = 0 (Hatcher, Algebraic Topology, 3.44),
     and H^2 = Hom(H_2, Z) + Ext(H_1, Z) = 0 makes H_1, so H^1 and H^0, free:
@@ -451,16 +564,17 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     of those cells checks every level (``snf_levels``) for torsion.
     """
     grid = weight_grid_extend(W)
-    bottom = grid.min_w0
-    root = root_from_grid(grid)
+    bottom, hi = grid.min_w0, max(grid.w0)
+    masks = _sublevel_masks(grid)
+    root = root_from_grid(grid, masks)
     module = module_from_root(root)
-    wt, tops = _cube_weights(grid)  # one mask pass, for chi and the filtration
-    chis = _level_euler(grid, wt, tops)
+    chis = _level_euler(grid, masks)
+    b0 = list(accumulate(_rank_steps(module, hi)))[: len(chis)]
     towers = {0: module.towers}
-    if grid.r == 2 and any(module.rank(n) != chi for n, chi in enumerate(chis, bottom)):
+    if grid.r == 2 and b0 != chis:
         towers[1] = _hole_towers(grid)
     elif grid.r >= 3:
-        filt = _Filtration(grid, wt, tops)
+        filt = _Filtration(grid, *_cube_weights(grid))
         weights, dims = filt.weights, filt.dims
         cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
         # copies: Smith normal form reads cells
@@ -481,8 +595,13 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
         towers = {q: tuple((m, t) for d, m, t in bars if d == q) for q in range(grid.r)}
         if towers[0] != module.towers:
             raise ValidationError("cohomology routes disagree: filtration pairing vs graded root")
-    for n, chi in enumerate(chis, bottom):
-        from_ranks = 1 + sum((-1) ** q * (m <= n <= t) for q, tq in towers.items() for m, t in tq)
+    alive = [0] * (len(chis) + 1)  # steps of the alternating count of towers of degree >= 1
+    for q in range(1, grid.r):
+        for m, t in towers.get(q, ()):
+            alive[m - bottom] += (-1) ** q
+            alive[min(t, hi) + 1 - bottom] -= (-1) ** q
+    for n, chi, rank0, rest in zip(range(bottom, hi + 1), chis, b0, accumulate(alive)):
+        from_ranks = rank0 + rest
         if chi != from_ranks:
             raise ValidationError(
                 "cohomology routes disagree: Euler characteristic at level %d is"

@@ -673,6 +673,7 @@ SIX_COORD_IN = DATA / "curve_six_coord_in.json"  # fixtures.CURVE_SIX_COORD
 THREE_BRANCH = random_space_curves(ORACLE_SEED, 20)[19]
 THREE_BRANCH_IN = DATA / "curve_three_branch_in.json"  # THREE_BRANCH
 TWO_BRANCH_H1_IN = DATA / "curve_two_branch_h1_in.json"
+PAIR_6_IN = DATA / "curve_pair_6_in.json"  # fixtures.pair_family(6)[0]
 
 
 def test_three_branch_input_file_holds_the_fixture_terms():
@@ -704,11 +705,14 @@ def _curve_file(source, tmp_path):
         (THREE_BRANCH, ["--conductor", "8,12,6"], "curve_three_branch.json"),
         # two branches with degree-1 towers, read off the dual sweep
         (TWO_BRANCH_H1_IN, [], "curve_two_branch_h1.json"),
+        # pair_family(6), first member, as the grid-pair benchmark writes it:
+        # 4624 box points and 104 root vertices
+        (PAIR_6_IN, [], "curve_pair_6.json"),
     ],
     ids=[
         "two-branch", "two-branch-bound", "two-branch-conductor",
         "three-branch", "three-branch-bound", "three-branch-conductor",
-        "two-branch-h1",
+        "two-branch-h1", "pair-6",
     ],
 )
 def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):

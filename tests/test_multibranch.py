@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latcoh import (
     BranchParametrization,
@@ -932,7 +934,8 @@ def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
 
 
 def test_three_branch_cohomology_runs_one_cube_weight_pass(monkeypatch):
-    # chi(K_n) and the filtration read the same cube weights
+    # only the filtration reads cube weights, once; chi(K_n) comes from the
+    # level masks, so a planar grid makes no cube-weight pass
     real, calls = complexes._cube_weights, []
 
     def counted(grid):
@@ -940,10 +943,13 @@ def test_three_branch_cohomology_runs_one_cube_weight_pass(monkeypatch):
         return real(grid)
 
     monkeypatch.setattr(complexes, "_cube_weights", counted)
-    for P in (formats.read_curve_file(str(THREE_BRANCH_IN)), curve(CURVE_SIX_COORD)):
+    for P, expected in (
+        (formats.read_curve_file(str(THREE_BRANCH_IN)), [3]),
+        (curve(CURVE_SIX_COORD), []),
+    ):
         calls.clear()
         lattice_cohomology(hilbert_from_parametrization(P))
-        assert calls == [P.r]
+        assert calls == expected, P.r
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
@@ -1045,6 +1051,46 @@ def test_grid_root_matches_breadth_first_oracle():
         E = weight_grid_extend(W)
         expected = GradedRoot(*naive_grid_root(by_point(E, E.w0)))
         assert root_from_grid(W) == expected, W.conductor
+
+
+def _checkerboard(conductor):
+    # h = ceil(|l| / 2): w0 = |l| mod 2, so every level is a checkerboard
+    points = itertools.product(*(range(c + 1) for c in conductor))
+    return WeightGrid(len(conductor), conductor, conductor, [(sum(l) + 1) // 2 for l in points])
+
+
+@st.composite
+def _unit_step_grids(draw):
+    """Grids whose h is the sum or the maximum of per-axis 0/1 step sequences, or a checkerboard."""
+    r = draw(st.integers(1, 3))
+    conductor = tuple(draw(st.integers(0, 11 if r < 3 else 6)) for _ in range(r))
+    kind = draw(st.sampled_from(("sum", "max", "checkerboard")))
+    if kind == "checkerboard":
+        return _checkerboard(conductor)
+    per_axis = [
+        list(itertools.accumulate(draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)), initial=0))
+        for c in conductor
+    ]
+    combine = sum if kind == "sum" else max
+    points = itertools.product(*(range(c + 1) for c in conductor))
+    h = [combine(steps[x] for steps, x in zip(per_axis, l)) for l in points]
+    return WeightGrid(r, conductor, conductor, h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_unit_step_grids())
+@example(_checkerboard((11, 11)))
+def test_level_masks_match_the_oracles_on_unit_step_grids(W):
+    # the root grown by dilation and chi by popcounts, against a fresh
+    # breadth-first search and the explicit cube lists, at every level
+    E = weight_grid_extend(W)
+    w0 = by_point(E, E.w0)
+    assert root_from_grid(W) == GradedRoot(*naive_grid_root(w0))
+    chis = complexes._level_euler(E, complexes._sublevel_masks(E))
+    assert len(chis) == max(E.w0) - E.min_w0 + 1
+    for n, chi in enumerate(chis, E.min_w0):
+        cubes = naive_sublevel_cubes(w0, n)
+        assert chi == sum((-1) ** q * len(cs) for q, cs in cubes.items()), n
 
 
 def test_euler_delta_identity():
