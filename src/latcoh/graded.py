@@ -51,8 +51,11 @@ class GradedRoot:
 
     def children(self) -> dict[int, list[int]]:
         kids: dict[int, list[int]] = {v: [] for v, _ in self.vertices}
-        for lo, hi in self.edges:
-            kids[hi].append(lo)
+        try:
+            for lo, hi in self.edges:
+                kids[hi].append(lo)
+        except KeyError:
+            raise _edge_error(self.chi(), lo, hi) from None
         for v in kids:
             kids[v].sort()
         return kids
@@ -201,6 +204,11 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     between equally deep origins are closed preferring the larger leaf id
     (relabelling the leaves flips that; the resulting multiset is the same,
     which the tests exercise).
+
+    An edge with an end that is not a vertex, or whose lower end is not
+    open when its upper end is reached, raises ``InputError`` with the
+    message of ``GradedRoot.validate``; other malformed roots must pass
+    ``validate`` first, as every reader of a root file does.
     """
     chi = R.chi()
     kids = R.children()
@@ -209,7 +217,10 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     alive: dict[int, tuple[int, int]] = {}  # vertex -> (origin chi, origin leaf id)
     for n in sorted(by_level):
         for v in by_level[n]:
-            branches = [alive.pop(k) for k in kids[v]]
+            try:
+                branches = [alive.pop(k) for k in kids[v]]
+            except KeyError as missing:
+                raise _edge_error(chi, missing.args[0], v) from None
             if not branches:
                 alive[v] = (n, v)
                 continue
@@ -225,6 +236,15 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     if origin != base:
         raise ValidationError("surviving branch does not start at the base level")
     return TowerModule(base, tuple(sorted(towers)))
+
+
+def _edge_error(chi: dict[int, int], lo: int, hi: int) -> InputError:
+    """``GradedRoot.validate``'s message for the edge (lo, hi) that a walk could not follow."""
+    if lo not in chi or hi not in chi:
+        return InputError("edge endpoint %s is not a vertex" % ((lo, hi),))
+    if chi[hi] != chi[lo] + 1:
+        return InputError("edge (%d, %d) does not span consecutive levels" % (lo, hi))
+    return InputError("vertex %d has two upward neighbors" % lo)
 
 
 def module_from_weight(W: WeightSequence) -> TowerModule:
@@ -327,7 +347,12 @@ def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
     kids: dict[int, list[int]] = {}
     for v, n in order[:i]:
         label = table.setdefault((n, tuple(sorted(kids.pop(v, ())))), len(table))
-        kids.setdefault(up[v], []).append(label)
+        try:
+            kids.setdefault(up[v], []).append(label)
+        except KeyError:
+            if n == order[-1][1]:
+                raise InputError("top level must hold a single vertex") from None
+            raise InputError("vertex %d has no upward neighbor" % v) from None
     v, n = order[i]
     return table.setdefault((n, tuple(sorted(kids.pop(v, ())))), len(table))
 
@@ -336,7 +361,10 @@ def roots_isomorphic(R1: GradedRoot, R2: GradedRoot) -> bool:
     """Level-preserving tree isomorphism (truncation chains disregarded).
 
     Both roots are labelled bottom-up with one shared AHU label table and
-    their labels at t* compared: O(V log V) for V vertices, iterative.
+    their labels at t* compared: O(V log V) for V vertices, iterative.  A
+    vertex below t* with no upward edge raises ``InputError`` with the
+    message of ``GradedRoot.validate``; other malformed roots must pass
+    ``validate`` first, as every reader of a root file does.
     """
     table: dict[tuple, int] = {}
     return _canonical_label(R1, table) == _canonical_label(R2, table)

@@ -3,21 +3,22 @@
 The weight function on the box decomposes it into unit cubes; the level-n
 sublevel complex K_n collects every cube whose maximal vertex weight is at
 most n.  Each sublevel set S_n = {w0 <= n} is held as one int, bit i for
-box point i, and two algorithms read these level masks: the graded root
-grows each component by one masked dilation per level, and chi(K_n) is an
-alternating sum of popcounts of the cubes' base masks.  With one or two
-branches K_n is planar, so b_1(n) = b_0(n) - chi(K_n): degree zero is the
-graded root, and only where b_1 is not zero is degree one read off a merge
-tree of the holes of K_n (Alexander and digital 4/8 duality, Garin et al.
-2020; see ``lattice_cohomology``).  With three or more branches the
-cubes are integer ids in one filtration sorted by weight; its equal-weight
-unit pairs are reduced once, and persistence over the rationals and Smith
-normal form read the cells left, as ``cohomology(W, n)`` does for a level.
+box point i.  The graded root grows each component by one masked dilation
+per level; the masks ANDed with their shifts give the base points C_m(n) of
+the cubes of K_n spanning the axes m, and chi(K_n) is an alternating sum of
+their popcounts.  With one or two branches K_n is planar, so
+b_1(n) = b_0(n) - chi(K_n): degree zero is the graded root, and only where
+b_1 is not zero is degree one read off a merge tree of the holes of K_n
+(Alexander and digital 4/8 duality, Garin et al. 2020; see
+``lattice_cohomology``).  With three or more branches the cubes are integer
+ids in one filtration read off C_m(n) level by level (vertex-max,
+Wagner-Chen-Vucini 2012); its equal-weight unit pairs are reduced once, and
+persistence over the rationals and Smith normal form read the cells left, as
+``cohomology(W, n)`` does for a level.
 A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,35 +30,6 @@ from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
 
 _MISORDERED = "cube filtration is not ordered: a face sorts after its cube"
-
-
-def _top_axes(grid: WeightGrid) -> list[int]:
-    """Per box index, the mask of the axes along which its point is at the top."""
-    tops = [0] * len(grid.w0)
-    for a, (s, b) in enumerate(zip(grid.strides, grid.box)):
-        block = [0] * (b * s) + [1 << a] * s  # the top of axis a ends every block
-        tops = list(map(operator.or_, tops, block * (len(tops) // len(block))))
-    return tops
-
-
-def _cube_weights(grid: WeightGrid) -> tuple[list[int], list[int]]:
-    """Per id ``p << r | mask`` (see ``_Filtration``) the max of its vertex weights, and tops.
-
-    One pass over the masks in increasing order, each cube taking the max over
-    its two faces along its last axis.  The id is a cube of the box exactly
-    when its mask misses ``tops[p]``, from ``_top_axes``; other ids get junk.
-    """
-    r, strides = grid.r, grid.strides
-    npts, R = len(grid.w0), 1 << r
-    wt = [0] * (npts << r)
-    wt[::R] = grid.w0
-    for mask in range(1, R):
-        a = mask.bit_length() - 1
-        lower = mask ^ (1 << a)
-        wt[mask : (npts - strides[a]) << r : R] = map(
-            max, wt[lower::R], wt[lower + (strides[a] << r) :: R]
-        )
-    return wt, _top_axes(grid)
 
 
 def _sublevel_masks(grid: WeightGrid) -> list[int]:
@@ -98,60 +70,65 @@ def _axis_moves(grid: WeightGrid) -> list[tuple[int, int]]:
     return moves
 
 
-def _level_euler(grid: WeightGrid, masks: list[int]) -> list[int]:
-    """chi(K_n) for n = min w0 .. max w0, by popcounts of ``_sublevel_masks(grid)``.
+def _cube_bases(grid: WeightGrid, masks: list[int]):
+    """Per level mask S_n, the list of C_m(n) for m < 2^r: the cubes of K_n spanning m.
 
-    A cube of K_n spanning the axes in m is the base point of its lowest
-    vertex, and the bases of those inside S_n are C_m: C_0 = S_n, and
+    A cube is the base point of its lowest vertex: C_0 = S_n, and
     C_m = C_l & (C_l >> stride_a) & below_a for a in m and l = m - {a}, since
-    such a cube lies in K_n exactly when its two faces along a do.  chi is
-    the alternating sum of their popcounts: O(2^r) word-parallel operations
-    per level, for every r.
+    such a cube lies in K_n exactly when its two faces along a do.  O(2^r)
+    word-parallel operations per level, for every r.
     """
     moves = _axis_moves(grid)
-    chis = []
+    steps = [(m ^ 1 << a, *moves[a]) for m in range(1, 1 << grid.r) for a in [m.bit_length() - 1]]
     for S in masks:
-        bases = [S]  # bases[m]: C_m
-        chi = S.bit_count()
-        for m in range(1, 1 << grid.r):
-            a = m.bit_length() - 1
-            s, below = moves[a]
-            face = bases[m ^ (1 << a)]
-            cubes = face & face >> s & below
-            bases.append(cubes)
-            chi += -cubes.bit_count() if m.bit_count() & 1 else cubes.bit_count()
+        bases = [S]
+        for lower, s, below in steps:
+            face = bases[lower]
+            bases.append(face & face >> s & below)
+        yield bases
+
+
+def _level_euler(levels) -> list[int]:
+    """chi(K_n) per level: the alternating sum of the popcounts of ``_cube_bases``."""
+    chis = []
+    for bases in levels:
+        chi = 0
+        for m, C in enumerate(bases):
+            chi += -C.bit_count() if m.bit_count() & 1 else C.bit_count()
         chis.append(chi)
     return chis
 
 
 class _Filtration:
-    """Every cube of a collared box, as integer ids sorted for persistence.
+    """Every cube of a collared box, as integer ids in filtration order.
 
     A cube is ``p << r | mask``: p is the lexicographic index of its base
     point and bit a of mask says it spans axis a.  Its two faces along axis a
     sit at the offsets ``-(1 << a)`` (lower) and ``-(1 << a) + (stride_a << r)``
-    (upper), so boundaries need no lookups.  ``ids`` lists the cubes sorted by
-    (weight, dim, base, axes), so the level-n sublevel complex is the prefix
-    of the cubes of weight <= n.  ``wt`` and ``tops`` are ``_cube_weights(grid)``.
+    (upper), so boundaries need no lookups.  The cubes of weight exactly n
+    spanning m are C_m(n) & ~C_m(n - 1) in ``levels``, every level's
+    ``_cube_bases``, so ``ids`` lists them by (weight, dim, axes, base) with no
+    sort, and the level-n sublevel complex is the prefix of weight <= n.
     """
 
-    def __init__(self, grid: WeightGrid, wt: list[int], tops: list[int]) -> None:
-        r, strides = grid.r, grid.strides
-        npts, R = len(grid.w0), 1 << r
+    def __init__(self, grid: WeightGrid, levels: list[list[int]]) -> None:
+        r, strides, R = grid.r, grid.strides, 1 << grid.r
         self.axes = [tuple(a for a in range(r) if m >> a & 1) for m in range(R)]
-        by_dim = [
-            sorted((m for m in range(R) if m.bit_count() == q), key=self.axes.__getitem__)
-            for q in range(r + 1)
-        ]
-        ids = [
-            p << r | m for masks in by_dim for p in range(npts) for m in masks if not m & tops[p]
-        ]
-        ids.sort(key=wt.__getitem__)  # stable: (dim, base, axes) within a weight
-        self.mask = R - 1
-        self.ids = ids
-        self.weights = [wt[c] for c in ids]
-        self.dims = [len(self.axes[c & (R - 1)]) for c in ids]
-        self.pos = [0] * (npts << r)
+        by_dim = [m for q in range(r + 1) for m in range(R) if m.bit_count() == q]
+        ids, weights, dims = [], [], []
+        last = [0] * R
+        for n, bases in enumerate(levels, grid.min_w0):
+            for m in by_dim:
+                bits = bin(bases[m] & ~last[m])[:1:-1]  # bit p at index p
+                p = bits.find("1")
+                while p >= 0:
+                    ids.append(p << r | m)
+                    p = bits.find("1", p + 1)
+                dims += [m.bit_count()] * (len(ids) - len(dims))
+            weights += [n] * (len(ids) - len(weights))
+            last = bases
+        self.mask, self.ids, self.weights, self.dims = R - 1, ids, weights, dims
+        self.pos = [0] * (len(grid.w0) << r)
         for j, c in enumerate(ids):
             self.pos[c] = j
         self.face_offsets = [
@@ -180,7 +157,7 @@ def sublevel_complex(
     Each cube is a (base point, axes) pair; each degree's list is sorted.
     """
     grid = weight_grid_extend(W)
-    filt = _Filtration(grid, *_cube_weights(grid))
+    filt = _Filtration(grid, list(_cube_bases(grid, _sublevel_masks(grid))))
     cubes: dict[int, list] = {}
     for c in filt.ids[: bisect_right(filt.weights, n)]:
         axes = filt.axes[c & filt.mask]
@@ -290,7 +267,7 @@ def cohomology(W: WeightGrid, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     form.
     """
     grid = weight_grid_extend(W)
-    filt = _Filtration(grid, *_cube_weights(grid))
+    filt = _Filtration(grid, list(_cube_bases(grid, _sublevel_masks(grid))))
     end = bisect_right(filt.weights, n)  # the level-n prefix
     cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(end)], [0] * end)
     return _cohomology_of(cells, filt.dims, max(filt.dims[:end], default=-1))
@@ -445,15 +422,15 @@ def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
     every edge point, and each finite tower (m', t') that ``_merge_tree``
     closes on that graph is a hole at the levels -t' - 1 to -m' - 1.
     """
-    w0, s = grid.w0, grid.strides[0]
+    w0, s, (b0, b1) = grid.w0, grid.strides[0], grid.box
     out = len(w0)
     neighbors: list[list[int]] = [[] for _ in range(out + 1)]
-    for p, top in enumerate(_top_axes(grid)):
-        low = p % s == 0  # at the bottom of axis 1, as p < s is of axis 0
-        ends = [] if top & 2 else [p + 1]
-        if not top & 1:  # p + s along axis 0, and its diagonal neighbours
-            ends += [p + s + d for d in (-1, 0, 1) if not (d < 0 and low or d > 0 and top & 2)]
-        if top or low or p < s:
+    for p in range(out):
+        l0, l1 = divmod(p, s)
+        ends = [p + 1] if l1 < b1 else []
+        if l0 < b0:  # p + s along axis 0, and its diagonal neighbours
+            ends += [p + s + d for d in (-1, 0, 1) if 0 <= l1 + d <= b1]
+        if l0 in (0, b0) or l1 in (0, b1):
             ends.append(out)
         for q in ends:
             neighbors[p].append(q)
@@ -545,36 +522,38 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
 
     Degree zero is the module of the graded root.  At every level n from min
     w0 to max w0, the everlasting class and the towers alive at n must count,
-    with alternating signs, to chi(K_n) from the cubes.  The root and chi read
-    the same level masks S_n, built once (``_sublevel_masks``), each through
-    its own algorithm: ``root_from_grid`` grows components by dilation and
-    ``_level_euler`` counts cubes by popcounts; the ranks per level come from
-    one difference-array pass.  With one or two branches
-    K_n is a proper compact subset of the plane, so Alexander duality gives
-    H~^2(K_n) = H~_{-1}(S^2 - K_n) = 0 (Hatcher, Algebraic Topology, 3.44),
-    and H^2 = Hom(H_2, Z) + Ext(H_1, Z) = 0 makes H_1, so H^1 and H^0, free:
-    there is no torsion, and b_1(n) = b_0(n) - chi(K_n).  Only where that is
-    not zero at some level does ``_hole_towers`` read the degree-1 towers off
-    the holes of K_n, by digital 4/8 duality (Garin, Heiss, Maggs, Bleile and
-    Robins, "Duality in persistent homology of images", SoCG 2020,
-    arXiv:2005.04597); no cube is sorted and no persistence runs.  With three
-    or more branches persistence of the cells the filtration's equal-weight
-    unit pairs leave gives every tower; its degree zero must be the graded
-    root's, with one everlasting class born at min w0, and Smith normal form
-    of those cells checks every level (``snf_levels``) for torsion.
+    with alternating signs, to chi(K_n).  The level masks S_n are built once
+    (``_sublevel_masks``): ``root_from_grid`` grows components by dilation and
+    ``_level_euler`` counts their ``_cube_bases`` by popcounts.  With one or
+    two branches K_n is a proper compact subset of the plane, so Alexander
+    duality gives H~^2(K_n) = H~_{-1}(S^2 - K_n) = 0 (Hatcher, Algebraic
+    Topology, 3.44), and H^2 = Hom(H_2, Z) + Ext(H_1, Z) = 0 makes H_1, so
+    H^1 and H^0, free: there is no torsion, and b_1(n) = b_0(n) - chi(K_n).
+    Only where that is not zero at some level does ``_hole_towers`` read the
+    degree-1 towers off the holes of K_n, by digital 4/8 duality (Garin,
+    Heiss, Maggs, Bleile and Robins, "Duality in persistent homology of
+    images", SoCG 2020, arXiv:2005.04597); no persistence runs.  With three or
+    more branches the same cube bases list the filtration, and persistence of
+    the cells its equal-weight unit pairs leave gives every tower; its degree
+    zero must be the graded root's, with one everlasting class born at min
+    w0, and Smith normal form of those cells checks every level
+    (``snf_levels``) for torsion.  chi counts the filtration's own cells, so
+    the Euler check holds the towers to them, not them to the grid.
     """
     grid = weight_grid_extend(W)
     bottom, hi = grid.min_w0, max(grid.w0)
     masks = _sublevel_masks(grid)
     root = root_from_grid(grid, masks)
     module = module_from_root(root)
-    chis = _level_euler(grid, masks)
+    # planar grids stream their cube bases; the filtration needs every level's
+    bases = _cube_bases(grid, masks) if grid.r <= 2 else list(_cube_bases(grid, masks))
+    chis = _level_euler(bases)
     b0 = list(accumulate(_rank_steps(module, hi)))[: len(chis)]
     towers = {0: module.towers}
     if grid.r == 2 and b0 != chis:
         towers[1] = _hole_towers(grid)
     elif grid.r >= 3:
-        filt = _Filtration(grid, *_cube_weights(grid))
+        filt = _Filtration(grid, bases)
         weights, dims = filt.weights, filt.dims
         cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
         # copies: Smith normal form reads cells
@@ -659,10 +638,11 @@ class EulerDeltaReport:
 def euler_delta_check(W: WeightGrid, P: BranchParametrization) -> EulerDeltaReport:
     """Compare the graded Euler characteristic with the delta invariant.
 
-    The Euler side comes from the cohomology filtration (minimal weight and
-    finite tower lengths); the delta side is pure Hilbert-function counting
-    at the conductor.  The two are computed along genuinely different
-    routes, so agreement is a real consistency certificate.
+    The Euler side is the minimal weight and finite tower lengths of
+    ``lattice_cohomology``: the graded root and hole sweep for r <= 2, the
+    cube filtration for r >= 3.  The delta side is pure Hilbert-function
+    counting at the conductor.  The two are computed along genuinely
+    different routes, so agreement is a real consistency certificate.
     """
     if P.r != W.r:
         raise InputError("parametrization and grid have different branch counts")

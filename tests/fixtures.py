@@ -42,6 +42,15 @@ CURVE_SIX_COORD = [
     [[(1, 3)], [(1, 4)], [(1, 5)], [(1, 5)], [(1, 6)], [(1, 7)]],
 ]
 
+# four branches in 4-space, conductor (4, 4, 4, 4): delta 11, towers in
+# degrees 0, 1 and 2
+FOUR_BRANCH = [
+    [[(1, 2)], [(1, 3)], [], []],
+    [[], [(1, 2)], [(1, 3)], []],
+    [[], [], [(1, 2)], [(2, 3)]],
+    [[(3, 3)], [], [], [(1, 2)]],
+]
+
 TABLE_FIVE_COORD = [
     [3, 2, 1, 2, 1, 2],
     [2, 1, 0, 1, 0, 1],

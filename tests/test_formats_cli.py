@@ -35,6 +35,7 @@ import latcoh.semigroup
 from latcoh import formats
 from latcoh.cli import _parser, cmd_curve, cmd_root_iso, cmd_semigroup, main, parse_args
 from fixtures import (
+    FOUR_BRANCH,
     ORACLE_SEED,
     SPRIME_CONDUCTOR,
     SPRIME_MEMBERS,
@@ -674,12 +675,18 @@ THREE_BRANCH = random_space_curves(ORACLE_SEED, 20)[19]
 THREE_BRANCH_IN = DATA / "curve_three_branch_in.json"  # THREE_BRANCH
 TWO_BRANCH_H1_IN = DATA / "curve_two_branch_h1_in.json"
 PAIR_6_IN = DATA / "curve_pair_6_in.json"  # fixtures.pair_family(6)[0]
+FOUR_BRANCH_IN = DATA / "curve_four_branch_in.json"  # fixtures.FOUR_BRANCH
 
 
 def test_three_branch_input_file_holds_the_fixture_terms():
     # the installed console script is diffed on this file, the tests on THREE_BRANCH
     coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in THREE_BRANCH]
     assert json.loads(THREE_BRANCH_IN.read_text()) == {"branches": [{"coords": cs} for cs in coords]}
+
+
+def test_four_branch_input_file_holds_the_fixture_terms():
+    coords = [[[{"c": k, "e": e} for k, e in coord] for coord in br] for br in FOUR_BRANCH]
+    assert json.loads(FOUR_BRANCH_IN.read_text()) == {"branches": [{"coords": cs} for cs in coords]}
 
 
 def _curve_file(source, tmp_path):
@@ -708,11 +715,13 @@ def _curve_file(source, tmp_path):
         # pair_family(6), first member, as the grid-pair benchmark writes it:
         # 4624 box points and 104 root vertices
         (PAIR_6_IN, [], "curve_pair_6.json"),
+        # four branches, 16 axis masks, towers in degrees 0, 1 and 2
+        (FOUR_BRANCH_IN, [], "curve_four_branch.json"),
     ],
     ids=[
         "two-branch", "two-branch-bound", "two-branch-conductor",
         "three-branch", "three-branch-bound", "three-branch-conductor",
-        "two-branch-h1", "pair-6",
+        "two-branch-h1", "pair-6", "four-branch",
     ],
 )
 def test_cli_curve_report_bytes(source, extra, expected, tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Graded roots, tower modules, isomorphism, and the module-equality sweep."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -316,6 +318,34 @@ def test_validate_rejects_broken_trees():
         # vertex 0 has two upward neighbors
         GradedRoot(((0, 0), (1, 1), (2, 1), (3, 2)), ((0, 1), (0, 2), (1, 3), (2, 3)), 2).validate()
 
+
+
+def _iso_with_itself(R):
+    return roots_isomorphic(R, R)
+
+
+_FORGED = {
+    # name: (root, the reader that used to fail on it with KeyError)
+    "two-top-vertices": (GradedRoot(((0, 0), (1, 1), (2, 1)), ((0, 1),), 1), _iso_with_itself),
+    "no-upward-neighbor": (GradedRoot(((0, 0), (1, 0), (2, 1)), ((0, 2),), 1), _iso_with_itself),
+    "edge-to-missing-vertex": (GradedRoot(((0, 0), (1, 1)), ((0, 5),), 1), module_from_root),
+    "edge-from-missing-vertex": (GradedRoot(((0, 0), (1, 1)), ((5, 1),), 1), module_from_root),
+    "edge-goes-downward": (GradedRoot(((0, 0), (1, 1)), ((1, 0),), 1), module_from_root),
+    "two-upward-neighbors": (
+        GradedRoot(((0, 0), (1, 1), (2, 1)), ((0, 1), (0, 2)), 1),
+        module_from_root,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORGED))
+def test_forged_roots_raise_the_validate_message(name):
+    # the lookup that fails on a forged root names the defect as validate does
+    R, reader = _FORGED[name]
+    with pytest.raises(InputError) as expected:
+        R.validate()
+    with pytest.raises(InputError, match="^%s$" % re.escape(str(expected.value))):
+        reader(R)
 
 def test_sweep_small():
     rep = conjecture_sweep(40)

@@ -36,6 +36,7 @@ from latcoh import (
 from fixtures import (
     CURVE_FIVE_COORD,
     CURVE_SIX_COORD,
+    FOUR_BRANCH,
     ORACLE_SEED,
     PAIR_FAMILY_CONDUCTORS,
     PAIR_FAMILY_DELTA,
@@ -613,7 +614,8 @@ def test_series_matches_the_corner_sum_oracle():
 # sublevel complexes and cohomology
 
 def _filtration(grid):
-    return complexes._Filtration(grid, *complexes._cube_weights(grid))
+    levels = complexes._cube_bases(grid, complexes._sublevel_masks(grid))
+    return complexes._Filtration(grid, list(levels))
 
 
 @pytest.mark.parametrize(
@@ -655,8 +657,11 @@ def test_sublevel_complexes_are_contractible_at_positive_levels():
 
 
 def test_sublevel_complex_matches_vertex_max_enumeration():
+    # the filtration's level prefixes against cubes listed from their
+    # vertices, up to four branches: 16 axis masks
     parametrizations = [curve(CURVE_FIVE_COORD), curve(NODE), pair_family(2)[1]]
     parametrizations.append(curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(2, 1)]]]))
+    parametrizations.append(curve(FOUR_BRANCH))
     for P in parametrizations:
         W = weight_grid_extend(hilbert_from_parametrization(P))
         for n in range(W.min_w0 - 1, max(W.w0) + 1):
@@ -797,10 +802,10 @@ def test_cube_route_ranks_match_the_naive_betti_numbers():
 def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
     real_init = complexes._Filtration.__init__
 
-    def misordered(filt, grid, wt, tops):
+    def misordered(filt, grid, levels):
         # swap the first edge with one of its vertices of the same weight:
         # every level is the same set of cubes, but one face now sorts last
-        real_init(filt, grid, wt, tops)
+        real_init(filt, grid, levels)
         j = filt.dims.index(1)
         i = next(i for i in filt.boundary(j) if filt.weights[i] == filt.weights[j])
         for seq in (filt.ids, filt.dims):
@@ -933,23 +938,26 @@ def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
         assert reads == Counter(range(cubes)), P.r
 
 
-def test_three_branch_cohomology_runs_one_cube_weight_pass(monkeypatch):
-    # only the filtration reads cube weights, once; chi(K_n) comes from the
-    # level masks, so a planar grid makes no cube-weight pass
-    real, calls = complexes._cube_weights, []
+def test_cohomology_builds_the_level_masks_once(monkeypatch):
+    # the graded root, chi(K_n) and, with three branches, the filtration all
+    # read one build of the level masks and one pass of cube bases over them
+    calls = []
 
-    def counted(grid):
-        calls.append(grid.r)
-        return real(grid)
+    def counted(name):
+        real = getattr(complexes, name)
 
-    monkeypatch.setattr(complexes, "_cube_weights", counted)
-    for P, expected in (
-        (formats.read_curve_file(str(THREE_BRANCH_IN)), [3]),
-        (curve(CURVE_SIX_COORD), []),
-    ):
+        def wrapper(grid, *args):
+            calls.append((name, grid.r))
+            return real(grid, *args)
+
+        monkeypatch.setattr(complexes, name, wrapper)
+
+    counted("_sublevel_masks")
+    counted("_cube_bases")
+    for P in (formats.read_curve_file(str(THREE_BRANCH_IN)), curve(CURVE_SIX_COORD)):
         calls.clear()
         lattice_cohomology(hilbert_from_parametrization(P))
-        assert calls == expected, P.r
+        assert calls == [("_sublevel_masks", P.r), ("_cube_bases", P.r)], P.r
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
@@ -1086,7 +1094,7 @@ def test_level_masks_match_the_oracles_on_unit_step_grids(W):
     E = weight_grid_extend(W)
     w0 = by_point(E, E.w0)
     assert root_from_grid(W) == GradedRoot(*naive_grid_root(w0))
-    chis = complexes._level_euler(E, complexes._sublevel_masks(E))
+    chis = complexes._level_euler(complexes._cube_bases(E, complexes._sublevel_masks(E)))
     assert len(chis) == max(E.w0) - E.min_w0 + 1
     for n, chi in enumerate(chis, E.min_w0):
         cubes = naive_sublevel_cubes(w0, n)
@@ -1174,15 +1182,9 @@ def test_smallest_three_branch_random_grid_matches_dense_rational_oracle():
 
 def test_four_branch_grid_matches_dense_rational_oracle():
     # four branches reach the threshold sweep's projections two axes deep
-    branches = [
-        [[(1, 2)], [(1, 3)], [], []],
-        [[], [(1, 2)], [(1, 3)], []],
-        [[], [], [(1, 2)], [(2, 3)]],
-        [[(3, 3)], [], [], [(1, 2)]],
-    ]
-    W = hilbert_from_parametrization(curve(branches))
+    W = hilbert_from_parametrization(curve(FOUR_BRANCH))
     assert W.conductor == (4, 4, 4, 4)
-    frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in branches]
+    frac = [[[(Fraction(c), e) for c, e in coord] for coord in br] for br in FOUR_BRANCH]
     bounds = [c + 4 for c in W.conductor]
     assert naive_hilbert_grid(frac, bounds, W.box) == by_point(W, W.h)
 
