@@ -76,12 +76,8 @@ class GradedRoot:
         chi = self.chi()
         par: dict[int, int] = {}
         for lo, hi in self.edges:
-            if lo not in chi or hi not in chi:
-                raise InputError("edge endpoint %s is not a vertex" % ((lo, hi),))
-            if chi[hi] != chi[lo] + 1:
-                raise InputError("edge (%d, %d) does not span consecutive levels" % (lo, hi))
-            if lo in par:
-                raise InputError("vertex %d has two upward neighbors" % lo)
+            if lo not in chi or hi not in chi or chi[hi] != chi[lo] + 1 or lo in par:
+                raise _edge_error(chi, lo, hi)
             par[lo] = hi
         by = self.levels()
         lvls = sorted(by)
@@ -343,6 +339,8 @@ def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
         i -= 1
     if i:
         i += 1  # order[i - 1] shares a level with order[i], so t* is one up
+    if i == len(order):
+        raise InputError("top level must hold a single vertex")
     up = dict(R.edges)
     kids: dict[int, list[int]] = {}
     for v, n in order[:i]:
@@ -350,8 +348,6 @@ def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
         try:
             kids.setdefault(up[v], []).append(label)
         except KeyError:
-            if n == order[-1][1]:
-                raise InputError("top level must hold a single vertex") from None
             raise InputError("vertex %d has no upward neighbor" % v) from None
     v, n = order[i]
     return table.setdefault((n, tuple(sorted(kids.pop(v, ())))), len(table))
@@ -362,9 +358,10 @@ def roots_isomorphic(R1: GradedRoot, R2: GradedRoot) -> bool:
 
     Both roots are labelled bottom-up with one shared AHU label table and
     their labels at t* compared: O(V log V) for V vertices, iterative.  A
-    vertex below t* with no upward edge raises ``InputError`` with the
-    message of ``GradedRoot.validate``; other malformed roots must pass
-    ``validate`` first, as every reader of a root file does.
+    top level with two vertices, or a vertex below t* with no upward edge,
+    raises ``InputError`` with the message of ``GradedRoot.validate`` for
+    that defect; other malformed roots must pass ``validate`` first, as
+    every reader of a root file does.
     """
     table: dict[tuple, int] = {}
     return _canonical_label(R1, table) == _canonical_label(R2, table)

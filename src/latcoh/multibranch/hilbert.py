@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import insort
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from ..errors import InputError, ValidationError, as_ints
@@ -27,57 +28,52 @@ from .parametrization import BranchParametrization
 
 
 # ---------------------------------------------------------------------------
-# exact integer row echelon form
+# exact integer row echelon form on sparse rows
 # ---------------------------------------------------------------------------
 
 
-def _lead(v: list[int]) -> int:
-    """Index of the first nonzero entry, or -1."""
-    return next((i for i, x in enumerate(v) if x), -1)
+def _add(rows: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int] | None:
+    """Reduce vec by an echelon and insert it; return the new row, or None if it vanishes.
 
-
-def _normalize(v: list[int], lead: int) -> list[int]:
-    """Divide out the content and make the leading entry positive."""
-    g = gcd(*v)
-    if v[lead] < 0:
+    Vectors and rows map window columns to nonzero integers, and ``rows``
+    maps each row's leading column to the row, whose content is 1 and whose
+    leading entry is positive.  vec is reduced fraction-free at every pivot
+    column it meets, lowest first (a heap of its pending pivot columns; a
+    row only touches columns from its lead on, so a column once cleared
+    stays clear), which leaves it with no entry at any pivot column.  Then
+    its content is divided out and it is inserted under its lowest column.
+    vec itself is changed.
+    """
+    heap = [k for k in vec if k in rows]
+    heapify(heap)
+    while heap:
+        k = heappop(heap)
+        c = vec.get(k)
+        if c is None:
+            continue  # cancelled since it was pushed
+        row = rows[k]
+        g = gcd(row[k], c)
+        p, c = row[k] // g, c // g
+        if p != 1:
+            for i in vec:
+                vec[i] *= p
+        for i, y in row.items():
+            x = vec.pop(i, 0)
+            if not x and i in rows:
+                heappush(heap, i)
+            x -= c * y
+            if x:
+                vec[i] = x
+    if not vec:
+        return None
+    lead = min(vec)
+    g = gcd(*vec.values())
+    if vec[lead] < 0:
         g = -g
-    return v if g == 1 else [x // g for x in v]
-
-
-class _Echelon:
-    """Integer row echelon form, rows kept sorted by leading index."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[int, int, list[int]]] = []  # (lead, pivot, vector)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: list[int]):
-        """Fully reduce vec; return (lead, pivot, vec) or None if it vanishes."""
-        steps = 0
-        for lead, piv, row in self.rows:
-            c = vec[lead]
-            if c:
-                vec = [piv * x - c * y for x, y in zip(vec, row)]
-                steps += 1
-                if steps % 16 == 0:
-                    lv = _lead(vec)
-                    if lv < 0:
-                        return None
-                    vec = _normalize(vec, lv)
-        lv = _lead(vec)
-        if lv < 0:
-            return None
-        vec = _normalize(vec, lv)
-        return (lv, vec[lv], vec)
-
-    def add(self, vec: list[int]):
-        """Reduce and insert; return the inserted triple or None."""
-        triple = self.reduce(vec)
-        if triple is not None:
-            insort(self.rows, triple, key=lambda t: t[0])
-        return triple
+    if g != 1:
+        vec = {i: x // g for i, x in vec.items()}
+    rows[lead] = vec
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +96,18 @@ def _integer_coordinates(P: BranchParametrization) -> list[list[tuple[tuple[int,
     return out
 
 
-def _mult_coordinate(vec: list[int], terms_per_branch, offs: list[int]) -> list[int]:
+def _mult_coordinate(vec: dict[int, int], terms_per_branch, offs: list[int]) -> dict[int, int]:
     """Truncated product of a window vector with one coordinate function."""
-    res = [0] * offs[-1]
-    for j, terms in enumerate(terms_per_branch):
-        top = offs[j + 1]
-        for exp, c in terms:
-            for a in range(offs[j], top - exp):
-                x = vec[a]
-                if x:
-                    res[a + exp] += c * x
-    return res
+    res: dict[int, int] = {}
+    for a, x in vec.items():
+        j = bisect_right(offs, a) - 1
+        for exp, c in terms_per_branch[j]:
+            if a + exp < offs[j + 1]:
+                res[a + exp] = res.get(a + exp, 0) + c * x
+    return {i: x for i, x in res.items() if x}
 
 
-def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]]:
+def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[dict[int, dict[int, int]], list[int]]:
     """Echelon basis of the span of all truncated coordinate monomials.
 
     Closure by repeated multiplication: every basis row is multiplied by
@@ -122,18 +116,15 @@ def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]
     out in branch order.
     """
     offs = list(itertools.accumulate(bounds, initial=0))
-    ech = _Echelon()
-    one = [0] * offs[-1]
-    for off in offs[:-1]:
-        one[off] = 1
-    queue = deque([ech.add(one)[2]])  # the unit is never zero
+    rows: dict[int, dict[int, int]] = {}
+    queue = deque([_add(rows, dict.fromkeys(offs[:-1], 1))])  # the unit is never zero
     while queue:
         v = queue.popleft()
         for terms_per_branch in coords:
-            added = ech.add(_mult_coordinate(v, terms_per_branch, offs))
+            added = _add(rows, _mult_coordinate(v, terms_per_branch, offs))
             if added is not None:
-                queue.append(added[2])
-    return ech, offs
+                queue.append(added)
+    return rows, offs
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +136,11 @@ def _monomial_span(coords, bounds: tuple[int, ...]) -> tuple[_Echelon, list[int]
 class _Analysis:
     bounds: tuple[int, ...]
     offs: list[int]
-    ech: _Echelon
+    rows: dict[int, dict[int, int]]
     pure: tuple[frozenset[int], ...]
 
 
-def _pure_orders(ech: _Echelon, lo: int, hi: int) -> frozenset[int]:
+def _pure_orders(rows: dict[int, dict[int, int]], lo: int, hi: int) -> frozenset[int]:
     """Orders on block [lo, hi) of span elements vanishing on every other block.
 
     The echelon rows leading at or past column t span the elements vanishing
@@ -161,21 +152,21 @@ def _pure_orders(ech: _Echelon, lo: int, hi: int) -> frozenset[int]:
     finds those rows: their projections reduce to zero.  On the last block
     the projections are empty and every lead is pure.
     """
-    proj = _Echelon()
+    proj: dict[int, dict[int, int]] = {}
     pure = set()
-    for lead, _, row in reversed(ech.rows):
+    for lead in sorted(rows, reverse=True):
         if lead < lo:
             break
-        if proj.add(row[hi:]) is None and lead < hi:
+        if _add(proj, {k: x for k, x in rows[lead].items() if k >= hi}) is None and lead < hi:
             pure.add(lead - lo)
     return frozenset(pure)
 
 
 def _analyze(coords, r: int, bounds: tuple[int, ...]) -> _Analysis:
     """The span in branch order, and the window-pure orders of every branch."""
-    ech, offs = _monomial_span(coords, bounds)
-    pure = tuple(_pure_orders(ech, offs[j], offs[j + 1]) for j in range(r))
-    return _Analysis(bounds, offs, ech, pure)
+    rows, offs = _monomial_span(coords, bounds)
+    pure = tuple(_pure_orders(rows, offs[j], offs[j + 1]) for j in range(r))
+    return _Analysis(bounds, offs, rows, pure)
 
 
 def _candidate_conductor(pure: frozenset[int], nj: int) -> int:
@@ -211,17 +202,18 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> list[int]:
       count on the projection.  So each newly active row is projected onto
       those columns and added to one incremental echelon; the sweep counts
       its kernel and goes on with its rows, again only when the active set
-      grew.  Blocks stay in branch order, so the next block comes first and
-      its leading indices are again orders.
+      grew.  Columns keep their window numbers, so the next block comes
+      first and its leads, less its first column, are again orders.
     - At the last axis the rows are an echelon of the last block's box
       columns.  The projection of their span onto the columns below l_last
       has rank equal to the number of pivots below l_last, and the elements
       vanishing below l_last are its kernel: F = rows - pivots below
       l_last.  With one branch the echelon of V is that echelon already.
     """
-    r = len(an.bounds)
+    r, offs = len(an.bounds), an.offs
     if any(b + 1 > n for b, n in zip(box, an.bounds)):
         raise ValidationError("truncation not stabilized")
+    block = {c: j for j in range(r) for c in range(offs[j], offs[j] + box[j])}  # box column -> j
 
     def last_axis(leads, free: int) -> list[int]:
         # h at l_last = 0 .. box[-1]: free plus the pivots below l_last
@@ -231,30 +223,28 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> list[int]:
                 steps[lead + 1] += 1
         return list(itertools.accumulate(steps))
 
-    def sweep(rows, starts: list[int], k: int, free: int) -> list[int]:
-        # rows: echelon rows sorted by lead, block k at column 0, block j at
-        # starts[j - k]; free: dim V minus the kernels counted so far.
-        # Returns h over the points of axes k .. r-1 in lexicographic order.
+    def sweep(rows: dict[int, dict[int, int]], k: int, free: int) -> list[int]:
+        # rows: an echelon leading in blocks k .. r-1; free: dim V minus the
+        # kernels counted so far.  Returns h over the points of axes k .. r-1
+        # in lexicographic order.
         if k == r - 1:
-            return last_axis((lead for lead, _, _ in rows), free - len(rows))
-        cols = [slice(s, s + b) for s, b in zip(starts[1:], box[k + 1 :])]
-        sub_starts = list(itertools.accumulate(box[k + 1 : -1], initial=0))
-        proj = _Echelon()
-        rows = rows[::-1]
+            return last_axis((lead - offs[k] for lead in rows), free - len(rows))
+        proj: dict[int, dict[int, int]] = {}
+        leads = sorted(rows, reverse=True)
         per_l: list = [None] * (box[k] + 1)
         sub = None
         idx = 0
         for l in range(box[k], -1, -1):
             start = idx
-            while idx < len(rows) and rows[idx][0] >= l:
-                proj.add(sum((rows[idx][2][c] for c in cols), []))
+            while idx < len(leads) and leads[idx] >= offs[k] + l:
+                _add(proj, {c: x for c, x in rows[leads[idx]].items() if block.get(c, -1) > k})
                 idx += 1
             if sub is None or idx > start:
-                sub = sweep(proj.rows, sub_starts, k + 1, free - idx + len(proj))
+                sub = sweep(proj, k + 1, free - idx + len(proj))
             per_l[l] = sub
         return list(itertools.chain.from_iterable(per_l))
 
-    return sweep(an.ech.rows, an.offs[:-1], 0, len(an.ech))
+    return sweep(an.rows, 0, len(an.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +397,18 @@ _BAD_HINT = "conductor needs one nonnegative entry per branch"
 # Windows grow by at least half each round, so the last window tried is at
 # least 8 * 1.5**12 ≈ 1000 orders per branch.  This bounds rounds, not time:
 # a germ that never certifies raises InputError (exit 2) after the last round,
-# which takes about 1.1 s for (t^2, t^3) and (4t^2, 8t^3) (a branch repeated
+# which takes about 0.04 s for (t^2, t^3) and (4t^2, 8t^3) (a branch repeated
 # under t -> 2t, which make_parametrization rejects but BranchParametrization
-# takes as given) but about 48 s for (t^2, t^3) with its t -> t + t^2 image,
+# takes as given) but 1.8-2.6 s for (t^2, t^3) with its t -> t + t^2 image,
 # which nothing rejects up front (shared 2-core VM).
 _MAX_ROUNDS = 13
 
-# No window may exceed this many orders on any branch: the cost grows a little
-# faster than quadratically with the window (on the two-branch curve of
-# tests/data/curve_six_coord_in.json, shared 2-core VM: 1000 orders take 4.3 s
-# and 2000 take 19.5 s), and every window of the tests and the benchmark stays
-# below it, 1065 being the automatic loop's last.
+# No window may exceed this many orders on any branch.  The cost depends on
+# the germ: at 1000, 2000 and 4096 orders the curves of
+# tests/data/curve_six_coord_in.json and curve_three_branch_in.json take
+# 0.04/0.09/0.21 s and 0.09/0.16/0.38 s, but (t^2, t^3) with its t -> t + t^2
+# image takes 1.4/5.0/39 s (shared 2-core VM).  Every window of the tests and
+# the benchmark stays below it, 1065 being the automatic loop's last.
 _MAX_WINDOW = 4096
 
 

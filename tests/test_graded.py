@@ -347,6 +347,16 @@ def test_forged_roots_raise_the_validate_message(name):
     with pytest.raises(InputError, match="^%s$" % re.escape(str(expected.value))):
         reader(R)
 
+
+def test_two_top_vertices_with_upward_edges_are_named():
+    # every top-level vertex has an edge up to a vertex that does not exist
+    # (validate names that edge first); the labelling used to step past the
+    # end of its sorted vertex list with IndexError
+    R = GradedRoot(((0, 0), (1, 1), (2, 1)), ((0, 1), (1, 7), (2, 7)), 1)
+    with pytest.raises(InputError, match="^top level must hold a single vertex$"):
+        roots_isomorphic(R, R)
+
+
 def test_sweep_small():
     rep = conjecture_sweep(40)
     assert rep.max_conductor == 40

@@ -299,6 +299,17 @@ def test_doubling_the_window_changes_nothing():
     assert W2.h == W4.h == W.h
 
 
+def test_pinned_windows_far_past_the_certificate_give_the_certified_grid():
+    # the whole pinned window is closed, hundreds of orders past the
+    # certificate: same grid, and a sparse span keeps it well under a second
+    for path, bound in ((SIX_COORD_IN, 1000), (THREE_BRANCH_IN, 400)):
+        P = formats.read_curve_file(str(path))
+        start = time.monotonic()
+        pinned = hilbert_from_parametrization(P, bound)
+        assert time.monotonic() - start < 1.0, path.name
+        assert pinned == hilbert_from_parametrization(P), path.name
+
+
 def oracle_batch():
     """The seeded random curves with their auto grids and multiplicities."""
     batch = []
