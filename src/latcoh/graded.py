@@ -9,10 +9,8 @@ a truncation level and treat everything above as that chain.
 Two builders make roots.  One branch reads its root straight off the weight
 walk (``root_from_weight``): on a path every component is a run, named by
 its left end, so no merging is needed.  Lattice grids of several branches
-read theirs off the level masks (``multibranch.complexes.root_from_grid``).
-The hole sweep over a grid's negated weights needs only the towers, which
-the union-find sweep ``_merge_tree`` closes by the elder rule as components
-merge, with no root built.
+read theirs off the level masks (``multibranch.complexes.root_from_grid``),
+as the hole sweep of a planar grid does its degree-1 towers.
 
 Collapsing the root along upward containment produces a module built from
 "towers": one infinite tower starting at the base level b = min chi, and a
@@ -61,9 +59,12 @@ class GradedRoot:
         return kids
 
     def levels(self) -> dict[int, list[int]]:
+        """Sorted vertex ids per level; ``InputError`` when there are none."""
         by: dict[int, list[int]] = {}
         for v, ch in self.vertices:
             by.setdefault(ch, []).append(v)
+        if not by:
+            raise InputError("root has no vertices")
         for n in by:
             by[n].sort()
         return by
@@ -119,46 +120,6 @@ class TowerModule:
         return max([self.base] + [t for _m, t in self.towers])
 
 
-def _merge_tree(weights: list[int], neighbors: list) -> tuple[tuple[int, int], ...]:
-    """Finite towers of the merge tree of the sublevel sets of ``weights`` on a graph.
-
-    The hole sweep of lattice grids (``_hole_towers``) runs it on their
-    negated weights; roots are read off directly, by ``root_from_weight`` on
-    a walk and by ``root_from_grid`` on a grid's level masks.
-
-    The join-tree sweep of Carr-Snoeyink-Axen (2003), read by the elder
-    rule: the points join in weight order, each united with its neighbours
-    already present, and each component keeps its birth, its lowest weight.
-    When two components meet at level n the younger one, born at b, closes
-    as the tower (b, n - 1); one born at n itself closes none.  The graph
-    must be connected, so the one component left is the infinite tower.
-    The sorted towers are those ``module_from_root`` reads off the merge
-    tree.  Cost: near-linear in points and graph edges.
-    """
-    parent = list(range(len(weights)))
-    birth = list(weights)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    towers = []
-    for i in sorted(range(len(weights)), key=weights.__getitem__):
-        n, a = weights[i], find(i)  # a stays the root of i's component
-        for j in neighbors[i]:
-            if weights[j] <= n:
-                b = find(j)
-                if a != b:
-                    if birth[a] > birth[b]:
-                        a, b = b, a
-                    if birth[b] < n:
-                        towers.append((birth[b], n - 1))
-                    parent[b] = a
-    return tuple(sorted(towers))
-
-
 def root_from_weight(W: WeightSequence) -> GradedRoot:
     """Graded root of a weight sequence, read straight off the walk.
 
@@ -201,9 +162,9 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     (relabelling the leaves flips that; the resulting multiset is the same,
     which the tests exercise).
 
-    An edge with an end that is not a vertex, or whose lower end is not
-    open when its upper end is reached, raises ``InputError`` with the
-    message of ``GradedRoot.validate``; other malformed roots must pass
+    A root with no vertices, or an edge with an end that is not a vertex or
+    whose lower end is not open when its upper end is reached, raises
+    ``InputError`` with the message of ``GradedRoot.validate``; other malformed roots must pass
     ``validate`` first, as every reader of a root file does.
     """
     chi = R.chi()
@@ -332,6 +293,8 @@ def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:
     tuple of ints, and is appended to the list kept for its upper neighbour;
     neither the labelling nor hashing recurses.
     """
+    if not R.vertices:
+        raise InputError("root has no vertices")  # as ``GradedRoot.levels`` does
     order = sorted(R.vertices, key=itemgetter(1))
     # t*: walk down from the top while each level holds one vertex
     i = len(order) - 1
@@ -358,10 +321,10 @@ def roots_isomorphic(R1: GradedRoot, R2: GradedRoot) -> bool:
 
     Both roots are labelled bottom-up with one shared AHU label table and
     their labels at t* compared: O(V log V) for V vertices, iterative.  A
-    top level with two vertices, or a vertex below t* with no upward edge,
-    raises ``InputError`` with the message of ``GradedRoot.validate`` for
-    that defect; other malformed roots must pass ``validate`` first, as
-    every reader of a root file does.
+    root with no vertices, a top level with two vertices, or a vertex below
+    t* with no upward edge raises ``InputError`` with the message of
+    ``GradedRoot.validate`` for that defect; other malformed roots must pass
+    ``validate`` first, as every reader of a root file does.
     """
     table: dict[tuple, int] = {}
     return _canonical_label(R1, table) == _canonical_label(R2, table)

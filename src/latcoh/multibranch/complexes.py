@@ -8,13 +8,13 @@ per level; the masks ANDed with their shifts give the base points C_m(n) of
 the cubes of K_n spanning the axes m, and chi(K_n) is an alternating sum of
 their popcounts.  With one or two branches K_n is planar, so
 b_1(n) = b_0(n) - chi(K_n): degree zero is the graded root, and only where
-b_1 is not zero is degree one read off a merge tree of the holes of K_n
-(Alexander and digital 4/8 duality, Garin et al. 2020; see
-``lattice_cohomology``).  With three or more branches the cubes are integer
-ids in one filtration read off C_m(n) level by level (vertex-max,
-Wagner-Chen-Vucini 2012); its equal-weight unit pairs are reduced once, and
-persistence over the rationals and Smith normal form read the cells left, as
-``cohomology(W, n)`` does for a level.
+b_1 is not zero is degree one read off the holes of K_n, flooded through the
+complements of the masks as n falls (Alexander and digital 4/8 duality,
+Garin et al. 2020; see ``lattice_cohomology``).  With three or more
+branches the cubes are integer ids in one filtration read off C_m(n) level
+by level (vertex-max, Wagner-Chen-Vucini 2012); its equal-weight unit pairs
+are reduced once, and persistence over the rationals and Smith normal form
+read the cells left, as ``cohomology(W, n)`` does for a level.
 A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import accumulate
 from math import gcd
 
 from ..errors import InputError, ValidationError
-from ..graded import GradedRoot, TowerModule, _merge_tree, _rank_steps, module_from_root
+from ..graded import GradedRoot, TowerModule, _rank_steps, module_from_root
 from .hilbert import WeightGrid, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
 
@@ -411,32 +411,57 @@ def root_from_grid(W: WeightGrid, masks: list[int] | None = None) -> GradedRoot:
     return GradedRoot(tuple(vertices), tuple(edges), top)
 
 
-def _hole_towers(grid: WeightGrid) -> tuple[tuple[int, int], ...]:
-    """Degree-1 towers of a two-branch grid: the merge tree of the holes.
+def _hole_towers(grid: WeightGrid, masks: list[int]) -> tuple[tuple[int, int], ...]:
+    """Degree-1 towers of a two-branch grid: the merge tree of the holes of K_n.
 
     K_n joins points only along the axes, so the bounded components of
-    R^2 - K_n are the 8-connected components of the points of weight > n that
-    hold no point on the box's edge (Garin et al., SoCG 2020).  They are the
-    components of the sublevel sets of the negated weights over the
-    8-connected grid plus one outside vertex below every point and joined to
-    every edge point, and each finite tower (m', t') that ``_merge_tree``
-    closes on that graph is a hole at the levels -t' - 1 to -m' - 1.
+    R^2 - K_n are the 8-connected components of U_n = box - S_n that hold no
+    point on the box's edge (Garin et al., SoCG 2020).  Walking n down from
+    max w0 to min w0 - 1, U_n gains the points of weight n + 1, read off the
+    level ``masks``.  The outside, the eldest component, takes the new points
+    on the edge, and every component floods into the new points by 8-neighbour
+    dilation (the ``_axis_moves`` shifts of one axis, then of the other) until
+    it reaches no more.  Components whose floods meet join by the elder rule:
+    the one born highest survives and each other closes as the hole
+    (n + 1, its birth).  New points no component reaches are new holes born
+    at n, one per cluster.  Cost: a few word operations on p-bit ints per
+    live component, flood round and level, for p box points.
     """
-    w0, s, (b0, b1) = grid.w0, grid.strides[0], grid.box
-    out = len(w0)
-    neighbors: list[list[int]] = [[] for _ in range(out + 1)]
-    for p in range(out):
-        l0, l1 = divmod(p, s)
-        ends = [p + 1] if l1 < b1 else []
-        if l0 < b0:  # p + s along axis 0, and its diagonal neighbours
-            ends += [p + s + d for d in (-1, 0, 1) if 0 <= l1 + d <= b1]
-        if l0 in (0, b0) or l1 in (0, b1):
-            ends.append(out)
-        for q in ends:
-            neighbors[p].append(q)
-            neighbors[q].append(p)
-    dual = [-w for w in w0] + [-max(w0) - 1]
-    return tuple(sorted((-t - 1, -m - 1) for m, t in _merge_tree(dual, neighbors)))
+    moves = _axis_moves(grid)
+    edge = 0  # the points on the box's edge, and every bit past the box
+    for s, below in moves:
+        edge |= ~(below & below << s)
+
+    def flood(G: int, room: int) -> int:
+        # G and the points of room 8-connected to it through room
+        front = G
+        while front:
+            for s, below in moves:
+                front |= (front & below) << s | front >> s & below
+            front &= room & ~G
+            G |= front
+        return G
+
+    towers, top, bottom = [], max(grid.w0), grid.min_w0
+    comps = [[top, 0]]  # [birth level, points], eldest first: the outside never closes
+    for n in range(top - 1, bottom - 2, -1):
+        new = masks[n + 1 - bottom] & ~masks[n - bottom] if n >= bottom else masks[0]
+        comps[0][1] |= new & edge
+        level, left = [], new
+        for birth, C in comps:
+            G = flood(C, new)
+            left &= ~G
+            met = [j for j, (_b, H) in enumerate(level) if H & G] + [len(level)]
+            level.append([birth, G])
+            for j in reversed(met[1:]):  # the eldest survives, each younger one closes
+                towers.append((n + 1, level[j][0]))
+                G |= level.pop(j)[1]
+            level[met[0]][1] |= G
+        while left:  # new points no component reached: new holes
+            level.append([n, flood(left & -left, new)])
+            left &= ~level[-1][1]
+        comps = level
+    return tuple(sorted(towers))
 
 
 def _persistence_pairs(columns, dims: list[int]):
@@ -523,8 +548,9 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     Degree zero is the module of the graded root.  At every level n from min
     w0 to max w0, the everlasting class and the towers alive at n must count,
     with alternating signs, to chi(K_n).  The level masks S_n are built once
-    (``_sublevel_masks``): ``root_from_grid`` grows components by dilation and
-    ``_level_euler`` counts their ``_cube_bases`` by popcounts.  With one or
+    (``_sublevel_masks``): ``root_from_grid`` grows components by dilation,
+    ``_level_euler`` counts their ``_cube_bases`` by popcounts and
+    ``_hole_towers`` floods holes through their complements.  With one or
     two branches K_n is a proper compact subset of the plane, so Alexander
     duality gives H~^2(K_n) = H~_{-1}(S^2 - K_n) = 0 (Hatcher, Algebraic
     Topology, 3.44), and H^2 = Hom(H_2, Z) + Ext(H_1, Z) = 0 makes H_1, so
@@ -551,7 +577,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     b0 = list(accumulate(_rank_steps(module, hi)))[: len(chis)]
     towers = {0: module.towers}
     if grid.r == 2 and b0 != chis:
-        towers[1] = _hole_towers(grid)
+        towers[1] = _hole_towers(grid, masks)
     elif grid.r >= 3:
         filt = _Filtration(grid, bases)
         weights, dims = filt.weights, filt.dims

@@ -325,7 +325,9 @@ def _iso_with_itself(R):
 
 
 _FORGED = {
-    # name: (root, the reader that used to fail on it with KeyError)
+    # name: (root, the reader that used to fail on it with another error)
+    "empty": (GradedRoot((), (), 0), module_from_root),
+    "empty-compared": (GradedRoot((), (), 0), _iso_with_itself),
     "two-top-vertices": (GradedRoot(((0, 0), (1, 1), (2, 1)), ((0, 1),), 1), _iso_with_itself),
     "no-upward-neighbor": (GradedRoot(((0, 0), (1, 0), (2, 1)), ((0, 2),), 1), _iso_with_itself),
     "edge-to-missing-vertex": (GradedRoot(((0, 0), (1, 1)), ((0, 5),), 1), module_from_root),

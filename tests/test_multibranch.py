@@ -724,9 +724,9 @@ def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
 
     real_holes, swept = complexes._hole_towers, []
 
-    def counted(grid):
+    def counted(grid, masks):
         swept.append(grid)
-        return real_holes(grid)
+        return real_holes(grid, masks)
 
     monkeypatch.setattr(complexes, "_hole_towers", counted)
     parametrizations = [P for n in range(2, 7) for P in pair_family(n)]
@@ -749,7 +749,7 @@ def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
             assert qc.towers == towers.get(qc.q, ()), (W.conductor, qc.q)
         if W.r == 2:
             assert bool(swept) == (1 in towers), W.conductor
-            assert swept or real_holes(W) == (), W.conductor
+            assert swept or real_holes(W, complexes._sublevel_masks(W)) == (), W.conductor
             kinds.add(bool(swept))
     assert kinds == {False, True}
 
@@ -950,8 +950,9 @@ def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
 
 
 def test_cohomology_builds_the_level_masks_once(monkeypatch):
-    # the graded root, chi(K_n) and, with three branches, the filtration all
-    # read one build of the level masks and one pass of cube bases over them
+    # the graded root, chi(K_n), the hole sweep of a two-branch grid with
+    # holes and, with three branches, the filtration all read one build of
+    # the level masks and one pass of cube bases over them
     calls = []
 
     def counted(name):
@@ -965,10 +966,12 @@ def test_cohomology_builds_the_level_masks_once(monkeypatch):
 
     counted("_sublevel_masks")
     counted("_cube_bases")
-    for P in (formats.read_curve_file(str(THREE_BRANCH_IN)), curve(CURVE_SIX_COORD)):
+    inputs = [formats.read_curve_file(str(path)) for path in (THREE_BRANCH_IN, TWO_BRANCH_H1_IN)]
+    for P in (*inputs, curve(CURVE_SIX_COORD)):
         calls.clear()
-        lattice_cohomology(hilbert_from_parametrization(P))
+        H = lattice_cohomology(hilbert_from_parametrization(P))
         assert calls == [("_sublevel_masks", P.r), ("_cube_bases", P.r)], P.r
+        assert (P.r == 2 and bool(H.per_q[1].towers)) == (P is inputs[1])  # the sweep ran
 
 
 def test_forged_tower_trips_the_level_euler_check(monkeypatch):
@@ -979,9 +982,9 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
         module = real_module(root)
         return TowerModule(module.base, module.towers[1:])
 
-    def lengthened(grid):
+    def lengthened(grid, masks):
         # one hole now lives one level longer
-        (m, t), *rest = real_holes(grid)
+        (m, t), *rest = real_holes(grid, masks)
         return ((m, t + 1), *rest)
 
     W = hilbert_from_parametrization(pair_family(4)[0])
@@ -1078,6 +1081,46 @@ def _checkerboard(conductor):
     return WeightGrid(len(conductor), conductor, conductor, [(sum(l) + 1) // 2 for l in points])
 
 
+def _step_grid(combine, steps):
+    """h(l) = combine over the axes a of the sum of the first l_a 0/1 steps of steps[a]."""
+    conductor = tuple(len(axis) for axis in steps)
+    per_axis = [list(itertools.accumulate(axis, initial=0)) for axis in steps]
+    points = itertools.product(*(range(c + 1) for c in conductor))
+    h = [combine(sums[x] for sums, x in zip(per_axis, l)) for l in points]
+    return WeightGrid(len(steps), conductor, conductor, h)
+
+
+def _walled_grid(box, is_wall, doors):
+    """The largest w0 with unit axis steps that is at most 0 on the walls and 1 at their doors.
+
+    Wall points of odd |l| take -1, as w0 has the parity of |l|; the grid is
+    shifted to w0(0) = 0.  Rooms far from the walls become holes, born higher
+    the larger they are, and a door joins its two sides a level before the
+    walls do.
+    """
+    points = list(itertools.product(*(range(b + 1) for b in box)))
+    walls = {}
+    for l in filter(is_wall, points):
+        v = int(l in doors)
+        walls[l] = v - (v - sum(l)) % 2
+    w0 = [min(v + abs(l[0] - q[0]) + abs(l[1] - q[1]) for q, v in walls.items()) for l in points]
+    return WeightGrid(2, box, box, [(w - w0[0] + sum(l)) // 2 for l, w in zip(points, w0)])
+
+
+# Two rooms of a walled 17 x 11 box split at l_0 = 10: the smaller, younger
+# one joins the elder through its door at level 0, and the elder closes a
+# level later.
+_ROOMS = _walled_grid(
+    (16, 10), lambda l: 1 in l or l[0] in (10, 15) or l[1] == 9, {(10, 5)}
+)
+# Two square walls around (9, 9) with a door each on the same axis: both doors
+# open at one level, where the hole between the walls, the youngest, meets
+# the elder centre hole and the outside at once.
+_RINGS = _walled_grid(
+    (18, 18), lambda l: max(abs(x - 9) for x in l) in (4, 8), {(13, 9), (17, 9)}
+)
+
+
 @st.composite
 def _unit_step_grids(draw):
     """Grids whose h is the sum or the maximum of per-axis 0/1 step sequences, or a checkerboard."""
@@ -1086,30 +1129,32 @@ def _unit_step_grids(draw):
     kind = draw(st.sampled_from(("sum", "max", "checkerboard")))
     if kind == "checkerboard":
         return _checkerboard(conductor)
-    per_axis = [
-        list(itertools.accumulate(draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)), initial=0))
-        for c in conductor
-    ]
-    combine = sum if kind == "sum" else max
-    points = itertools.product(*(range(c + 1) for c in conductor))
-    h = [combine(steps[x] for steps, x in zip(per_axis, l)) for l in points]
-    return WeightGrid(r, conductor, conductor, h)
+    steps = [draw(st.lists(st.integers(0, 1), min_size=c, max_size=c)) for c in conductor]
+    return _step_grid(sum if kind == "sum" else max, steps)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_unit_step_grids())
 @example(_checkerboard((11, 11)))
+@example(_step_grid(sum, [[1, 1, 0, 1, 0, 0], [1, 1, 0, 1, 1, 0, 0]]))  # a hole joins an elder hole
+@example(_ROOMS)
+@example(_RINGS)
 def test_level_masks_match_the_oracles_on_unit_step_grids(W):
-    # the root grown by dilation and chi by popcounts, against a fresh
-    # breadth-first search and the explicit cube lists, at every level
+    # the root grown by dilation, chi by popcounts and, with two branches,
+    # the holes flooded in the complement masks, against a fresh breadth-first
+    # search, the explicit cube lists at every level and plain persistence
     E = weight_grid_extend(W)
     w0 = by_point(E, E.w0)
     assert root_from_grid(W) == GradedRoot(*naive_grid_root(w0))
-    chis = complexes._level_euler(complexes._cube_bases(E, complexes._sublevel_masks(E)))
+    masks = complexes._sublevel_masks(E)
+    chis = complexes._level_euler(complexes._cube_bases(E, masks))
     assert len(chis) == max(E.w0) - E.min_w0 + 1
     for n, chi in enumerate(chis, E.min_w0):
         cubes = naive_sublevel_cubes(w0, n)
         assert chi == sum((-1) ** q * len(cs) for q, cs in cubes.items()), n
+    if W.r == 2:
+        towers, _unpaired = naive_persistence_towers(w0)
+        assert complexes._hole_towers(E, masks) == towers.get(1, ())
 
 
 def test_euler_delta_identity():
