@@ -99,16 +99,203 @@ def test_root_dict_errors():
     R, _ = example_root_pair()
     d = formats.root_to_dict(R)
     bad = {k: v for k, v in d.items() if k != "vertices"}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^root: missing field 'vertices'$"):
         formats.root_from_dict(bad)
     bad = json.loads(formats.to_json(d))
     bad["edges"].append([0, 7])  # level jump
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^edge \(0, 7\) does not span consecutive levels$"):
         formats.root_from_dict(bad)
     bad = json.loads(formats.to_json(d))
     bad["truncation_level"] = 9
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^truncation_level disagrees with the top level$"):
         formats.root_from_dict(bad)
+
+
+def _example_root_dict(**fields):
+    """example_root_pair()[0] as a fresh JSON object, with fields replaced."""
+    chis = [-2, -2, -2, -2, -1, -1, 0, 1]
+    d = {
+        "vertices": [{"id": v, "chi": n, "degree": 2 * n} for v, n in enumerate(chis)],
+        "edges": [[0, 4], [1, 4], [2, 4], [3, 5], [4, 6], [5, 6], [6, 7]],
+        "truncation_level": 1,
+    }
+    d.update(fields)
+    return d
+
+
+def _vertices_with(*changes):
+    """The example's vertex list with (index, entry) replacements; an entry of
+    None drops that vertex, and an index past the end appends."""
+    vertices = _example_root_dict()["vertices"]
+    for i, entry in sorted(changes, reverse=True):
+        if entry is None:
+            del vertices[i]
+        elif i < len(vertices):
+            vertices[i] = entry
+        else:
+            vertices.append(entry)
+    return vertices
+
+
+def _edges_with(*extra, without=()):
+    edges = [e for e in _example_root_dict()["edges"] if e not in [list(x) for x in without]]
+    return edges + [list(e) for e in extra]
+
+
+# Each malformed root with the exact message of root_from_dict; several have
+# more than one defect, and the order of the checks decides the message.
+ROOT_READER_MESSAGES = {
+    # the entries of the vertex list, first bad entry first
+    "duplicate-id": (_example_root_dict(vertices=_vertices_with((1, {"id": 0, "chi": -2}))), "duplicate vertex id"),
+    "duplicate-id-other-level": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 3, "chi": 0}))), "duplicate vertex id",
+    ),
+    "missing-id": (_example_root_dict(vertices=_vertices_with((2, {"chi": -2}))), "root.vertices[2]: missing field 'id'"),
+    "string-id": (
+        _example_root_dict(vertices=_vertices_with((2, {"id": "2", "chi": -2}))),
+        "root.vertices[2].id: expected an integer, got '2'",
+    ),
+    "bool-id": (
+        _example_root_dict(vertices=_vertices_with((7, {"id": True, "chi": 1}))),
+        "root.vertices[7].id: expected an integer, got True",
+    ),
+    "missing-chi-and-degree": (
+        _example_root_dict(vertices=_vertices_with((3, {"id": 3}))), "root.vertices[3]: missing field 'degree'",
+    ),
+    "float-chi": (
+        _example_root_dict(vertices=_vertices_with((3, {"id": 3, "chi": -2.0, "degree": -4}))),
+        "root.vertices[3].chi: expected an integer, got -2.0",
+    ),
+    "odd-degree": (
+        _example_root_dict(vertices=_vertices_with((3, {"id": 3, "degree": -3}))),
+        "root.vertices[3].degree: doubled degree -3 is odd",
+    ),
+    "degree-only-then-a-bad-vertex": (
+        _example_root_dict(vertices=_vertices_with((3, {"id": 3, "degree": -4}), (5, {"id": 5, "chi": None}))),
+        "root.vertices[5].chi: expected an integer, got None",
+    ),
+    "first-of-two-bad-vertices": (
+        _example_root_dict(vertices=_vertices_with((6, {"chi": 0}), (2, {"id": 2, "chi": "x"}))),
+        "root.vertices[2].chi: expected an integer, got 'x'",
+    ),
+    "bad-vertex-before-bad-edges": (
+        _example_root_dict(vertices=_vertices_with((4, [4, -1])), edges=None),
+        "root.vertices[4]: expected an object, got list",
+    ),
+    "bad-vertex-before-duplicate-id": (
+        _example_root_dict(vertices=_vertices_with((0, {"id": 1, "chi": -2}), (6, {"id": 6}))),
+        "root.vertices[6]: missing field 'degree'",
+    ),
+    # the edge list
+    "edges-not-a-list": (_example_root_dict(edges={"0": 4}), "root.edges: expected a list"),
+    "edges-null": (_example_root_dict(edges=None), "root.edges: expected a list"),
+    "edge-of-three": (_example_root_dict(edges=_edges_with([3, 5, 6])), "root.edges[7]: expected a pair"),
+    "edge-not-a-list": (_example_root_dict(edges=_edges_with() + [35]), "root.edges[7]: expected a list"),
+    "edge-with-a-bool": (
+        _example_root_dict(edges=_edges_with([True, 4])), "root.edges[7][0]: expected an integer, got True",
+    ),
+    "first-of-two-bad-edges": (
+        _example_root_dict(edges=[[0, 4], [1], [2, 4, 9]]), "root.edges[1]: expected a pair",
+    ),
+    "bad-edge-before-missing-truncation-level": (
+        {"vertices": _vertices_with(), "edges": [[0, "4"]]}, "root.edges[0][1]: expected an integer, got '4'",
+    ),
+    "missing-truncation-level-before-duplicate-id": (
+        {"vertices": _vertices_with((1, {"id": 0, "chi": -2})), "edges": []},
+        "root: missing field 'truncation_level'",
+    ),
+    "string-truncation-level": (
+        _example_root_dict(truncation_level="1"), "root.truncation_level: expected an integer, got '1'",
+    ),
+    # the tree, edges in sorted order
+    "edge-to-a-missing-vertex": (_example_root_dict(edges=_edges_with([6, 9])), "edge endpoint (6, 9) is not a vertex"),
+    "edge-from-a-missing-vertex": (
+        _example_root_dict(edges=_edges_with([9, 7])), "edge endpoint (9, 7) is not a vertex",
+    ),
+    "edge-from-a-negative-id": (
+        _example_root_dict(edges=_edges_with([-1, 0])), "edge endpoint (-1, 0) is not a vertex",
+    ),
+    "edge-to-a-negative-id": (
+        _example_root_dict(edges=_edges_with([6, -1])), "edge endpoint (6, -1) is not a vertex",
+    ),
+    "level-jump": (_example_root_dict(edges=_edges_with([0, 7])), "edge (0, 7) does not span consecutive levels"),
+    "edge-goes-downward": (
+        _example_root_dict(edges=_edges_with([7, 6], without=[(6, 7)])), "edge (7, 6) does not span consecutive levels",
+    ),
+    "two-parents": (_example_root_dict(edges=_edges_with([0, 5])), "vertex 0 has two upward neighbors"),
+    "two-parents-listed-first": (
+        _example_root_dict(edges=[[3, 4]] + _edges_with()), "vertex 3 has two upward neighbors",
+    ),
+    "first-edge-in-sorted-order": (
+        _example_root_dict(edges=_edges_with([5, 9], [0, 7])), "edge (0, 7) does not span consecutive levels",
+    ),
+    "missing-vertex-before-two-parents": (
+        _example_root_dict(edges=_edges_with([0, 9], [0, 5])), "vertex 0 has two upward neighbors",
+    ),
+    "duplicate-id-before-bad-edge": (
+        _example_root_dict(vertices=_vertices_with((1, {"id": 0, "chi": -2})), edges=_edges_with([0, 7])),
+        "duplicate vertex id",
+    ),
+    "non-contiguous-levels": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": 5}))), "levels are not contiguous",
+    ),
+    "bad-edge-before-non-contiguous-levels": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": 5})), edges=_edges_with([8, 7])),
+        "edge (8, 7) does not span consecutive levels",
+    ),
+    "wrong-truncation-level": (
+        _example_root_dict(truncation_level=2), "truncation_level disagrees with the top level",
+    ),
+    "non-contiguous-levels-before-truncation": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": -4})), truncation_level=5),
+        "levels are not contiguous",
+    ),
+    "two-top-vertices": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": 1}))), "top level must hold a single vertex",
+    ),
+    "truncation-before-two-top-vertices": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": 1})), truncation_level=0),
+        "truncation_level disagrees with the top level",
+    ),
+    "orphan": (_example_root_dict(edges=_edges_with(without=[(3, 5)])), "vertex 3 has no upward neighbor"),
+    "first-orphan-by-id": (
+        _example_root_dict(edges=_edges_with(without=[(5, 6), (1, 4)])), "vertex 1 has no upward neighbor",
+    ),
+    "orphans-listed-out-of-order": (
+        _example_root_dict(
+            vertices=list(reversed(_vertices_with())), edges=_edges_with(without=[(4, 6), (2, 4)]),
+        ),
+        "vertex 2 has no upward neighbor",
+    ),
+    "two-top-vertices-before-orphan": (
+        _example_root_dict(vertices=_vertices_with((8, {"id": 8, "chi": 1})), edges=_edges_with(without=[(0, 4)])),
+        "top level must hold a single vertex",
+    ),
+    "orphan-with-ids-not-from-zero": (
+        {
+            "vertices": [{"id": 10, "chi": -1}, {"id": 12, "chi": -1}, {"id": 11, "chi": 0}],
+            "edges": [[10, 11]],
+            "truncation_level": 0,
+        },
+        "vertex 12 has no upward neighbor",
+    ),
+    "level-jump-with-ids-not-from-zero": (
+        {
+            "vertices": [{"id": 5, "chi": -1}, {"id": 3, "chi": 0}, {"id": -2, "chi": 1}],
+            "edges": [[5, 3], [5, -2]],
+            "truncation_level": 1,
+        },
+        "edge (5, -2) does not span consecutive levels",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_READER_MESSAGES))
+def test_root_reader_messages(name):
+    d, message = ROOT_READER_MESSAGES[name]
+    with pytest.raises(InputError) as raised:
+        formats.root_from_dict(json.loads(json.dumps(d)))
+    assert str(raised.value) == message
 
 
 def test_module_round_trip_prefers_weight_fields():

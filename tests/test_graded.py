@@ -320,6 +320,62 @@ def test_validate_rejects_broken_trees():
 
 
 
+_EXAMPLE, _ = example_root_pair()
+_UNSORTED = GradedRoot(
+    tuple(reversed(_EXAMPLE.vertices)), tuple(reversed(_EXAMPLE.edges)), _EXAMPLE.truncation_level
+)
+
+
+def _example_with(vertices=_EXAMPLE.vertices, edges=_EXAMPLE.edges, truncation_level=1):
+    return GradedRoot(tuple(vertices), tuple(edges), truncation_level)
+
+
+# validate on tuples as they are given, in their order: the first bad edge and
+# the first orphan are the first in that order
+VALIDATE_MESSAGES = {
+    "empty": (GradedRoot((), (), 0), "root has no vertices"),
+    "empty-with-an-edge": (GradedRoot((), ((0, 1),), 0), "edge endpoint (0, 1) is not a vertex"),
+    "duplicate-id": (_example_with(_EXAMPLE.vertices + ((3, 1),)), "duplicate vertex id"),
+    "duplicate-id-out-of-order": (_example_with(((7, 1),) + _UNSORTED.vertices), "duplicate vertex id"),
+    "edge-from-a-negative-id": (_example_with(edges=_EXAMPLE.edges + ((-1, 0),)), "edge endpoint (-1, 0) is not a vertex"),
+    "edge-to-a-negative-id": (_example_with(edges=((6, -2),) + _EXAMPLE.edges), "edge endpoint (6, -2) is not a vertex"),
+    "edge-past-the-last-id": (_example_with(edges=_EXAMPLE.edges + ((7, 8),)), "edge endpoint (7, 8) is not a vertex"),
+    "first-bad-edge-as-listed": (
+        _example_with(edges=((5, 9), (0, 7)) + _EXAMPLE.edges), "edge endpoint (5, 9) is not a vertex",
+    ),
+    "two-parents-as-listed": (
+        _example_with(edges=((0, 5),) + _EXAMPLE.edges), "vertex 0 has two upward neighbors",
+    ),
+    "level-jump-ids-out-of-order": (
+        _example_with(_UNSORTED.vertices, _UNSORTED.edges + ((1, 6),)), "edge (1, 6) does not span consecutive levels",
+    ),
+    "levels-not-contiguous": (_example_with(_EXAMPLE.vertices + ((8, 3),)), "levels are not contiguous"),
+    "truncation-level": (_example_with(truncation_level=0), "truncation_level disagrees with the top level"),
+    "two-top-vertices": (_example_with(_EXAMPLE.vertices + ((8, 1),)), "top level must hold a single vertex"),
+    "first-orphan-as-listed": (
+        _example_with(_UNSORTED.vertices, [e for e in _UNSORTED.edges if e not in ((4, 6), (2, 4))]),
+        "vertex 4 has no upward neighbor",
+    ),
+    "orphan-ids-not-from-zero": (
+        GradedRoot(((10, -1), (12, -1), (11, 0)), ((10, 11),), 0), "vertex 12 has no upward neighbor",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_MESSAGES))
+def test_validate_messages(name):
+    R, message = VALIDATE_MESSAGES[name]
+    with pytest.raises(InputError) as raised:
+        R.validate()
+    assert str(raised.value) == message
+
+
+def test_validate_accepts_any_order_and_any_ids():
+    _UNSORTED.validate()
+    GradedRoot(((10, -1), (12, -1), (11, 0)), ((10, 11), (12, 11)), 0).validate()
+    GradedRoot(((-3, 0),), (), 0).validate()
+
+
 def _iso_with_itself(R):
     return roots_isomorphic(R, R)
 
