@@ -147,7 +147,7 @@ def _write_root(path: str, R: GradedRoot) -> None:
     if path.endswith(".dot"):
         _write(path, formats.root_dot(R))
     elif path.endswith(".json"):
-        _write(path, formats.to_json(formats.root_to_dict(R)))
+        _write(path, formats.to_json(R))
     else:
         _write(path, formats.root_ascii(R))
 
@@ -263,7 +263,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         "delta": W.delta,
         "min_w0": W.min_w0,
         "module": formats.module_to_dict(H.module),
-        "root": formats.root_to_dict(H.root),
+        "root": H.root,
         "series": {
             "tail": sd.tail,
             "coefficients": [

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import InputError, ValidationError
 from ._pool import sweep
@@ -70,29 +70,50 @@ class GradedRoot:
         return by
 
     def validate(self) -> None:
-        """Structural sanity: raise InputError when this is not a graded root."""
-        ids = [v for v, _ in self.vertices]
-        if len(set(ids)) != len(ids):
+        """Structural sanity: raise InputError when this is not a graded root.
+
+        Each check is a whole-list pass over the tuples as given; chi is
+        looked up in a list indexed by id when the ids are 0..V-1 in order,
+        as every latcoh writer emits them, and in a dict otherwise.  Only a
+        failing edge or vertex check walks the entries, in their order, to
+        name the first offender.
+        """
+        ids = list(map(itemgetter(0), self.vertices))
+        chis = list(map(itemgetter(1), self.vertices))
+        chi = chis if ids == list(range(len(ids))) else dict(self.vertices)
+        if len(chi) != len(ids):
             raise InputError("duplicate vertex id")
-        chi = self.chi()
-        par: dict[int, int] = {}
-        for lo, hi in self.edges:
-            if lo not in chi or hi not in chi or chi[hi] != chi[lo] + 1 or lo in par:
-                raise _edge_error(chi, lo, hi)
-            par[lo] = hi
-        by = self.levels()
-        lvls = sorted(by)
-        if lvls != list(range(lvls[0], lvls[-1] + 1)):
+        los = list(map(itemgetter(0), self.edges))
+        his = list(map(itemgetter(1), self.edges))
+        try:
+            if chi is chis and min(min(los, default=0), min(his, default=0)) < 0:
+                raise IndexError  # a list would read a negative id from its end
+            steps = set(map(sub, map(chi.__getitem__, his), map(chi.__getitem__, los)))
+        except (IndexError, KeyError):
+            steps = None
+        if steps is None or not steps <= {1} or len(set(los)) != len(los):
+            chi = dict(self.vertices)
+            up: set[int] = set()
+            for lo, hi in self.edges:
+                if lo not in chi or hi not in chi or chi[hi] != chi[lo] + 1 or lo in up:
+                    raise _edge_error(chi, lo, hi)
+                up.add(lo)
+        if not chis:
+            raise InputError("root has no vertices")
+        top = max(chis)
+        if len(set(chis)) != top - min(chis) + 1:
             raise InputError("levels are not contiguous")
-        if self.truncation_level != lvls[-1]:
+        if self.truncation_level != top:
             raise InputError("truncation_level disagrees with the top level")
-        if len(by[lvls[-1]]) != 1:
+        if chis.count(top) != 1:
             raise InputError("top level must hold a single vertex")
-        # connectivity: every non-top vertex needs an upward neighbor
-        top = by[lvls[-1]][0]
-        for v, ch in self.vertices:
-            if v != top and v not in par:
-                raise InputError("vertex %d has no upward neighbor" % v)
+        # connectivity: every vertex but the top needs its one upward edge,
+        # and the edges, checked above, start at distinct non-top vertices
+        if len(los) != len(ids) - 1:
+            top_id, up = ids[chis.index(top)], set(los)
+            for v in ids:
+                if v != top_id and v not in up:
+                    raise InputError("vertex %d has no upward neighbor" % v)
 
 
 @dataclass(frozen=True)

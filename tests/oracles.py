@@ -565,3 +565,29 @@ def hironaka_delta(first, second):
     if gcd(x1, y1) != 1 or gcd(x2, y2) != 1 or x1 * y2 == x2 * y1:
         raise ValueError("need two distinct primitive branches")
     return (x1 - 1) * (y1 - 1) // 2 + (x2 - 1) * (y2 - 1) // 2 + min(x1 * y2, x2 * y1)
+
+
+def zariski_generators(n, exponents):
+    """Minimal generators of the semigroup of the plane branch (t^n, sum a_k t^k).
+
+    exponents are the k with a_k != 0, every one above n.  The characteristic
+    exponents are beta_0 = n and, in turn, the least exponent that the
+    running gcd e_i of those before it does not divide, until e_g = 1; then
+    Zariski's recursion gives the generators: bar beta_0 = n, bar beta_1 =
+    beta_1, and bar beta_{i+1} = (e_{i-1} / e_i) bar beta_i - beta_i + beta_{i+1}
+    (Zariski, Le probleme des modules pour les branches planes, 1973; Wall,
+    Singular Points of Plane Curves, 2004, ch. 4).
+    """
+    betas, es = [n], [n]
+    for k in sorted(exponents):
+        if k <= n:
+            raise ValueError("every exponent must exceed n")
+        if k % es[-1]:
+            betas.append(k)
+            es.append(gcd(es[-1], k))
+    if es[-1] != 1:
+        raise ValueError("need gcd(n, exponents) = 1")
+    bars = betas[:2]
+    for i in range(1, len(betas) - 1):
+        bars.append(es[i - 1] // es[i] * bars[i] - betas[i] + betas[i + 1])
+    return bars

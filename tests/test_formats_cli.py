@@ -13,10 +13,11 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latcoh import (
+    GradedRoot,
     InputError,
     NumericalSemigroup,
     TowerModule,
@@ -46,7 +47,7 @@ from fixtures import (
     pair_family,
     random_space_curves,
 )
-from oracles import hironaka_delta
+from oracles import hironaka_delta, zariski_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,7 +85,7 @@ def test_semigroup_dict_errors():
 
 def test_root_round_trip_and_degree_fallback():
     R, _ = example_root_pair()
-    d = json.loads(formats.to_json(formats.root_to_dict(R)))
+    d = formats.root_to_dict(R)
     assert formats.root_from_dict(d) == R
     # readers accept the doubled "degree" spelling when "chi" is absent
     for v in d["vertices"]:
@@ -93,6 +94,53 @@ def test_root_round_trip_and_degree_fallback():
     d["vertices"][0]["degree"] = -3
     with pytest.raises(InputError):
         formats.root_from_dict(d)
+
+
+@st.composite
+def _graded_roots(draw):
+    """A valid graded root as a reader returns it: one vertex at a top level
+    from -4 to 3, up to four more levels below it with up to three vertices
+    each, every vertex below the top hung from one a level up, and ids any
+    distinct ints, not only 0..V-1."""
+    top = draw(st.integers(-4, 3))
+    levels = [[top]]
+    for n in range(top - 1, top - 1 - draw(st.integers(0, 4)), -1):
+        levels.append([n] * draw(st.integers(1, 3)))
+    count = sum(map(len, levels))
+    ids = draw(
+        st.lists(st.integers(-50, 50) | st.integers(-(2**70), 2**70), min_size=count, max_size=count, unique=True)
+    )
+    named, edges, start = [], [], 0
+    for level in levels:
+        here = ids[start : start + len(level)]
+        if named:
+            above = named[-1]
+            edges.extend((v, above[draw(st.integers(0, len(above) - 1))]) for v in here)
+        named.append(here)
+        start += len(level)
+    vertices = [(v, n) for level, here in zip(levels, named) for v, n in zip(here, level)]
+    return GradedRoot(tuple(sorted(vertices)), tuple(sorted(edges)), top)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_graded_roots())
+def test_root_writer_matches_the_stdlib_encoder_and_reads_back(R):
+    R.validate()
+    d = {
+        "edges": [[lo, hi] for lo, hi in R.edges],
+        "truncation_level": R.truncation_level,
+        "vertices": [{"id": v, "chi": n, "degree": 2 * n} for v, n in R.vertices],
+    }
+    text = formats.to_json(R)
+    assert text == json.dumps(d, indent=2, sort_keys=True) + "\n"
+    assert formats.root_to_dict(R) == d
+    report = {"r": 1, "root": R, "module": {"base": -2, "towers": [[0, 2]]}, "notes": [R]}
+    expected = dict(report, root=d, notes=[d])
+    assert formats.to_json(report) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "root.json"
+        path.write_text(text, encoding="utf-8")
+        assert formats.read_root_file(str(path)) == R
 
 
 def test_root_dict_errors():
@@ -940,6 +988,62 @@ def test_cli_curve_delta_matches_hironakas_formula(first, second, swap):
     assert report["delta"] == report["euler"]["euler"] == hironaka_delta(first, second)
 
 
+def _cli(argv) -> str:
+    """stdout of one latcoh command, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@st.composite
+def _puiseux_branches(draw):
+    """n and {k: a_k} of a plane branch (t^n, sum a_k t^k): up to three
+    exponents k in (n, 3n), gcd(n, k...) = 1.  One is a multiple of a
+    divisor d of n drawn first, so that branches with one, two and three
+    characteristic exponents all occur."""
+    n = draw(st.sampled_from([4, 6, 8, 9]))
+    d = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    first = d * draw(st.integers(n // d + 1, (3 * n - 1) // d))
+    exponents = {first, *draw(st.lists(st.integers(n + 1, 3 * n - 1), max_size=2))}
+    assume(gcd(n, *exponents) == 1)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return n, {k: draw(coeffs) for k in sorted(exponents)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_puiseux_branches())
+@example((8, {12: 1, 14: -1, 15: 2}))  # three characteristic exponents: <8, 12, 26, 53>
+def test_cli_curve_semigroup_and_reconstruction_agree_with_zariski(branch):
+    # The paper's theorem on one branch: the curve route (parametrization,
+    # Hilbert grid, lattice cohomology), the semigroup route on Zariski's
+    # generators and the reconstruction from the curve's module give the
+    # same semigroup, module and graded root.
+    n, terms = branch
+    gens = zariski_generators(n, terms)
+    coords = [[{"c": 1, "e": n}], [{"c": a, "e": k} for k, a in terms.items()]]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "curve.json").write_text(json.dumps({"branches": [{"coords": coords}]}))
+        curve_report = json.loads(
+            _cli(["curve", "--in", str(tmp / "curve.json"), "--root", str(tmp / "curve_root.json")])
+        )
+        (tmp / "module.json").write_text(json.dumps(curve_report["module"]))
+        rebuilt = _cli(["reconstruct", "--module", str(tmp / "module.json")])
+        semigroup_report = json.loads(
+            _cli(["semigroup", "--gens", ",".join(map(str, gens)), "--root", str(tmp / "root.json")])
+        )
+        verdict = _cli(["root-iso", str(tmp / "curve_root.json"), str(tmp / "root.json")])
+    assert curve_report["generators"] == semigroup_report["generators"] == gens
+    assert rebuilt.startswith("generators: %s\n" % ", ".join(map(str, gens)))
+    assert json.loads(rebuilt[rebuilt.index("{"):])["generators"] == gens
+    assert curve_report["conductor"] == [semigroup_report["conductor"]]
+    assert curve_report["delta"] == semigroup_report["delta"]
+    assert curve_report["min_w0"] == semigroup_report["min_w0"]
+    assert curve_report["module"] == semigroup_report["module"]
+    assert verdict == "isomorphic\n"
+
+
 @pytest.mark.parametrize(
     "source,expected",
     [
@@ -1142,8 +1246,8 @@ def test_cli_root_iso(tmp_path, capsys):
     R1, R2 = example_root_pair()
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(formats.to_json(formats.root_to_dict(R1)))
-    b.write_text(formats.to_json(formats.root_to_dict(R2)))
+    a.write_text(formats.to_json(R1))
+    b.write_text(formats.to_json(R2))
     code, stdout, _ = run_cli(["root-iso", str(a), str(b)], capsys)
     assert code == 3
     assert stdout.strip() == "not isomorphic"
@@ -1267,7 +1371,7 @@ def test_cli_root_iso_on_a_deep_root(tmp_path, capsys):
     R = root_from_weight(weight_sequence(from_generators([61, 67])))
     assert len(R.levels()) > 900
     r = tmp_path / "r.json"
-    r.write_text(formats.to_json(formats.root_to_dict(R)))
+    r.write_text(formats.to_json(R))
     code, stdout, _ = run_cli(["root-iso", str(r), str(r)], capsys)
     assert code == 0
     assert stdout.strip() == "isomorphic"
