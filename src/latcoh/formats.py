@@ -10,8 +10,8 @@ what the reports hold (exact ints, bools, None, strs, lists and str-keyed
 dicts) and writes the bytes that the standard library's ``json.dumps``
 writes with sorted keys and an indent of two, and a newline, without the
 pure-Python encoder that ``json.dumps`` falls back to whenever it indents.
-A list of uniform integer records (tower pairs, series terms) is written
-through one %-template built from its keys and indent, in a single
+A list of integer lists of one length (tower pairs, rank pairs) is written
+through one %-template built from that length and its indent, in a single
 formatting call.  A ``GradedRoot`` is a value of its own: its vertex and
 edge tuples fill one record template each at whatever indent the root
 sits, in a file of its own or nested in a report, and no dict is built per
@@ -103,38 +103,21 @@ def _uniform(opening: str, fields: list[str], closing: str, count: int, values: 
 
 
 def _records(x, nl: str) -> str | None:
-    """A list of uniform integer records as JSON text, or None.
+    """A list of integer records as JSON text, or None.
 
-    The records are dicts with the first item's keys, all str, or lists of
-    the first item's nonzero length, and every value is an exact int (not a
-    bool).  They are written through ``_uniform`` with the escaped keys as
-    fields; any other list gives None.
+    The records are lists of the first item's nonzero length, and every
+    value is an exact int (not a bool).  They are written through
+    ``_uniform`` with one "%d" field per entry; any other list gives None.
     """
     first = x[0]
-    kind = type(first)
-    if kind not in (dict, list) or not first:
+    if type(first) is not list or not first:
         return None
-    if set(map(type, x)) != {kind} or set(map(len, x)) != {len(first)}:
+    if set(map(type, x)) != {list} or set(map(len, x)) != {len(first)}:
         return None
-    if kind is list:
-        values = list(chain.from_iterable(x))
-        fields = ["%d"] * len(first)
-        opening, closing = "[", "]"
-    else:
-        if any(type(k) is not str for k in first):
-            return None
-        keys = sorted(first)
-        try:  # every item has len(keys) keys, so these keys exactly
-            values = list(map(itemgetter(*keys), x))
-        except KeyError:
-            return None
-        if len(keys) > 1:
-            values = list(chain.from_iterable(values))
-        fields = [_ESCAPE(k).replace("%", "%%") + ": %d" for k in keys]
-        opening, closing = "{", "}"
+    values = tuple(chain.from_iterable(x))
     if set(map(type, values)) != {int}:
         return None
-    return _uniform(opening, fields, closing, len(x), tuple(values), nl)
+    return _uniform("[", ["%d"] * len(first), "]", len(x), values, nl)
 
 
 def _root(R: GradedRoot, nl: str) -> str:
@@ -172,9 +155,8 @@ def to_json(obj) -> str:
     that, a root to the dict of those three keys), written without the
     standard library's pure-Python indenting encoder: leaves are converted by
     ``int.__repr__`` and the C string escaper, a list of leaves is joined in
-    one pass, and a list of dicts with the same keys, or of lists of one
-    nonzero length, every value an exact int, through one template (see
-    ``_records``).
+    one pass, and a list of lists of one nonzero length, every value an
+    exact int, through one template (see ``_records``).
     """
     return _encode(obj, "\n") + "\n"
 

@@ -14,7 +14,9 @@ Garin et al. 2020; see ``lattice_cohomology``).  With three or more
 branches the cubes are integer ids in one filtration read off C_m(n) level
 by level (vertex-max, Wagner-Chen-Vucini 2012); its equal-weight unit pairs
 are reduced once, and persistence over the rationals and Smith normal form
-read the cells left, as ``cohomology(W, n)`` does for a level.
+read the cells left, as ``cohomology(W, n)`` does for a level.  Persistence
+puts those cells' boundaries, face positions negated, into the Hilbert
+span's sparse echelon (``hilbert._add``), top degree first with clearing.
 A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd
 
 from ..errors import InputError, ValidationError
 from ..graded import GradedRoot, TowerModule, _rank_steps, module_from_root
-from .hilbert import WeightGrid, box_point, weight_grid_extend
+from .hilbert import WeightGrid, _add, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
 
 _MISORDERED = "cube filtration is not ordered: a face sorts after its cube"
@@ -470,41 +472,28 @@ def _persistence_pairs(columns, dims: list[int]):
     ``columns`` maps each cell's position to its boundary (face position ->
     incidence) in filtration order, as the survivors of
     ``_reduce_equal_weight_pairs`` do; ``dims[position]`` is a cell's degree.
-    Columns are reduced in place, top dimension first, each degree in order;
-    a column whose cell is already the pivot of a higher column would reduce
-    to zero, so it is skipped and never read (clearing, Chen-Kerber 2011).  A
-    low entry that sorts after its column's cell raises ``ValidationError``.
-    To clear its low entry a column subtracts k times the column owning that
-    pivot when the pivot divides the entry, and is scaled by the pivot first
-    when it does not; scaling keeps every column's low, so the pairs are
-    those of the plain reduction over Q.
+    Top degree first, each degree in order, every column goes into one
+    echelon through ``hilbert._add`` with its positions negated, so that the
+    row's lead is the column's low entry: None means it reduced to zero, and
+    a lead -i pairs face i with the cell.  A cell that is already the low of
+    a higher column would reduce to zero, so it is skipped and never read
+    (clearing, Chen-Kerber 2011).  ``_add`` scales and subtracts rows of
+    earlier columns only, which keeps every low, so the pairs are those of
+    the plain reduction over Q.  A low that sorts after its column's cell
+    raises ``ValidationError``.  The columns themselves are not changed.
     """
-    owner: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     pairs: list[tuple[int, int]] = []
     for q in range(max(dims, default=0), 0, -1):
         for j in columns:
-            if dims[j] != q or j in owner:
+            if dims[j] != q or -j in rows:
                 continue
-            col = columns[j]
-            while col:
-                low = max(col)
+            row = _add(rows, {-i: v for i, v in columns[j].items()})
+            if row is not None:
+                low = -min(row)
                 if low > j:
                     raise ValidationError(_MISORDERED)
-                prev = owner.get(low)
-                if prev is None:
-                    owner[low] = col
-                    pairs.append((low, j))
-                    break
-                pivot = prev[low]
-                if col[low] % pivot:
-                    col = {i: v * pivot for i, v in col.items()}
-                k = col[low] // pivot
-                for i, v in prev.items():
-                    nv = col.get(i, 0) - k * v
-                    if nv:
-                        col[i] = nv
-                    else:
-                        col.pop(i, None)
+                pairs.append((low, j))
     paired = {i for pair in pairs for i in pair}
     return pairs, [j for j in columns if j not in paired]
 
@@ -582,8 +571,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
         filt = _Filtration(grid, bases)
         weights, dims = filt.weights, filt.dims
         cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
-        # copies: Smith normal form reads cells
-        pairs, infinite = _persistence_pairs({j: dict(faces) for j, faces in cells}, dims)
+        pairs, infinite = _persistence_pairs(dict(cells), dims)
         if len(infinite) != 1 or dims[infinite[0]]:
             raise ValidationError(
                 "cohomology routes disagree: box complex must have exactly one"

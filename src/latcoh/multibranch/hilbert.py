@@ -42,7 +42,10 @@ def _add(rows: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int]
     row only touches columns from its lead on, so a column once cleared
     stays clear), which leaves it with no entry at any pivot column.  Then
     its content is divided out and it is inserted under its lowest column.
-    vec itself is changed.
+    vec itself is changed.  The span closure, the pure orders and the
+    threshold sweep here, and ``complexes._persistence_pairs`` (a boundary
+    column with its face positions negated, so the lead is its low), all
+    reduce through this one echelon.
     """
     heap = [k for k in vec if k in rows]
     heapify(heap)

@@ -489,24 +489,16 @@ def naive_sublevel_cubes(w0, n):
     return {q: sorted(cs) for q, cs in out.items()}
 
 
-def naive_persistence_towers(w0):
-    """Finite towers per degree of the sublevel filtration of w0.
+def naive_low_pairs(columns):
+    """(low, j) for each column j of an integer matrix that does not reduce to zero.
 
-    Columns are the boundaries of naive_box_cubes in filtration order,
-    reduced over Q left to right against every earlier column, with no
-    clearing and no shortcut.  A pair (i, j) with weight(j) > weight(i) is the
-    tower [weight(i), weight(j) - 1] in degree dim(i).  Returns (towers, the
-    (degree, weight) of each unpaired cube), towers as q -> sorted tuple.
+    columns[j] maps row indices to integers.  Each column is reduced over Q
+    left to right against every earlier column, with no clearing and no
+    shortcut, until no earlier column owns its lowest nonzero row, its low.
     """
-    cubes = naive_box_cubes(w0)
-    index = {cube: i for i, (cube, _w) in enumerate(cubes)}
-    owner, paired = {}, set()
-    towers = {}
-    for j, (cube, weight) in enumerate(cubes):
-        col = {}
-        for face, sign in _cube_faces(*cube):
-            col[index[face]] = col.get(index[face], 0) + Fraction(sign)
-        col = {i: v for i, v in col.items() if v}
+    owner, pairs = {}, []
+    for j, column in enumerate(columns):
+        col = {i: Fraction(v) for i, v in column.items() if v}
         while col and max(col) in owner:
             prev = owner[max(col)]
             factor = col[max(col)] / prev[max(prev)]
@@ -514,12 +506,35 @@ def naive_persistence_towers(w0):
                 col[i] = col.get(i, 0) - factor * v
             col = {i: v for i, v in col.items() if v}
         if col:
-            low = max(col)
-            owner[low] = col
-            paired.update((low, j))
-            birth = cubes[low][1]
-            if weight > birth:
-                towers.setdefault(len(cubes[low][0][1]), []).append((birth, weight - 1))
+            owner[max(col)] = col
+            pairs.append((max(col), j))
+    return pairs
+
+
+def naive_persistence_towers(w0):
+    """Finite towers per degree of the sublevel filtration of w0.
+
+    Columns are the boundaries of naive_box_cubes in filtration order,
+    paired by ``naive_low_pairs``.  A pair (i, j) with weight(j) > weight(i)
+    is the tower [weight(i), weight(j) - 1] in degree dim(i).  Returns
+    (towers, the (degree, weight) of each unpaired cube), towers as
+    q -> sorted tuple.
+    """
+    cubes = naive_box_cubes(w0)
+    index = {cube: i for i, (cube, _w) in enumerate(cubes)}
+    columns = []
+    for cube, _weight in cubes:
+        col = {}
+        for face, sign in _cube_faces(*cube):
+            col[index[face]] = col.get(index[face], 0) + sign
+        columns.append(col)
+    pairs = naive_low_pairs(columns)
+    towers = {}
+    for i, j in pairs:
+        (_base, axes), birth = cubes[i]
+        if cubes[j][1] > birth:
+            towers.setdefault(len(axes), []).append((birth, cubes[j][1] - 1))
+    paired = {i for pair in pairs for i in pair}
     unpaired = [(len(c[1]), w) for j, (c, w) in enumerate(cubes) if j not in paired]
     return {q: tuple(sorted(t)) for q, t in towers.items()}, unpaired
 

@@ -511,9 +511,9 @@ def _writable(x) -> bool:
 @pytest.mark.parametrize(
     "records,template",
     [
-        ([{"id": 0, "chi": -1, "degree": -2}, {"id": 1, "chi": 2, "degree": 4}], True),
+        ([{"id": 0, "chi": -1, "degree": -2}, {"id": 1, "chi": 2, "degree": 4}], False),  # dicts
         ([[0, 1], [1, 2], [2, -3]], True),
-        ([{"%d": 1, 'a"%%s': 2, "é": 3}, {"%d": 4, 'a"%%s': 5, "é": 6}], True),
+        ([{"%d": 1, 'a"%%s': 2, "é": 3}, {"%d": 4, 'a"%%s': 5, "é": 6}], False),  # dicts
         ([[10**40]], True),
         ([{"a": 1}, {"a": True}], False),  # bool
         ([[1, 2], [1.5, 2]], False),  # float, rejected
@@ -1585,6 +1585,19 @@ def test_cli_sweep_above_the_enumeration_ceiling_is_malformed_input(command, cap
     assert code == 2
     assert stdout == ""
     assert stderr == "error: max_conductor 2000 is above the enumeration ceiling of 1000\n"
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "conjecture-sweep"])
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("-1", "--max-conductor must be non-negative"),
+        ("1001", "max_conductor 1001 is above the enumeration ceiling of 1000"),
+    ],
+)
+def test_cli_sweep_just_outside_its_range_is_malformed_input(command, value, message, capsys):
+    code, stdout, stderr = run_cli([command, "--max-conductor", value], capsys)
+    assert (code, stdout, stderr) == (2, "", "error: %s\n" % message)
 
 
 def test_cli_conjecture_sweep(tmp_path, capsys):

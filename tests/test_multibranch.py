@@ -60,6 +60,7 @@ from oracles import (
     naive_hilbert_grid,
     naive_hilbert_values,
     naive_invariant_factors,
+    naive_low_pairs,
     naive_persistence_towers,
     naive_series,
     naive_sublevel_cubes,
@@ -1011,12 +1012,32 @@ class _StubFiltration:
 
 
 def test_persistence_scales_a_column_the_pivot_does_not_divide():
-    # column 3 owns row 1 with pivot 2; column 4 has 3 there, so it is
-    # doubled, loses 3 times column 3 and ends as {0: -1}: over Q,
-    # col4 - 3/2 col3 = {0: -1/2}
+    # column 3 enters the echelon as the row led by -1 (its low, face 1),
+    # with 2 there; column 4 has 3 there, so _add doubles it, takes 3 times
+    # that row away and keeps {0: -1} as the row {0: 1} led by 0: over Q,
+    # col4 - 3/2 col3 = {0: -1/2}, whose low is face 0
     pairs, infinite = complexes._persistence_pairs(_StubFiltration(), _StubFiltration.dims)
     assert pairs == [(1, 3), (0, 4)]
     assert infinite == [2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(-6, 6).filter(bool), max_size=5),
+        max_size=10,
+    )
+)
+def test_persistence_pairs_random_integer_columns_like_a_fraction_reduction(columns):
+    # edges 8, 9, ... on vertices 0..7 with any integer entries: one degree,
+    # so nothing is cleared, and a row's lead often does not divide the entry
+    # it clears, so _add scales the column first
+    edges = {8 + j: col for j, col in enumerate(columns)}
+    pairs, infinite = complexes._persistence_pairs(edges, [0] * 8 + [1] * len(columns))
+    lows = naive_low_pairs(columns)
+    assert pairs == [(i, 8 + j) for i, j in lows]
+    paired = {j for _i, j in lows}
+    assert infinite == [8 + j for j in range(len(columns)) if j not in paired]
 
 
 def test_smith_invariants_on_hand_checked_matrices():
@@ -1122,9 +1143,9 @@ _RINGS = _walled_grid(
 
 
 @st.composite
-def _unit_step_grids(draw):
+def _unit_step_grids(draw, least_r=1):
     """Grids whose h is the sum or the maximum of per-axis 0/1 step sequences, or a checkerboard."""
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(least_r, 3))
     conductor = tuple(draw(st.integers(0, 11 if r < 3 else 6)) for _ in range(r))
     kind = draw(st.sampled_from(("sum", "max", "checkerboard")))
     if kind == "checkerboard":
@@ -1155,6 +1176,32 @@ def test_level_masks_match_the_oracles_on_unit_step_grids(W):
     if W.r == 2:
         towers, _unpaired = naive_persistence_towers(w0)
         assert complexes._hole_towers(E, masks) == towers.get(1, ())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_unit_step_grids(least_r=2), st.randoms(use_true_random=False))
+def test_persistence_of_scaled_columns_matches_the_plain_reduction_oracle(W, rng):
+    # every boundary column times a nonzero integer in [-6, 6]: which earlier
+    # columns span a column, and so every low over Q, stays the same, while
+    # the entries are no longer units; _add leaves the columns as they were
+    E = weight_grid_extend(W)
+    filt = _filtration(E)
+    weights, dims = filt.weights, filt.dims
+    factors = [k for k in range(-6, 7) if k]
+    columns = {}
+    for j in range(len(dims)):
+        k = rng.choice(factors)
+        columns[j] = {i: k * v for i, v in filt.boundary(j).items()}
+    before = {j: dict(col) for j, col in columns.items()}
+    pairs, infinite = complexes._persistence_pairs(columns, dims)
+    assert columns == before
+    bars = {}
+    for i, j in pairs:
+        if weights[j] > weights[i]:
+            bars.setdefault(dims[i], []).append((weights[i], weights[j] - 1))
+    towers, unpaired = naive_persistence_towers(by_point(E, E.w0))
+    assert {q: tuple(sorted(t)) for q, t in bars.items()} == towers
+    assert [(dims[j], weights[j]) for j in infinite] == unpaired == [(0, E.min_w0)]
 
 
 def test_euler_delta_identity():
