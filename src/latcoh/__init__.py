@@ -16,7 +16,6 @@ from .graded import (
     conjecture_sweep,
     module_from_root,
     module_from_weight,
-    rank_profile,
     root_from_weight,
     roots_isomorphic,
 )
@@ -56,12 +55,9 @@ from .semigroup import (
     is_plane_branch,
 )
 from .weight1d import (
-    Interval,
     WeightSequence,
     check_gorenstein_symmetry,
-    local_minima,
     min_w0,
-    sublevel_components,
     weight_sequence,
 )
 
@@ -75,7 +71,6 @@ __all__ = [
     "GradedRoot",
     "InitialPart",
     "InputError",
-    "Interval",
     "LatcohError",
     "LatticeCohomology",
     "NumericalSemigroup",
@@ -100,20 +95,17 @@ __all__ = [
     "initial_part",
     "is_plane_branch",
     "lattice_cohomology",
-    "local_minima",
     "make_parametrization",
     "min_w0",
     "module_from_root",
     "module_from_weight",
     "multiplicity_from_module",
-    "rank_profile",
     "reconstruct_semigroup",
     "root_from_grid",
     "root_from_weight",
     "roots_isomorphic",
     "series",
     "sublevel_complex",
-    "sublevel_components",
     "weight_grid_extend",
     "weight_sequence",
     "__version__",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter, sub
 
 from .errors import InputError, ValidationError
@@ -135,10 +134,6 @@ class TowerModule:
     def kernel_rank(self, n: int) -> int:
         k = 1 if n == self.base else 0
         return k + sum(1 for m, _t in self.towers if m == n)
-
-    @property
-    def top_level(self) -> int:
-        return max([self.base] + [t for _m, t in self.towers])
 
 
 def root_from_weight(W: WeightSequence) -> GradedRoot:
@@ -288,20 +283,6 @@ def _rank_steps(M: TowerModule, hi: int) -> list[int]:
             steps[lo - M.base] += 1
             steps[top - M.base + 1] -= 1
     return steps
-
-
-def rank_profile(M: TowerModule, up_to: int | None = None) -> dict[int, tuple[int, int]]:
-    """Per-level (rank, kernel rank) from base up to max(1, top tower level).
-
-    Above the returned range the module is the bare infinite tower: rank 1,
-    kernel rank 0.  Built from difference arrays: O(towers + levels).
-    """
-    hi = max(1, M.top_level) if up_to is None else up_to
-    born = [1] + [0] * max(0, hi - M.base + 1)  # the infinite tower is born at base
-    for m, _t in M.towers:
-        if M.base <= m <= hi:
-            born[m - M.base] += 1
-    return dict(zip(range(M.base, hi + 1), zip(accumulate(_rank_steps(M, hi)), born)))
 
 
 def _canonical_label(R: GradedRoot, table: dict[tuple, int]) -> int:

@@ -39,11 +39,6 @@ class BranchParametrization:
         """Number of ambient coordinates."""
         return len(self.branches[0])
 
-    def coordinate_order(self, branch: int, coord: int) -> int | None:
-        """Vanishing order of one coordinate on one branch; None if zero."""
-        s = self.branches[branch][coord]
-        return s[0][1] if s else None
-
     def branch_multiplicity(self, branch: int) -> int:
         """Smallest positive coordinate order on the branch."""
         orders = [s[0][1] for s in self.branches[branch] if s]
@@ -139,9 +134,13 @@ def make_parametrization(branches: object) -> BranchParametrization:
     Two branches that are equal after t -> lambda*t for a rational lambda
     (lambda = 1 and lambda = -1 included) describe one branch twice: the germ
     is not reduced, so it has no conductor, and they raise ``InputError``.
-    Other reparametrizations of a repeated branch (t -> t + t^2, ...) are not
-    detected here; no window certifies a conductor for such a germ, and the
-    automatic window loop of ``hilbert_from_parametrization`` raises
+    A branch with one nonzero coordinate lies on that coordinate's axis: it
+    raises ``InputError`` when that coordinate's order m is above 1, since
+    the branch then covers the axis m times, and so does a second branch on
+    the same axis, which is the same branch again.  Other reparametrizations
+    of a repeated branch (t -> t + t^2, ...) and other branches covered k:1
+    are not detected here; no window certifies a conductor for such a germ,
+    and the automatic window loop of ``hilbert_from_parametrization`` raises
     ``InputError`` when its rounds run out.
     """
     try:
@@ -182,12 +181,14 @@ def make_parametrization(branches: object) -> BranchParametrization:
                 "branches do not pass through a common point (coordinate %d)" % k
             )
     shifted: list[tuple[Series, ...]] = []
+    axes: dict[int, int] = {}  # coordinate -> the branch lying on its axis
     for j, coords in enumerate(normalized):
         branch = tuple(
             tuple(t for t in s if t[1] > 0)
             for s in coords
         )
-        if all(not s for s in branch):
+        nonzero = [k for k, s in enumerate(branch) if s]
+        if not nonzero:
             raise InputError(
                 "zero branch: branch %d has no coordinate of positive order" % j
             )
@@ -198,5 +199,16 @@ def make_parametrization(branches: object) -> BranchParametrization:
                     "branches %d and %d are the same branch (up to t -> %s)"
                     % (k, j, "-t" if abs(lam) == 1 else "%s*t" % lam)
                 )
+        if len(nonzero) == 1:  # the branch lies on the coordinate-k axis
+            (k,) = nonzero
+            m = branch[k][0][1]
+            if m > 1:
+                raise InputError("branch %d covers the coordinate-%d axis %d times" % (j, k, m))
+            if k in axes:
+                raise InputError(
+                    "branches %d and %d are the same branch (the coordinate-%d axis)"
+                    % (axes[k], j, k)
+                )
+            axes[k] = j
         shifted.append(branch)
     return BranchParametrization(tuple(shifted))

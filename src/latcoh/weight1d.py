@@ -20,20 +20,6 @@ from .semigroup import CofiniteSet
 
 
 @dataclass(frozen=True)
-class Interval:
-    """A connected component of a sublevel set, clipped to [0, conductor].
-
-    ``unbounded`` marks the component that keeps going past the conductor
-    (the weight keeps climbing out there, so no new components ever appear
-    beyond the box, but the last one may extend).
-    """
-
-    start: int
-    end: int
-    unbounded: bool = False
-
-
-@dataclass(frozen=True)
 class WeightSequence:
     """w0 tabulated on [0, conductor], plus the set it came from."""
 
@@ -66,54 +52,6 @@ def weight_sequence(S: CofiniteSet) -> WeightSequence:
 
 def min_w0(W: WeightSequence) -> int:
     return min(W.values)
-
-
-def sublevel_components(W: WeightSequence, n: int) -> list[Interval]:
-    """Connected components of S_n as maximal intervals, left to right.
-
-    A unit segment [l, l+1] belongs to S_n exactly when both endpoint
-    weights are <= n, so components are maximal runs of low vertices.
-    Returns [] when n is below the minimum weight.
-    """
-    c = W.conductor
-    out = []
-    l = 0
-    while l <= c:
-        if W.values[l] <= n:
-            r = l
-            while r + 1 <= c and W.values[r + 1] <= n:
-                r += 1
-            out.append([l, r])
-            l = r + 1
-        else:
-            l += 1
-    comps = []
-    for a, b in out:
-        unbounded = b == c and W.values[c] <= n
-        comps.append(Interval(a, b, unbounded))
-    return comps
-
-
-def local_minima(W: WeightSequence) -> list[tuple[int, int]]:
-    """(position, weight) of every local minimum point of w0, ascending.
-
-    Two equivalent characterizations are computed and compared: the walk
-    shape (l = 0 or w0(l-1) > w0(l) < w0(l+1)) and the membership one
-    (l in S with l - 1 a gap).
-    """
-    S = W.source
-    c = W.conductor
-    by_shape = []
-    for l in range(c + 1):
-        left_ok = l == 0 or W[l - 1] > W[l]
-        if left_ok and W[l] < W[l + 1]:
-            by_shape.append((l, W[l]))
-    by_membership = [
-        (l, W[l]) for l in range(c + 1) if l in S and (l == 0 or (l - 1) not in S)
-    ]
-    if by_shape != by_membership:
-        raise ValidationError("local minimum characterizations disagree")
-    return by_shape
 
 
 def check_gorenstein_symmetry(W: WeightSequence) -> bool:

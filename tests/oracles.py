@@ -93,6 +93,21 @@ def naive_components(values, n):
     return runs
 
 
+def naive_local_minima(values):
+    """(position, value) of every strict valley of a walk, left to right.
+
+    A position is a valley when each neighbour it has lies strictly higher;
+    past the last position the walk is taken to climb, as a weight walk does
+    past its conductor, so only the left neighbour decides there.
+    """
+    last = len(values) - 1
+    return [
+        (i, v)
+        for i, v in enumerate(values)
+        if (i == 0 or values[i - 1] > v) and (i == last or values[i + 1] > v)
+    ]
+
+
 def naive_root(values):
     """Graded root of a weight walk, rebuilt level by level.
 

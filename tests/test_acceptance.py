@@ -25,16 +25,13 @@ from latcoh import (
     hilbert_from_parametrization,
     initial_part,
     lattice_cohomology,
-    local_minima,
     min_w0,
     module_from_root,
     multiplicity_from_module,
-    rank_profile,
     reconstruct_semigroup,
     root_from_weight,
     roots_isomorphic,
     series,
-    sublevel_components,
     weight_sequence,
 )
 from latcoh.formats import weights_tsv
@@ -53,6 +50,7 @@ from fixtures import (
     pair_family,
     random_space_curves,
 )
+from oracles import naive_components, naive_local_minima
 
 
 def _timed(budget_seconds):
@@ -151,7 +149,11 @@ def test_criterion_07_same_series_different_weight_tables():
     assert min(WB.w0) == -4
     MA = lattice_cohomology(WA).module
     MB = lattice_cohomology(WB).module
-    assert rank_profile(MA) != rank_profile(MB)
+    # rank profiles differ, compared over one common range of levels
+    levels = range(min(MA.base, MB.base), 2)
+    assert [(MA.rank(n), MA.kernel_rank(n)) for n in levels] != [
+        (MB.rank(n), MB.kernel_rank(n)) for n in levels
+    ]
     done()
 
 
@@ -226,11 +228,11 @@ def test_criterion_10_property_suites_up_to_200():
         assert compute_e(M) <= 0
         # every positive sublevel set is connected
         for n in range(1, R.truncation_level + 1):
-            assert len(sublevel_components(W, n)) == 1
+            assert len(naive_components(list(vals), n)) == 1
         # kernel ranks count the strict local minima, level by level
-        per_level = Counter(v for _, v in local_minima(W))
-        for n, (_, ker) in rank_profile(M).items():
-            assert ker == per_level.get(n, 0), (S.min_gens, n)
+        per_level = Counter(v for _, v in naive_local_minima(list(vals)))
+        for n in range(M.base, R.truncation_level + 1):
+            assert M.kernel_rank(n) == per_level.get(n, 0), (S.min_gens, n)
         # multiplicity and delta are recovered from the module alone
         assert multiplicity_from_module(M) == S.multiplicity
         assert initial_part(M).delta == S.delta

@@ -363,12 +363,12 @@ def test_module_round_trip_prefers_weight_fields():
 def test_curve_round_trip():
     P = curve(
         [
-            [[(1, 2), (3, 5)], []],
+            [[(1, 1), (3, 5)], []],
             [[], [(1, 1)]],
         ]
     )
     doc = (
-        '{"branches": [{"coords": [[{"c": [1, 1], "e": 2}, {"c": [3, 1], "e": 5}], []]},'
+        '{"branches": [{"coords": [[{"c": [1, 1], "e": 1}, {"c": [3, 1], "e": 5}], []]},'
         ' {"coords": [[], [{"c": [1, 1], "e": 1}]]}]}'
     )
     assert formats.curve_from_dict(json.loads(doc)) == P
@@ -1172,6 +1172,38 @@ def test_cli_curve_rejects_a_branch_repeated_under_t_to_2t(tmp_path, capsys):
     assert time.monotonic() - start < 0.5
     assert (code, stdout) == (2, "")
     assert stderr == "error: branches 0 and 1 are the same branch (up to t -> 2*t)\n"
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        (
+            [
+                {"coords": [[{"c": 2, "e": 5}, {"c": [-1, 1], "e": 7}], []]},
+                {"coords": [[{"c": 1, "e": 5}, {"c": [3, 2], "e": 6}], []]},
+            ],
+            "branch 0 covers the coordinate-0 axis 5 times",
+        ),
+        (
+            [
+                {"coords": [[{"c": 1, "e": 1}], []]},
+                {"coords": [[{"c": 1, "e": 1}, {"c": 1, "e": 2}], []]},
+            ],
+            "branches 0 and 1 are the same branch (the coordinate-0 axis)",
+        ),
+    ],
+)
+def test_cli_curve_rejects_a_branch_on_a_coordinate_axis(branches, message, tmp_path, capsys):
+    # (2t^5 - t^7, 0) covers the x-axis five times, and (t, 0) with
+    # (t + t^2, 0) is one line twice: exit 2 at once (they used to run the
+    # window loop out for about 16 s and 2 s)
+    c = tmp_path / "axis.json"
+    c.write_text(json.dumps({"branches": branches}))
+    start = time.monotonic()
+    code, stdout, stderr = run_cli(["curve", "--in", str(c)], capsys)
+    assert time.monotonic() - start < 0.5
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: %s\n" % message
 
 
 def test_cli_curve_automatic_window_giving_up_is_malformed_input(tmp_path, capsys):

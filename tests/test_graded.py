@@ -15,17 +15,15 @@ from latcoh import (
     enumerate_plane_branch_semigroups,
     from_generators,
     from_members,
-    local_minima,
     min_w0,
     module_from_root,
     module_from_weight,
-    rank_profile,
     root_from_weight,
     roots_isomorphic,
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS, example_root_pair
-from oracles import naive_isomorphic, naive_root
+from oracles import naive_isomorphic, naive_local_minima, naive_root
 
 
 def pipeline(S):
@@ -129,15 +127,10 @@ def test_module_from_weight_on_walks_with_plateaus_and_jumps(values):
 
 
 def test_rank_and_kernel_rank_profile():
-    _W, _R, M = pipeline(from_generators([4, 11]))
-    profile = rank_profile(M)
-    assert profile[-5] == (3, 3)
-    assert profile[-4] == (5, 2)
-    assert profile[-3] == (1, 0)
-    assert profile[-2] == (3, 2)
-    assert profile[-1] == (1, 0)
-    assert profile[0] == (3, 2)
-    assert profile[1] == (1, 0)
+    _W, R, M = pipeline(from_generators([4, 11]))
+    assert (M.base, R.truncation_level) == (-5, 1)
+    profile = [(M.rank(n), M.kernel_rank(n)) for n in range(-5, 2)]
+    assert profile == [(3, 3), (5, 2), (1, 0), (3, 2), (1, 0), (3, 2), (1, 0)]
 
 
 def test_rank_monotone_tail():
@@ -149,13 +142,11 @@ def test_rank_monotone_tail():
 
 def test_kernel_rank_equals_local_minima_count():
     for S in enumerate_plane_branch_semigroups(60):
-        W, _R, M = pipeline(S)
-        minima = local_minima(W)
+        W, R, M = pipeline(S)
         by_level = {}
-        for _pos, v in minima:
+        for _pos, v in naive_local_minima(list(W.values)):
             by_level[v] = by_level.get(v, 0) + 1
-        levels = range(M.base, M.top_level + 2)
-        for n in levels:
+        for n in range(M.base - 1, R.truncation_level + 2):
             assert M.kernel_rank(n) == by_level.get(n, 0)
 
 
@@ -176,7 +167,7 @@ def test_example_pair_modules_equal_roots_not():
     assert M1 == M2
     assert M1 == TowerModule(-2, ((-2, -2), (-2, -2), (-2, -1)))
     assert not roots_isomorphic(R1, R2)
-    assert rank_profile(M1)[-2] == (4, 4)
+    assert (M1.rank(-2), M1.kernel_rank(-2)) == (4, 4)
 
 
 def test_tie_policy_does_not_change_the_module():

@@ -158,6 +158,45 @@ def test_a_rescaling_must_hold_on_every_term():
     assert time.monotonic() - start < 0.5
 
 
+# x = 2t^5 - t^7 and x = t^5 + 3t^6/2, both with y = 0
+FIVEFOLD_AXIS = [[[(2, 5), (-1, 7)], []], [[(1, 5), (Fraction(3, 2), 6)], []]]
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        (FIVEFOLD_AXIS, "branch 0 covers the coordinate-0 axis 5 times"),
+        (
+            [[[(1, 2)], [(1, 3)], []], [[], [], [(1, 3), (1, 4)]]],
+            "branch 1 covers the coordinate-2 axis 3 times",
+        ),
+        ([[[(1, 2)]]], "branch 0 covers the coordinate-0 axis 2 times"),
+        (
+            [[[(1, 1)], []], [[(1, 1), (1, 2)], []]],
+            "branches 0 and 1 are the same branch (the coordinate-0 axis)",
+        ),
+        (
+            [[[], [(1, 1)]], [[(1, 2)], [(1, 3)]], [[], [(-3, 1), (1, 9)]]],
+            "branches 0 and 2 are the same branch (the coordinate-1 axis)",
+        ),
+    ],
+)
+def test_a_branch_on_a_coordinate_axis_is_a_line_or_rejected_at_once(branches, message):
+    # a branch with one nonzero coordinate of order m is that axis covered m
+    # times, and two branches on one axis are the same branch: neither germ
+    # is reduced, and both are rejected before any window is tried
+    start = time.monotonic()
+    with pytest.raises(InputError) as info:
+        curve(branches)
+    assert time.monotonic() - start < 0.5
+    assert str(info.value) == message
+
+
+def test_lines_on_distinct_axes_are_kept():
+    assert curve([[[(1, 1)]]]).r == 1
+    assert curve([[[(1, 1), (1, 2)], []], [[], [(1, 1)]], [[(1, 2)], [(1, 3)]]]).r == 3
+
+
 def _repeated(a, b) -> str:
     with pytest.raises(InputError) as info:
         curve([a, b])
@@ -181,8 +220,6 @@ def test_branch_multiplicity_and_orders():
     assert P.ambient_dim == 5
     assert P.branch_multiplicity(0) == 2
     assert P.branch_multiplicity(1) == 2
-    assert P.coordinate_order(0, 4) == 5
-    assert P.coordinate_order(1, 4) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,17 @@ from latcoh import (
     module_from_root,
     module_from_weight,
     multiplicity_from_module,
-    rank_profile,
     reconstruct_semigroup,
     root_from_weight,
     weight_sequence,
 )
 from fixtures import SPRIME_CONDUCTOR, SPRIME_MEMBERS
-from oracles import naive_initial_elements, naive_minimal_generators, naive_weight_values
+from oracles import (
+    naive_components,
+    naive_initial_elements,
+    naive_minimal_generators,
+    naive_weight_values,
+)
 
 
 def module_of(S):
@@ -119,11 +123,10 @@ def test_multiplicity_from_tower_starts_matches_the_rank_profile_rule(M):
         return
     # the kernel-rank rule it replaces: the shallowest level below 0 with a
     # kernel element sits at 2 - m
-    profile = rank_profile(M, up_to=0)
     if M.base == 0:
-        expected = 1 if profile[0][0] == 1 else 2
+        expected = 1 if M.rank(0) == 1 else 2
     else:
-        expected = 2 - max(n for n in range(M.base, 0) if profile[n][1] > 0)
+        expected = 2 - max(n for n in range(M.base, 0) if M.kernel_rank(n) > 0)
     assert multiplicity_from_module(M) == expected
 
 
@@ -132,8 +135,7 @@ def _lg1_by_rank_profile(M):
     # level strictly between base and 0
     if M.base % 2 != 0:
         return False
-    profile = rank_profile(M, up_to=0)
-    return all(profile[n][0] == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
+    return all(M.rank(n) == 1 for n in range(M.base + 1, 0) if n % 2 != 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,8 +283,6 @@ def test_sublevel_sets_have_the_three_block_shape():
     """At or above the initial level e, each sublevel set is k isolated
     points climbing by twos, a central interval (possibly empty), and the
     mirror image of the points, with k read off the module rank."""
-    from latcoh import sublevel_components
-
     for S in enumerate_plane_branch_semigroups(120):
         W = weight_sequence(S)
         vals = W.values
@@ -299,8 +299,7 @@ def test_sublevel_sets_have_the_three_block_shape():
             expected.extend(
                 (c - s_n - 2 * j, c - s_n - 2 * j) for j in range(k - 1, -1, -1)
             )
-            got = [(iv.start, iv.end) for iv in sublevel_components(W, n)]
-            assert got == expected, (S.min_gens, n)
+            assert naive_components(list(vals), n) == expected, (S.min_gens, n)
 
 
 def test_second_largest_generator_lies_in_the_initial_part():

@@ -8,12 +8,10 @@ from latcoh import (
     enumerate_plane_branch_semigroups,
     from_generators,
     from_members,
-    local_minima,
     min_w0,
-    sublevel_components,
     weight_sequence,
 )
-from oracles import naive_components, naive_weight_values
+from oracles import naive_components, naive_local_minima, naive_weight_values
 
 
 def test_known_weight_values():
@@ -78,50 +76,35 @@ def test_members_have_nonpositive_weight():
                 assert W[s] <= 0
 
 
-def test_sublevel_components_match_naive():
-    for gens in [(4, 11), (6, 10, 31), (5, 7, 9)]:
-        S = from_generators(gens)
-        W = weight_sequence(S)
-        for n in range(min_w0(W) - 1, max(W.values) + 2):
-            got = [(iv.start, iv.end) for iv in sublevel_components(W, n)]
-            assert got == naive_components(list(W.values), n)
-
-
-def test_sublevel_component_flags():
-    W = weight_sequence(from_generators([4, 11]))
-    comps = sublevel_components(W, 0)
-    assert comps, "level 0 contains the origin"
-    assert comps[-1].unbounded  # the weight climbs forever past the conductor
-    assert all(not iv.unbounded for iv in comps[:-1])
-    assert sublevel_components(W, min_w0(W) - 1) == []
-
-
 def test_sublevel_below_minimum_is_empty_and_top_is_single():
     for gens in [(2, 7), (6, 15, 31)]:
         W = weight_sequence(from_generators(gens))
-        assert sublevel_components(W, min_w0(W) - 1) == []
-        top = max(W.values)
-        assert len(sublevel_components(W, top)) == 1
+        vals = list(W.values)
+        assert naive_components(vals, min_w0(W) - 1) == []
+        assert len(naive_components(vals, max(vals))) == 1
 
 
-def test_local_minima_positions():
+def test_strict_valleys_are_zero_and_the_members_after_a_gap():
+    """The walk's strict valleys, read off its shape (past the conductor
+    through ``W[c + 1]``) and by the oracle, are exactly 0 and the members
+    that follow a gap."""
     W = weight_sequence(from_generators([2, 7]))
-    # values walk 0 1 0 1 0 1 0: minima at the interior valleys and ends
-    pos = [p for p, _v in local_minima(W)]
-    assert pos == [0, 2, 4, 6]
-    W1 = weight_sequence(from_generators([1]))
-    assert local_minima(W1) == [(0, 0)]
-
-
-def test_local_minima_are_strict_valleys():
+    # values walk 0 1 0 1 0 1 0: valleys at the interior dips and both ends
+    assert naive_local_minima(list(W.values)) == [(0, 0), (2, 0), (4, 0), (6, 0)]
+    assert naive_local_minima(list(weight_sequence(from_generators([1])).values)) == [(0, 0)]
     for gens in [(4, 11), (6, 10, 31), (5, 7, 9)]:
-        W = weight_sequence(from_generators(gens))
-        minima = set(p for p, _ in local_minima(W))
-        for l in range(W.conductor + 1):
-            left = W[l - 1] if l > 0 else None
-            right = W[l + 1]
-            is_min = (left is None or left > W[l]) and right > W[l]
-            assert (l in minima) == is_min
+        S = from_generators(gens)
+        W = weight_sequence(S)
+        by_membership = [
+            l for l in range(W.conductor + 1) if l in S and (l == 0 or (l - 1) not in S)
+        ]
+        by_shape = [
+            l
+            for l in range(W.conductor + 1)
+            if (l == 0 or W[l - 1] > W[l]) and W[l + 1] > W[l]
+        ]
+        assert by_shape == by_membership, gens
+        assert [p for p, _v in naive_local_minima(list(W.values))] == by_membership, gens
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,9 +142,10 @@ def test_bounded_multi_point_components_reach_the_level_below():
         vals = W.values
         top = max(1, max(vals))
         for n in range(min(vals), top + 1):
-            for comp in sublevel_components(W, n):
-                if comp.unbounded or comp.end == comp.start:
+            for start, end in naive_components(list(vals), n):
+                unbounded = end == S.conductor and vals[end] <= n
+                if unbounded or end == start:
                     continue
                 assert any(
-                    vals[p] <= n - 1 for p in range(comp.start, comp.end + 1)
-                ), (S.min_gens, n, comp)
+                    vals[p] <= n - 1 for p in range(start, end + 1)
+                ), (S.min_gens, n, start, end)
