@@ -11,13 +11,13 @@ b_1(n) = b_0(n) - chi(K_n): degree zero is the graded root, and only where
 b_1 is not zero is degree one read off the holes of K_n, flooded through the
 complements of the masks as n falls (Alexander and digital 4/8 duality,
 Garin et al. 2020; see ``lattice_cohomology``).  With three or more
-branches the cubes are integer ids in one filtration read off C_m(n) level
-by level (vertex-max, Wagner-Chen-Vucini 2012); its equal-weight unit pairs
-are reduced once, and persistence over the rationals and Smith normal form
-read the cells left, as ``cohomology(W, n)`` does for a level.  Persistence
-puts those cells' boundaries, face positions negated, into the Hilbert
-span's sparse echelon (``hilbert._add``), top degree first with clearing.
-A box point is its index in the grid's lexicographic order.
+branches each level's new cubes C_m(n) & ~C_m(n - 1) are paired along the
+axes by word operations (Robins-Wood-Sheppard 2011); persistence over the
+rationals and Smith normal form read the critical cubes left, with their
+boundaries along gradient paths (Mischaikow-Nanda 2013), persistence through
+the Hilbert span's sparse echelon (``hilbert._add``).  The one-level
+``cohomology(W, n)`` reduces the unit pairs of a whole cube filtration
+instead.  A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
 
@@ -101,49 +101,51 @@ def _level_euler(levels) -> list[int]:
     return chis
 
 
-class _Filtration:
-    """Every cube of a collared box, as integer ids in filtration order.
+def _face_offsets(grid: WeightGrid) -> list[list[tuple[int, int]]]:
+    """Per m, (id offset, incidence) of each face of the cube ``p << r | m``: base p, axes m.
 
-    A cube is ``p << r | mask``: p is the lexicographic index of its base
-    point and bit a of mask says it spans axis a.  Its two faces along axis a
-    sit at the offsets ``-(1 << a)`` (lower) and ``-(1 << a) + (stride_a << r)``
-    (upper), so boundaries need no lookups.  The cubes of weight exactly n
-    spanning m are C_m(n) & ~C_m(n - 1) in ``levels``, every level's
-    ``_cube_bases``, so ``ids`` lists them by (weight, dim, axes, base) with no
-    sort, and the level-n sublevel complex is the prefix of weight <= n.
+    Along the k-th axis a of m the faces sit at ``-(1 << a) + (stride_a << r)``
+    (upper, incidence (-1)^k) and ``-(1 << a)`` (lower): no lookups."""
+    offsets = [[] for _ in range(1 << grid.r)]
+    for m, faces in enumerate(offsets):
+        sign = 1
+        for a, s in enumerate(grid.strides):
+            if m >> a & 1:
+                faces += [(-(1 << a) + (s << grid.r), sign), (-(1 << a), -sign)]
+                sign = -sign
+    return offsets
+
+
+def _cube_ids(grid: WeightGrid, levels) -> tuple[list[int], list[int], list[int]]:
+    """The cubes of ``levels[n - min w0][m]`` as ids, weights and dims, by (n, dim, m, p)."""
+    ids, weights, dims = [], [], []
+    for n, bases in enumerate(levels, grid.min_w0):
+        for m in sorted(range(1 << grid.r), key=int.bit_count):
+            bits = bin(bases[m])[:1:-1]  # bit p at index p
+            p = bits.find("1")
+            while p >= 0:
+                ids.append(p << grid.r | m)
+                p = bits.find("1", p + 1)
+            dims += [m.bit_count()] * (len(ids) - len(dims))
+        weights += [n] * (len(ids) - len(weights))
+    return ids, weights, dims
+
+
+class _Filtration:
+    """Every cube of a collared box, as ``_face_offsets`` ids in filtration order.
+
+    ``ids`` lists the new cubes C_m(n) & ~C_m(n - 1) of ``levels``, every
+    level's ``_cube_bases``, by (weight, dim, axes, base), so the level-n
+    complex is a prefix.  Only ``cohomology`` and ``sublevel_complex``, the
+    one-level API, build it; ``lattice_cohomology`` pairs cubes instead.
     """
 
     def __init__(self, grid: WeightGrid, levels: list[list[int]]) -> None:
-        r, strides, R = grid.r, grid.strides, 1 << grid.r
-        self.axes = [tuple(a for a in range(r) if m >> a & 1) for m in range(R)]
-        by_dim = [m for q in range(r + 1) for m in range(R) if m.bit_count() == q]
-        ids, weights, dims = [], [], []
-        last = [0] * R
-        for n, bases in enumerate(levels, grid.min_w0):
-            for m in by_dim:
-                bits = bin(bases[m] & ~last[m])[:1:-1]  # bit p at index p
-                p = bits.find("1")
-                while p >= 0:
-                    ids.append(p << r | m)
-                    p = bits.find("1", p + 1)
-                dims += [m.bit_count()] * (len(ids) - len(dims))
-            weights += [n] * (len(ids) - len(weights))
-            last = bases
-        self.mask, self.ids, self.weights, self.dims = R - 1, ids, weights, dims
-        self.pos = [0] * (len(grid.w0) << r)
-        for j, c in enumerate(ids):
-            self.pos[c] = j
-        self.face_offsets = [
-            [
-                (off, s)
-                for k, a in enumerate(self.axes[m])
-                for off, s in (
-                    (-(1 << a) + (strides[a] << r), -1 if k % 2 else 1),
-                    (-(1 << a), 1 if k % 2 else -1),
-                )
-            ]
-            for m in range(R)
-        ]
+        R = 1 << grid.r
+        new = [[C & ~L for C, L in zip(bs, last)] for bs, last in zip(levels, [[0] * R] + levels)]
+        self.mask, (self.ids, self.weights, self.dims) = R - 1, _cube_ids(grid, new)
+        self.pos = {c: j for j, c in enumerate(self.ids)}
+        self.face_offsets = _face_offsets(grid)
 
     def boundary(self, j: int) -> dict[int, int]:
         """Faces of the cube at position j: face position -> sign."""
@@ -162,7 +164,7 @@ def sublevel_complex(
     filt = _Filtration(grid, list(_cube_bases(grid, _sublevel_masks(grid))))
     cubes: dict[int, list] = {}
     for c in filt.ids[: bisect_right(filt.weights, n)]:
-        axes = filt.axes[c & filt.mask]
+        axes = tuple(a for a in range(grid.r) if c >> a & 1)
         cubes.setdefault(len(axes), []).append((box_point(c >> grid.r, grid.strides), axes))
     return {q: sorted(qs) for q, qs in sorted(cubes.items())}
 
@@ -176,9 +178,9 @@ def _smith_invariants(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     """Rank and nontrivial invariant factors of an integer matrix.
 
     A row maps columns to their nonzero values.  A classic dense Smith
-    reduction: callers pass coboundaries whose unit pairs
-    ``_reduce_equal_weight_pairs`` has already eliminated, so the matrices
-    are small.
+    reduction: callers pass the coboundaries of the critical cubes of
+    ``_morse_matching`` or of the cells ``_reduce_equal_weight_pairs`` leaves,
+    so the matrices are small.
     """
     rows = [r for r in rows if r]
     if not rows:
@@ -292,8 +294,8 @@ def _reduce_equal_weight_pairs(
     A boundary only ever gains cells no heavier than its cell, and no pair
     crosses a weight, so the cells of weight <= n left here, with their
     reduced boundaries, are the reduction of the level-n complex
-    (Mischaikow-Nanda 2013): one pass serves every level, and persistence.
-    Vertices survive with an empty boundary.
+    (Mischaikow-Nanda 2013).  Vertices survive with an empty boundary.  Only
+    the one-level API, ``cohomology``, calls it.
     """
     count = len(boundary)
     # every cell whose boundary holds i, and possibly some that no longer do
@@ -331,6 +333,83 @@ def _reduce_equal_weight_pairs(
                 else:
                     del row[e]
     return [(j, boundary[j]) for j in range(count) if alive[j]]
+
+
+def _morse_matching(grid: WeightGrid, levels: list[list[int]]):
+    """Pair the cubes of each weight along the axes; return (critical, up).
+
+    At level n the new cubes spanning m are U_m = C_m(n) & ~C_m(n - 1).  One
+    pass per axis a and side, (0, lower), (0, upper), (1, lower), ..., pairs
+    each unpaired (p, m), a not in m, with the unpaired (p, m | a) (lower) or
+    (p - stride_a, m | a) (upper): U_m & U_(m|a) << s, s = 0 or stride_a.
+    ``critical[n - min w0][m]`` keeps the unpaired cubes; ``up[2a + side][m]``
+    the bases of the cubes (p, m) that pass paired up.  Pairs keep one weight,
+    so the critical cubes of weight <= n compute K_n (Mischaikow-Nanda 2013).
+
+    No gradient path is a cycle.  A cycle keeps one weight; let (a, side) be
+    its first pass, so other axes' passes on it follow (a, upper).  A pass
+    pairs all it can: a cube paired after (b, lower) has a lower b-face not
+    new or paired before it, and likewise upper.  So the cycle never steps to
+    a lower a-face, and to an upper one only onto or off an (a, lower) pair.
+    Point and interval alternate in axis a; in half steps (a, lower) pairs
+    and upper a-faces add one, (a, upper) pairs take one.  So no (a, lower)
+    pair is on it, nor (no a-face step if side is upper) an (a, upper) pair.
+    """
+    R, moves = 1 << grid.r, _axis_moves(grid)
+    sides = [(k, k >> 1, moves[k >> 1][0] * (k & 1)) for k in range(2 * grid.r)]
+    passes = [(k, m, m | 1 << a, s) for k, a, s in sides for m in range(R) if not m >> a & 1]
+    up, critical = [[0] * R for _ in range(2 * grid.r)], []
+    for bases, last in zip(levels, [[0] * R] + levels):
+        U = [C & ~L for C, L in zip(bases, last)]
+        for k, m, top, s in passes:
+            M = U[m] & U[top] << s
+            U[m] ^= M
+            U[top] ^= M >> s
+            up[k][m] |= M
+        critical.append(U)
+    return critical, up
+
+
+def _morse_complex(grid: WeightGrid, critical, up):
+    """The critical cubes of a matching as (weights, dims, boundaries), in filtration order.
+
+    A boundary maps face positions to incidences: the sum of the faces' flows
+    along gradient paths (Forman 1998).  A critical face flows to itself, a
+    face paired down to nothing, and a face sigma paired up with tau to
+    -[tau:sigma] (a unit) times the sum of [tau:rho] times the flow of rho
+    over tau's other faces rho, each flow once, depth first (no cycles).
+    """
+    r, mask, offsets = grid.r, (1 << grid.r) - 1, _face_offsets(grid)
+    ids, weights, dims = _cube_ids(grid, critical)
+    shifts = [(1 << (k >> 1)) - (grid.strides[k >> 1] << r if k & 1 else 0) for k in range(2 * r)]
+    flows: dict[int, dict[int, int]] = {c: {j: 1} for j, c in enumerate(ids)}
+    open_: dict[int, list[tuple[int, int]]] = {}  # cube -> its partner's faces, while open
+
+    def faces_of(c: int) -> list[tuple[int, int]]:
+        return [(c + off, t) for off, t in offsets[c & mask]]
+
+    def flow_of(faces, c=None) -> dict[int, int]:  # times -[tau:c], or 1 with no c
+        sign, chain = -next((t for f, t in faces if f == c), -1), {}
+        for f, t in faces:
+            for j, v in flows.get(f, {}).items():
+                chain[j] = chain.get(j, 0) + sign * t * v
+        return {j: v for j, v in chain.items() if v}
+
+    columns = {}
+    for j, kappa in enumerate(ids):
+        todo = [f for f, _t in faces_of(kappa)]
+        while todo:
+            c = todo[-1]
+            if c in open_:  # every flow it needs is in
+                flows[c] = flow_of(open_.pop(c), c)
+            ks = () if c in flows else [k for k, U in enumerate(up) if U[c & mask] >> (c >> r) & 1]
+            if not ks:  # its flow is known, or it is paired down
+                todo.pop()
+            else:  # the flows of its partner's other faces first
+                open_[c] = faces_of(c + shifts[ks[0]])
+                todo += [f for f, _t in open_[c] if f != c]
+        columns[j] = flow_of(faces_of(kappa))
+    return weights, dims, columns
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +549,8 @@ def _persistence_pairs(columns, dims: list[int]):
     """Persistence pairing over the rationals, on sparse integer columns.
 
     ``columns`` maps each cell's position to its boundary (face position ->
-    incidence) in filtration order, as the survivors of
-    ``_reduce_equal_weight_pairs`` do; ``dims[position]`` is a cell's degree.
+    incidence) in filtration order, as ``_morse_complex`` gives the critical
+    cubes; ``dims[position]`` is a cell's degree.
     Top degree first, each degree in order, every column goes into one
     echelon through ``hilbert._add`` with its positions negated, so that the
     row's lead is the column's low entry: None means it reduced to zero, and
@@ -548,19 +627,20 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     degree-1 towers off the holes of K_n, by digital 4/8 duality (Garin,
     Heiss, Maggs, Bleile and Robins, "Duality in persistent homology of
     images", SoCG 2020, arXiv:2005.04597); no persistence runs.  With three or
-    more branches the same cube bases list the filtration, and persistence of
-    the cells its equal-weight unit pairs leave gives every tower; its degree
-    zero must be the graded root's, with one everlasting class born at min
-    w0, and Smith normal form of those cells checks every level
-    (``snf_levels``) for torsion.  chi counts the filtration's own cells, so
-    the Euler check holds the towers to them, not them to the grid.
+    more branches ``_morse_matching`` pairs the new cubes of the same cube
+    bases level by level, and persistence of the critical cubes, with their
+    ``_morse_complex`` boundaries, gives every tower; its degree zero must be
+    the graded root's, with one everlasting class born at min w0, and Smith
+    normal form of those cubes checks every level (``snf_levels``) for
+    torsion.  chi counts every cube by popcounts, so the Euler check holds
+    the towers to the whole complex, not only to the critical cubes.
     """
     grid = weight_grid_extend(W)
     bottom, hi = grid.min_w0, max(grid.w0)
     masks = _sublevel_masks(grid)
     root = root_from_grid(grid, masks)
     module = module_from_root(root)
-    # planar grids stream their cube bases; the filtration needs every level's
+    # planar grids stream their cube bases; the cube matching needs every level's
     bases = _cube_bases(grid, masks) if grid.r <= 2 else list(_cube_bases(grid, masks))
     chis = _level_euler(bases)
     b0 = list(accumulate(_rank_steps(module, hi)))[: len(chis)]
@@ -568,10 +648,8 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     if grid.r == 2 and b0 != chis:
         towers[1] = _hole_towers(grid, masks)
     elif grid.r >= 3:
-        filt = _Filtration(grid, bases)
-        weights, dims = filt.weights, filt.dims
-        cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(len(dims))], weights)
-        pairs, infinite = _persistence_pairs(dict(cells), dims)
+        weights, dims, columns = _morse_complex(grid, *_morse_matching(grid, bases))
+        pairs, infinite = _persistence_pairs(columns, dims)
         if len(infinite) != 1 or dims[infinite[0]]:
             raise ValidationError(
                 "cohomology routes disagree: box complex must have exactly one"
@@ -614,7 +692,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     if grid.r >= 3:
         snf_levels = tuple(levels)
         for n in snf_levels:
-            level = [cell for cell in cells if weights[cell[0]] <= n]
+            level = [cell for cell in columns.items() if weights[cell[0]] <= n]
             hq = _cohomology_of(level, dims, grid.r)
             top = hq.pop(grid.r)
             for q, (free, invs) in hq.items():
@@ -654,9 +732,9 @@ def euler_delta_check(W: WeightGrid, P: BranchParametrization) -> EulerDeltaRepo
 
     The Euler side is the minimal weight and finite tower lengths of
     ``lattice_cohomology``: the graded root and hole sweep for r <= 2, the
-    cube filtration for r >= 3.  The delta side is pure Hilbert-function
-    counting at the conductor.  The two are computed along genuinely
-    different routes, so agreement is a real consistency certificate.
+    critical cubes of the cube matching for r >= 3.  The delta side is pure
+    Hilbert-function counting at the conductor.  The two are computed along
+    genuinely different routes, so agreement is a real consistency certificate.
     """
     if P.r != W.r:
         raise InputError("parametrization and grid have different branch counts")

@@ -56,6 +56,7 @@ from oracles import (
     _cube_faces,
     frac_rank,
     naive_betti,
+    naive_box_cubes,
     naive_grid_root,
     naive_hilbert_grid,
     naive_hilbert_values,
@@ -849,7 +850,7 @@ def test_cube_route_ranks_match_the_naive_betti_numbers():
 
 
 def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
-    real_init = complexes._Filtration.__init__
+    real_init, real_complex = complexes._Filtration.__init__, complexes._morse_complex
 
     def misordered(filt, grid, levels):
         # swap the first edge with one of its vertices of the same weight:
@@ -861,19 +862,33 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
             seq[i], seq[j] = seq[j], seq[i]
         filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
 
-    # persistence trips on the edge's low entry; with three branches the pair
-    # reduction, the only reader of the filtration's boundaries, trips first
+    def misordered_critical(grid, critical, up):
+        # swap the last critical cube of the top degree with a nonzero
+        # boundary and its last face: one face now sorts after its cube, and
+        # a top-degree column is never cleared
+        weights, dims, columns = real_complex(grid, critical, up)
+        top = max(dims[j] for j, col in columns.items() if col)
+        j = max(j for j, col in columns.items() if col and dims[j] == top)
+        swap = {j: max(columns[j]), max(columns[j]): j}
+        at = [swap.get(k, k) for k in range(len(dims))]
+        moved = {k: {swap.get(f, f): v for f, v in columns[at[k]].items()} for k in columns}
+        return [weights[k] for k in at], [dims[k] for k in at], moved
+
+    # persistence trips on the cube's low entry: on a two-branch filtration,
+    # which only the one-level API builds now, and on the critical cubes that
+    # the three-branch route reads
     for P in (curve(CURVE_SIX_COORD), formats.read_curve_file(str(THREE_BRANCH_IN))):
         W = hilbert_from_parametrization(P)
         lattice_cohomology(W)
         with monkeypatch.context() as m:
-            m.setattr(complexes._Filtration, "__init__", misordered)
             if P.r == 2:
+                m.setattr(complexes._Filtration, "__init__", misordered)
                 filt = _filtration(weight_grid_extend(W))
                 columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
                     complexes._persistence_pairs(columns, filt.dims)
             else:
+                m.setattr(complexes, "_morse_complex", misordered_critical)
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
                     lattice_cohomology(W)
 
@@ -897,30 +912,37 @@ def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class()
 
 
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
-    real = complexes._reduce_equal_weight_pairs
+    real = complexes._morse_matching
     real_smith = complexes._smith_invariants
 
-    def forged(boundary, weights):
-        # the first edge heavier than one of its vertices may pair with it, so
-        # that vertex leaves the levels below the edge's weight
-        j, i = next(
-            (j, i)
-            for j, faces in enumerate(boundary)
-            if len(faces) == 2
-            for i in faces
-            if weights[i] < weights[j]
-        )
-        weights = list(weights)
-        weights[j] = weights[i]
-        return real(boundary, weights)
+    def forged(grid, levels):
+        # the first critical vertex of the lowest level pairs with an edge one
+        # level up, whose other vertex it frees: that vertex becomes critical
+        # one level up, and the first leaves the levels below the edge
+        critical, up = real(grid, levels)
+        p = (critical[0][0] & -critical[0][0]).bit_length() - 1
+        for k, (s, below) in enumerate(m for m in complexes._axis_moves(grid) for _side in "lu"):
+            # the edge from p up (lower side) or down (upper side) axis k // 2,
+            # which the other vertex's pass paired with it
+            other, freed = (p + s, k + 1) if k % 2 == 0 else (p - s, k - 1)
+            if other >= 0 and below >> min(p, other) & 1 and up[freed][0] >> other & 1:
+                break
+        else:
+            raise AssertionError("no edge at the lowest vertex is paired with its other vertex")
+        up[freed][0] ^= 1 << other
+        up[k][0] |= 1 << p
+        critical[0][0] ^= 1 << p
+        critical[1][0] |= 1 << other
+        return critical, up
 
     def forged_rank(rows):
         rank, invs = real_smith(rows)
         return rank + 1, invs
 
-    # SNF checks three or more branches only.  Persistence reads the cells the
-    # forged pair leaves too, so its everlasting class or its degree-zero bars
-    # disagree first; a forged Smith rank trips the SNF rank check alone
+    # SNF checks three or more branches only.  Persistence reads the critical
+    # cubes the forged pair leaves too, so its everlasting class or its
+    # degree-zero bars disagree first; a forged Smith rank trips the SNF rank
+    # check alone
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     for P, message in (
         (triple_point, "everlasting class born at"),
@@ -929,7 +951,7 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
         W = hilbert_from_parametrization(P)
         assert lattice_cohomology(W).snf_levels
         with monkeypatch.context() as m:
-            m.setattr(complexes, "_reduce_equal_weight_pairs", forged)
+            m.setattr(complexes, "_morse_matching", forged)
             with pytest.raises(ValidationError, match=message):
                 lattice_cohomology(W)
         with monkeypatch.context() as m:
@@ -963,34 +985,42 @@ def test_pair_reduced_cells_have_the_bars_of_the_whole_filtration():
         assert barcode(dict(cells)) == barcode(whole), (P.r, len(dims))
 
 
-def test_three_branch_cohomology_reads_each_cube_boundary_once(monkeypatch):
-    # the pair reduction reads every boundary; persistence and Smith normal
-    # form read only the cells it leaves
-    real = complexes._Filtration.boundary
-    reads = Counter()
+def test_three_branch_cohomology_builds_no_filtration(monkeypatch):
+    # the route pairs cubes on the level masks and builds boundaries for the
+    # critical cubes only: no filtration of every cube and no pair reduction,
+    # and persistence reads one column per critical cube
+    def unused(*args):
+        raise AssertionError("the three-branch route builds no filtration")
 
-    def counted(filt, j):
-        reads[j] += 1
-        return real(filt, j)
+    real_pairs, columns_read = complexes._persistence_pairs, []
+
+    def counted(columns, dims):
+        columns_read.append(len(columns))
+        return real_pairs(columns, dims)
 
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     parametrizations = [triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))]
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20) if len(b) >= 3]
-    assert len(parametrizations) > 2
+    parametrizations.append(curve(FOUR_BRANCH))
+    assert len(parametrizations) > 3
     for P in parametrizations:
         W = hilbert_from_parametrization(P)
-        cubes = len(_filtration(weight_grid_extend(W)).ids)
-        reads.clear()
+        E = weight_grid_extend(W)
+        levels = list(complexes._cube_bases(E, complexes._sublevel_masks(E)))
+        critical, _up = complexes._morse_matching(E, levels)
+        columns_read.clear()
         with monkeypatch.context() as m:
-            m.setattr(complexes._Filtration, "boundary", counted)
+            m.setattr(complexes, "_Filtration", unused)
+            m.setattr(complexes, "_reduce_equal_weight_pairs", unused)
+            m.setattr(complexes, "_persistence_pairs", counted)
             lattice_cohomology(W)
-        assert reads == Counter(range(cubes)), P.r
+        assert columns_read == [sum(C.bit_count() for U in critical for C in U)], P.r
 
 
 def test_cohomology_builds_the_level_masks_once(monkeypatch):
     # the graded root, chi(K_n), the hole sweep of a two-branch grid with
-    # holes and, with three branches, the filtration all read one build of
-    # the level masks and one pass of cube bases over them
+    # holes and, with three branches, the cube matching all read one build
+    # of the level masks and one pass of cube bases over them
     calls = []
 
     def counted(name):
@@ -1180,10 +1210,10 @@ _RINGS = _walled_grid(
 
 
 @st.composite
-def _unit_step_grids(draw, least_r=1):
+def _unit_step_grids(draw, least_r=1, most_r=3):
     """Grids whose h is the sum or the maximum of per-axis 0/1 step sequences, or a checkerboard."""
-    r = draw(st.integers(least_r, 3))
-    conductor = tuple(draw(st.integers(0, 11 if r < 3 else 6)) for _ in range(r))
+    r = draw(st.integers(least_r, most_r))
+    conductor = tuple(draw(st.integers(0, 11 if r < 3 else 6 if r == 3 else 2)) for _ in range(r))
     kind = draw(st.sampled_from(("sum", "max", "checkerboard")))
     if kind == "checkerboard":
         return _checkerboard(conductor)
@@ -1239,6 +1269,79 @@ def test_persistence_of_scaled_columns_matches_the_plain_reduction_oracle(W, rng
     towers, unpaired = naive_persistence_towers(by_point(E, E.w0))
     assert {q: tuple(sorted(t)) for q, t in bars.items()} == towers
     assert [(dims[j], weights[j]) for j in infinite] == unpaired == [(0, E.min_w0)]
+
+
+def _matching_as_cubes(E, critical, up):
+    """The pairs of a cube matching, face -> coface, and its critical cubes -> weight.
+
+    Cubes are (base, axes) pairs, as the oracles list them; the box points
+    are enumerated here afresh.
+    """
+    points = list(itertools.product(*(range(b + 1) for b in E.box)))
+
+    def cubes(bits, m):
+        axes = tuple(a for a in range(E.r) if m >> a & 1)
+        return [(points[p], axes) for p in range(bits.bit_length()) if bits >> p & 1]
+
+    pairs = {}
+    for k, by_mask in enumerate(up):
+        a = k // 2
+        for m, bits in enumerate(by_mask):
+            for base, axes in cubes(bits, m):
+                coface = tuple(x - (k % 2 and i == a) for i, x in enumerate(base))
+                pairs[base, axes] = (coface, tuple(sorted((*axes, a))))
+    crit = {c: n for n, U in enumerate(critical, E.min_w0) for m, bits in enumerate(U) for c in cubes(bits, m)}
+    return pairs, crit
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_unit_step_grids(least_r=3, most_r=4))
+@example(_step_grid(sum, [[1, 0], [1], [1, 0], [1, 0]]))  # towers up to degree 2
+@example(_step_grid(sum, [[1, 0], [1, 0], [1, 1, 0], [1, 1, 0]]))  # towers up to degree 3
+def test_three_and_four_branch_route_matches_the_oracles_on_unit_step_grids(W):
+    # the cube matching pairs every cube at most once, each face with a
+    # coface of its own weight, and no gradient path runs in a cycle; its
+    # critical cubes give plain persistence's towers and, at every level, the
+    # free ranks and torsion of the one-level route
+    E = weight_grid_extend(W)
+    w0 = by_point(E, E.w0)
+    weight = dict(naive_box_cubes(w0))
+    critical, up = complexes._morse_matching(
+        E, list(complexes._cube_bases(E, complexes._sublevel_masks(E)))
+    )
+    pairs, crit = _matching_as_cubes(E, critical, up)
+    matched = [*pairs, *pairs.values()]
+    assert len(set(matched)) == len(matched) and not set(matched) & set(crit)
+    assert set(matched) | set(crit) == set(weight)
+    assert all(weight[c] == n for c, n in crit.items())
+    faces = {t: [f for f, _sign in _cube_faces(*t)] for t in pairs.values()}
+    assert all(weight[s] == weight[t] and s in faces[t] for s, t in pairs.items())
+    # peel off the paired faces no gradient path enters, until none is left
+    succ = {s: [f for f in faces[t] if f != s and f in pairs] for s, t in pairs.items()}
+    entering = Counter(f for fs in succ.values() for f in fs)
+    peeled = [s for s in pairs if not entering[s]]
+    for s in peeled:  # grows while it is read
+        for f in succ[s]:
+            entering[f] -= 1
+            if not entering[f]:
+                peeled.append(f)
+    assert len(peeled) == len(pairs), "gradient cycle"
+
+    H = lattice_cohomology(W)
+    towers, unpaired = naive_persistence_towers(w0)
+    assert unpaired == [(0, E.min_w0)]
+    assert {qc.q: qc.towers for qc in H.per_q if qc.towers} == towers
+    weights, dims, columns = complexes._morse_complex(E, critical, up)
+    for n in range(E.min_w0, max(E.w0) + 1):
+        hq = cohomology(W, n)
+        level = [cell for cell in columns.items() if weights[cell[0]] <= n]
+        assert complexes._cohomology_of(level, dims, E.r) == {
+            q: hq.get(q, (0, ())) for q in range(E.r + 1)
+        }, n
+        for qc in H.per_q:
+            alive = sum(1 for m, t in qc.towers if m <= n <= t) + (qc.q == 0)
+            assert hq.get(qc.q, (0, ()))[0] == alive, (qc.q, n)
+        assert all(invs == H.torsion.get((q, n), ()) for q, (_f, invs) in hq.items() if n <= 1)
 
 
 def test_euler_delta_identity():
