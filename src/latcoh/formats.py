@@ -402,8 +402,8 @@ def read_curve_file(path: str) -> BranchParametrization:
 
 def weight_sequence_tsv(W: WeightSequence) -> str:
     lines = ["position\tmember\tw0"]
-    for l in range(W.conductor + 1):
-        lines.append("%d\t%d\t%d" % (l, 1 if l in W.source else 0, W[l]))
+    for l, w in enumerate(W.values):
+        lines.append("%d\t%d\t%d" % (l, 1 if l in W.source else 0, w))
     return "\n".join(lines) + "\n"
 
 

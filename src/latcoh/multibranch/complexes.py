@@ -16,17 +16,16 @@ axes by word operations (Robins-Wood-Sheppard 2011); persistence over the
 rationals and Smith normal form read the critical cubes left, with their
 boundaries along gradient paths (Mischaikow-Nanda 2013), persistence through
 the Hilbert span's sparse echelon (``hilbert._add``).  The one-level
-``cohomology(W, n)`` reduces the unit pairs of a whole cube filtration
+``cohomology(W, n)`` reduces the unit pairs of the cubes of K_n alone
 instead.  A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
-from ..errors import InputError, ValidationError
+from ..errors import InputError, ValidationError, as_int
 from ..graded import GradedRoot, TowerModule, _rank_steps, module_from_root
 from .hilbert import WeightGrid, _add, box_point, weight_grid_extend
 from .parametrization import BranchParametrization
@@ -131,26 +130,17 @@ def _cube_ids(grid: WeightGrid, levels) -> tuple[list[int], list[int], list[int]
     return ids, weights, dims
 
 
-class _Filtration:
-    """Every cube of a collared box, as ``_face_offsets`` ids in filtration order.
+def _level_cubes(W: WeightGrid, n: int) -> tuple[WeightGrid, list[int], list[int]]:
+    """The collared grid and K_n's cubes as ``_face_offsets`` ids and dims.
 
-    ``ids`` lists the new cubes C_m(n) & ~C_m(n - 1) of ``levels``, every
-    level's ``_cube_bases``, by (weight, dim, axes, base), so the level-n
-    complex is a prefix.  Only ``cohomology`` and ``sublevel_complex``, the
-    one-level API, build it; ``lattice_cohomology`` pairs cubes instead.
+    One ``_cube_bases`` step on the level-n mask {w0 <= n} (the whole box past
+    max w0, empty below min w0) lists them by (dim, axes, base).
     """
-
-    def __init__(self, grid: WeightGrid, levels: list[list[int]]) -> None:
-        R = 1 << grid.r
-        new = [[C & ~L for C, L in zip(bs, last)] for bs, last in zip(levels, [[0] * R] + levels)]
-        self.mask, (self.ids, self.weights, self.dims) = R - 1, _cube_ids(grid, new)
-        self.pos = {c: j for j, c in enumerate(self.ids)}
-        self.face_offsets = _face_offsets(grid)
-
-    def boundary(self, j: int) -> dict[int, int]:
-        """Faces of the cube at position j: face position -> sign."""
-        c, pos = self.ids[j], self.pos
-        return {pos[c + off]: s for off, s in self.face_offsets[c & self.mask]}
+    n = as_int(n, "level")
+    grid = weight_grid_extend(W)
+    S = int("".join("01"[w <= n] for w in reversed(grid.w0)), 2)
+    ids, _weights, dims = _cube_ids(grid, _cube_bases(grid, [S]))
+    return grid, ids, dims
 
 
 def sublevel_complex(
@@ -160,13 +150,12 @@ def sublevel_complex(
 
     Each cube is a (base point, axes) pair; each degree's list is sorted.
     """
-    grid = weight_grid_extend(W)
-    filt = _Filtration(grid, list(_cube_bases(grid, _sublevel_masks(grid))))
+    grid, ids, dims = _level_cubes(W, n)
     cubes: dict[int, list] = {}
-    for c in filt.ids[: bisect_right(filt.weights, n)]:
+    for c, q in zip(ids, dims):
         axes = tuple(a for a in range(grid.r) if c >> a & 1)
-        cubes.setdefault(len(axes), []).append((box_point(c >> grid.r, grid.strides), axes))
-    return {q: sorted(qs) for q, qs in sorted(cubes.items())}
+        cubes.setdefault(q, []).append((box_point(c >> grid.r, grid.strides), axes))
+    return {q: sorted(qs) for q, qs in cubes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +168,8 @@ def _smith_invariants(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
     A row maps columns to their nonzero values.  A classic dense Smith
     reduction: callers pass the coboundaries of the critical cubes of
-    ``_morse_matching`` or of the cells ``_reduce_equal_weight_pairs`` leaves,
-    so the matrices are small.
+    ``_morse_matching`` or of the cells ``_reduce_unit_pairs`` leaves, so
+    the matrices are small.
     """
     rows = [r for r in rows if r]
     if not rows:
@@ -266,36 +255,27 @@ def _cohomology_of(
 def cohomology(W: WeightGrid, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Integral cohomology of level n per degree: (free rank, invariant factors > 1).
 
-    The level-n prefix of the filtration is reduced as one weight class by
-    ``_reduce_equal_weight_pairs``, and the cells left go to Smith normal
-    form.
+    The cubes of K_n alone, with boundaries from ``_face_offsets``, are
+    reduced by ``_reduce_unit_pairs``, and the cells left go to Smith normal
+    form: a reference that shares no cube matching with ``lattice_cohomology``.
     """
-    grid = weight_grid_extend(W)
-    filt = _Filtration(grid, list(_cube_bases(grid, _sublevel_masks(grid))))
-    end = bisect_right(filt.weights, n)  # the level-n prefix
-    cells = _reduce_equal_weight_pairs([filt.boundary(j) for j in range(end)], [0] * end)
-    return _cohomology_of(cells, filt.dims, max(filt.dims[:end], default=-1))
+    grid, ids, dims = _level_cubes(W, n)
+    pos, offsets, mask = {c: j for j, c in enumerate(ids)}, _face_offsets(grid), (1 << grid.r) - 1
+    cells = _reduce_unit_pairs([{pos[c + off]: s for off, s in offsets[c & mask]} for c in ids])
+    return _cohomology_of(cells, dims, max(dims, default=-1))
 
 
-def _reduce_equal_weight_pairs(
-    boundary: list[dict[int, int]], weights: list[int]
-) -> list[tuple[int, dict[int, int]]]:
-    """Surviving cells of the filtration, with their reduced boundaries, in order.
+def _reduce_unit_pairs(boundary: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Surviving cells of a complex, with their reduced boundaries, in order.
 
     ``boundary[j]`` maps each face of the cell at position j to its
-    incidence; the dicts are reduced in place.  Every face must sort before
-    its cell, so that every prefix is a complex: the coface lists are built
-    first, and a face that sorts after its cell raises ``ValidationError``.
-    Walking the cells in filtration order, each cell j is paired with a face
-    i of the same weight whose current incidence is +-1 (the first such
-    face), and both are removed: every other coface c of i takes
-    ``dc -= dc[i] * dj[i] * dj`` and every coface of j drops j
+    incidence; the dicts are reduced in place.  A face that sorts after its
+    cell raises ``ValidationError`` (the coface lists are built first).
+    Walking the cells in order, each cell j is paired with its first face i
+    of current incidence +-1, and both are removed: every other coface c of
+    i takes ``dc -= dc[i] * dj[i] * dj`` and every coface of j drops j
     (Kaczynski-Mrozek-Slusarek 1998), which keeps the integral cohomology.
-    A boundary only ever gains cells no heavier than its cell, and no pair
-    crosses a weight, so the cells of weight <= n left here, with their
-    reduced boundaries, are the reduction of the level-n complex
-    (Mischaikow-Nanda 2013).  Vertices survive with an empty boundary.  Only
-    the one-level API, ``cohomology``, calls it.
+    Vertices survive with an empty boundary.  Only ``cohomology`` calls it.
     """
     count = len(boundary)
     # every cell whose boundary holds i, and possibly some that no longer do
@@ -310,9 +290,8 @@ def _reduce_equal_weight_pairs(
         col = boundary[j]
         if not col or not alive[j]:
             continue
-        w = weights[j]
         for i, v in col.items():
-            if (v == 1 or v == -1) and weights[i] == w:
+            if v == 1 or v == -1:
                 break
         else:
             continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError, as_int
 from .semigroup import CofiniteSet
 
 
@@ -28,7 +28,9 @@ class WeightSequence:
     source: CofiniteSet
 
     def __getitem__(self, l: int) -> int:
-        """w0(l) for any l >= 0; past the conductor the walk is all ascents."""
+        """w0(l) for any int l >= 0; past the conductor the walk is all ascents."""
+        if as_int(l, "position") < 0:
+            raise InputError("position must be non-negative, got %d" % l)
         if l <= self.conductor:
             return self.values[l]
         return self.values[self.conductor] + (l - self.conductor)

@@ -664,8 +664,16 @@ def test_series_matches_the_corner_sum_oracle():
 # sublevel complexes and cohomology
 
 def _filtration(grid):
-    levels = complexes._cube_bases(grid, complexes._sublevel_masks(grid))
-    return complexes._Filtration(grid, list(levels))
+    """Every cube of the collared box by (weight, dim, axes, base): ids, weights, dims, boundaries.
+
+    A level lists its new cubes C_m(n) & ~C_m(n - 1), so each level-n complex
+    is a prefix; a boundary maps face positions to incidences.
+    """
+    levels = list(complexes._cube_bases(grid, complexes._sublevel_masks(grid)))
+    new = [[C & ~L for C, L in zip(bs, last)] for bs, last in zip(levels, [[0] * (1 << grid.r)] + levels)]
+    ids, weights, dims = complexes._cube_ids(grid, new)
+    pos, offsets, mask = {c: j for j, c in enumerate(ids)}, complexes._face_offsets(grid), (1 << grid.r) - 1
+    return ids, weights, dims, [{pos[c + off]: s for off, s in offsets[c & mask]} for c in ids]
 
 
 @pytest.mark.parametrize(
@@ -707,14 +715,17 @@ def test_sublevel_complexes_are_contractible_at_positive_levels():
 
 
 def test_sublevel_complex_matches_vertex_max_enumeration():
-    # the filtration's level prefixes against cubes listed from their
-    # vertices, up to four branches: 16 axis masks
+    # each level's cubes against cubes listed from their vertices, one to
+    # four branches (16 axis masks), from the empty level below min w0 to the
+    # whole box past max w0
     parametrizations = [curve(CURVE_FIVE_COORD), curve(NODE), pair_family(2)[1]]
     parametrizations.append(curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(2, 1)]]]))
     parametrizations.append(curve(FOUR_BRANCH))
-    for P in parametrizations:
-        W = weight_grid_extend(hilbert_from_parametrization(P))
-        for n in range(W.min_w0 - 1, max(W.w0) + 1):
+    parametrizations.append(monomial_branch((3, 5)))
+    grids = [hilbert_from_parametrization(P) for P in parametrizations]
+    grids.append(WeightGrid(1, (0,), (0,), [0]))  # conductor 0
+    for W in map(weight_grid_extend, grids):
+        for n in range(W.min_w0 - 1, max(W.w0) + 3):
             naive = naive_sublevel_cubes(by_point(W, W.w0), n)
             assert sublevel_complex(W, n) == naive, (W.conductor, n)
 
@@ -722,6 +733,15 @@ def test_sublevel_complex_matches_vertex_max_enumeration():
 def test_empty_sublevel_below_minimum():
     W = hilbert_from_parametrization(curve(CURVE_FIVE_COORD))
     assert sublevel_complex(W, W.min_w0 - 1) == {}
+
+
+@pytest.mark.parametrize("level", ["x", None, 1.5, True])
+@pytest.mark.parametrize("one_level", [cohomology, sublevel_complex])
+def test_one_level_api_takes_an_int_level(one_level, level):
+    W = hilbert_from_parametrization(curve(NODE))
+    with pytest.raises(InputError) as err:
+        one_level(W, level)
+    assert str(err.value) == "level: expected an integer, got %r" % (level,)
 
 
 # ---------------------------------------------------------------------------
@@ -755,11 +775,11 @@ def test_cohomology_rank_bookkeeping():
 
 
 def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
-    # with two branches no cube is sorted and nothing runs persistence; the
-    # Euler guard runs the dual sweep on the grids with a degree-1 tower, and
-    # on the others the sweep, called directly, finds none
+    # with two branches no cube is listed or reduced and nothing runs
+    # persistence; the Euler guard runs the dual sweep on the grids with a
+    # degree-1 tower, and on the others the sweep, called directly, finds none
     def unused(*args):
-        raise AssertionError("the planar route reads no filtration")
+        raise AssertionError("the planar route lists no cubes")
 
     real_holes, swept = complexes._hole_towers, []
 
@@ -779,7 +799,8 @@ def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
         swept.clear()
         with monkeypatch.context() as m:
             if W.r == 2:
-                m.setattr(complexes, "_Filtration", unused)
+                m.setattr(complexes, "_cube_ids", unused)
+                m.setattr(complexes, "_reduce_unit_pairs", unused)
                 m.setattr(complexes, "_persistence_pairs", unused)
             H = lattice_cohomology(W)
         assert unpaired == [(0, W.min_w0)], W.conductor
@@ -831,36 +852,36 @@ def test_planar_grid_above_the_old_cube_limit_has_no_torsion():
     # 30 x 30 points, 3481 cubes: above the 2600 at which SNF used to stop
     # checking two branches
     W = hilbert_from_parametrization(pair_family(4)[0])
-    assert len(_filtration(weight_grid_extend(W)).ids) == 3481
+    assert len(_filtration(weight_grid_extend(W))[0]) == 3481
     _assert_levels_match_the_cube_route(W)
 
 
 def test_cube_route_ranks_match_the_naive_betti_numbers():
-    # the cube route shares the pair reduction with lattice_cohomology, so its
-    # free ranks are anchored to an oracle that imports no library code
+    # the one-level route is the tests' per-level reference, so its free
+    # ranks are anchored to an oracle that imports no library code, from the
+    # empty level below min w0 to the whole box past max w0
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     parametrizations = [triple_point, curve(CURVE_SIX_COORD), *pair_family(2)]
     parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)[:5]]
-    for P in parametrizations:
-        W = weight_grid_extend(hilbert_from_parametrization(P))
-        for n in range(W.min_w0, max(W.w0) + 1):
+    parametrizations.append(monomial_branch((3, 5)))
+    grids = [hilbert_from_parametrization(P) for P in parametrizations]
+    grids.append(WeightGrid(1, (0,), (0,), [0]))  # conductor 0
+    for W in map(weight_grid_extend, grids):
+        for n in range(W.min_w0 - 1, max(W.w0) + 3):
             hq = cohomology(W, n)
             betti = naive_betti(naive_sublevel_cubes(by_point(W, W.w0), n), W.r)
             assert {q: hq.get(q, (0, ()))[0] for q in betti} == betti, (W.conductor, n)
 
 
 def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
-    real_init, real_complex = complexes._Filtration.__init__, complexes._morse_complex
+    real_complex = complexes._morse_complex
 
-    def misordered(filt, grid, levels):
-        # swap the first edge with one of its vertices of the same weight:
-        # every level is the same set of cubes, but one face now sorts last
-        real_init(filt, grid, levels)
-        j = filt.dims.index(1)
-        i = next(i for i in filt.boundary(j) if filt.weights[i] == filt.weights[j])
-        for seq in (filt.ids, filt.dims):
-            seq[i], seq[j] = seq[j], seq[i]
-        filt.pos[filt.ids[i]], filt.pos[filt.ids[j]] = i, j
+    def swapped(i, j, columns, *per_position):
+        # positions i and j trade places, in the columns and in each list
+        swap = {i: j, j: i}
+        at = [swap.get(k, k) for k in range(len(per_position[0]))]
+        moved = {k: {swap.get(f, f): v for f, v in columns[at[k]].items()} for k in columns}
+        return (moved, *([seq[k] for k in at] for seq in per_position))
 
     def misordered_critical(grid, critical, up):
         # swap the last critical cube of the top degree with a nonzero
@@ -869,46 +890,29 @@ def test_face_sorted_after_its_cube_trips_the_snf_check(monkeypatch):
         weights, dims, columns = real_complex(grid, critical, up)
         top = max(dims[j] for j, col in columns.items() if col)
         j = max(j for j, col in columns.items() if col and dims[j] == top)
-        swap = {j: max(columns[j]), max(columns[j]): j}
-        at = [swap.get(k, k) for k in range(len(dims))]
-        moved = {k: {swap.get(f, f): v for f, v in columns[at[k]].items()} for k in columns}
-        return [weights[k] for k in at], [dims[k] for k in at], moved
+        moved, weights, dims = swapped(j, max(columns[j]), columns, weights, dims)
+        return weights, dims, moved
 
     # persistence trips on the cube's low entry: on a two-branch filtration,
-    # which only the one-level API builds now, and on the critical cubes that
-    # the three-branch route reads
+    # which only the tests build now, and on the critical cubes that the
+    # three-branch route reads
     for P in (curve(CURVE_SIX_COORD), formats.read_curve_file(str(THREE_BRANCH_IN))):
         W = hilbert_from_parametrization(P)
         lattice_cohomology(W)
-        with monkeypatch.context() as m:
-            if P.r == 2:
-                m.setattr(complexes._Filtration, "__init__", misordered)
-                filt = _filtration(weight_grid_extend(W))
-                columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
-                with pytest.raises(ValidationError, match="a face sorts after its cube"):
-                    complexes._persistence_pairs(columns, filt.dims)
-            else:
+        if P.r == 2:
+            # swap the first edge with one of its vertices of the same weight:
+            # every level is the same set of cubes, but one face now sorts last
+            _ids, weights, dims, boundary = _filtration(weight_grid_extend(W))
+            j = dims.index(1)
+            i = next(i for i in boundary[j] if weights[i] == weights[j])
+            columns, dims = swapped(i, j, dict(enumerate(boundary)), dims)
+            with pytest.raises(ValidationError, match="a face sorts after its cube"):
+                complexes._persistence_pairs(columns, dims)
+        else:
+            with monkeypatch.context() as m:
                 m.setattr(complexes, "_morse_complex", misordered_critical)
                 with pytest.raises(ValidationError, match="a face sorts after its cube"):
                     lattice_cohomology(W)
-
-
-def test_pair_reduction_leaves_one_cell_pair_per_bar_and_the_everlasting_class():
-    # equal-weight unit pairs remove every cube but one birth and one death
-    # per bar of positive length, and the vertex of the everlasting class
-    parametrizations = [P for n in (2, 3) for P in pair_family(n)]
-    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
-    parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
-    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
-    for P in parametrizations:
-        grid = weight_grid_extend(hilbert_from_parametrization(P))
-        filt = _filtration(grid)
-        columns = {j: filt.boundary(j) for j in range(len(filt.ids))}
-        pairs, _ = complexes._persistence_pairs(columns, filt.dims)
-        bars = sum(1 for i, j in pairs if filt.weights[j] > filt.weights[i])
-        boundary = [filt.boundary(j) for j in range(len(filt.ids))]
-        cells = complexes._reduce_equal_weight_pairs(boundary, filt.weights)
-        assert len(cells) == 2 * bars + 1, grid.conductor
 
 
 def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
@@ -960,35 +964,10 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
                 lattice_cohomology(W)
 
 
-def test_pair_reduced_cells_have_the_bars_of_the_whole_filtration():
-    # equal-weight pairs keep every level (Mischaikow-Nanda 2013), so
-    # persistence of the cells they leave has the positive-length bars and
-    # the everlasting class of persistence of the whole filtration
-    triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
-    parametrizations = [P for n in range(2, 7) for P in pair_family(n)]
-    parametrizations += [triple_point, curve(CURVE_SIX_COORD)]
-    parametrizations += [formats.read_curve_file(str(f)) for f in (SIX_COORD_IN, THREE_BRANCH_IN)]
-    parametrizations += [curve(b) for b in random_space_curves(ORACLE_SEED, 20)]
-    for P in parametrizations:
-        filt = _filtration(weight_grid_extend(hilbert_from_parametrization(P)))
-        weights, dims = filt.weights, filt.dims
-
-        def barcode(columns):
-            pairs, infinite = complexes._persistence_pairs(columns, dims)
-            bars = sorted(
-                (dims[i], weights[i], weights[j]) for i, j in pairs if weights[j] > weights[i]
-            )
-            return bars, [(dims[j], weights[j]) for j in infinite]
-
-        whole = {j: filt.boundary(j) for j in range(len(dims))}
-        cells = complexes._reduce_equal_weight_pairs([filt.boundary(j) for j in whole], weights)
-        assert barcode(dict(cells)) == barcode(whole), (P.r, len(dims))
-
-
 def test_three_branch_cohomology_builds_no_filtration(monkeypatch):
     # the route pairs cubes on the level masks and builds boundaries for the
-    # critical cubes only: no filtration of every cube and no pair reduction,
-    # and persistence reads one column per critical cube
+    # critical cubes only: no one-level cube list and no pair reduction, and
+    # persistence reads one column per critical cube
     def unused(*args):
         raise AssertionError("the three-branch route builds no filtration")
 
@@ -1010,8 +989,8 @@ def test_three_branch_cohomology_builds_no_filtration(monkeypatch):
         critical, _up = complexes._morse_matching(E, levels)
         columns_read.clear()
         with monkeypatch.context() as m:
-            m.setattr(complexes, "_Filtration", unused)
-            m.setattr(complexes, "_reduce_equal_weight_pairs", unused)
+            m.setattr(complexes, "_level_cubes", unused)
+            m.setattr(complexes, "_reduce_unit_pairs", unused)
             m.setattr(complexes, "_persistence_pairs", counted)
             lattice_cohomology(W)
         assert columns_read == [sum(C.bit_count() for U in critical for C in U)], P.r
@@ -1123,10 +1102,16 @@ def test_cohomology_assembly_places_torsion_one_degree_up():
     # disc wrapping it twice.  2 is not a unit, so the pair reduction keeps
     # all three; D^0 = 0 and D^1 = (2), so H^0 = Z, H^1 = 0 and H^2 = Z/2 (no
     # complex of the test curves has torsion)
-    cells = complexes._reduce_equal_weight_pairs([{}, {}, {1: 2}], [0, 0, 0])
+    cells = complexes._reduce_unit_pairs([{}, {}, {1: 2}])
     assert cells == [(0, {}), (1, {}), (2, {1: 2})]
     hq = complexes._cohomology_of(cells, [0, 1, 2], 2)
     assert hq == {0: (1, ()), 1: (0, ()), 2: (0, (2,))}
+
+
+def test_pair_reduction_rejects_a_face_sorted_after_its_cell():
+    with pytest.raises(ValidationError) as err:
+        complexes._reduce_unit_pairs([{1: 1}, {}])
+    assert str(err.value) == "cube filtration is not ordered: a face sorts after its cube"
 
 
 def test_smith_invariants_match_rank_and_determinantal_divisors():
@@ -1252,13 +1237,12 @@ def test_persistence_of_scaled_columns_matches_the_plain_reduction_oracle(W, rng
     # columns span a column, and so every low over Q, stays the same, while
     # the entries are no longer units; _add leaves the columns as they were
     E = weight_grid_extend(W)
-    filt = _filtration(E)
-    weights, dims = filt.weights, filt.dims
+    _ids, weights, dims, boundary = _filtration(E)
     factors = [k for k in range(-6, 7) if k]
     columns = {}
-    for j in range(len(dims)):
+    for j, col in enumerate(boundary):
         k = rng.choice(factors)
-        columns[j] = {i: k * v for i, v in filt.boundary(j).items()}
+        columns[j] = {i: k * v for i, v in col.items()}
     before = {j: dict(col) for j, col in columns.items()}
     pairs, infinite = complexes._persistence_pairs(columns, dims)
     assert columns == before

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcoh import (
+    InputError,
     check_gorenstein_symmetry,
     enumerate_plane_branch_semigroups,
     from_generators,
@@ -23,6 +24,24 @@ def test_known_weight_values():
     assert min_w0(weight_sequence(from_generators([4, 11]))) == -5
     assert min_w0(weight_sequence(from_generators([6, 15, 31]))) == -14
     assert min_w0(weight_sequence(from_generators([6, 10, 31]))) == -8
+
+
+@pytest.mark.parametrize(
+    "position,message",
+    [
+        (-1, "position must be non-negative, got -1"),
+        (True, "position: expected an integer, got True"),
+        (1.5, "position: expected an integer, got 1.5"),
+        ("x", "position: expected an integer, got 'x'"),
+        (None, "position: expected an integer, got None"),
+    ],
+)
+def test_weight_position_is_a_non_negative_int(position, message):
+    W = weight_sequence(from_generators([2, 3]))
+    assert (W[0], W[1], W[2], W[7]) == (0, 1, 0, 5)
+    with pytest.raises(InputError) as err:
+        W[position]
+    assert str(err.value) == message
 
 
 def test_weight_of_whole_naturals():
