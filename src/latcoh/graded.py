@@ -10,7 +10,7 @@ Two builders make roots.  One branch reads its root straight off the weight
 walk (``root_from_weight``): on a path every component is a run, named by
 its left end, so no merging is needed.  Lattice grids of several branches
 read theirs off the level masks (``multibranch.complexes.root_from_grid``),
-as the hole sweep of a planar grid does its degree-1 towers.
+as the hole sweep does its top-degree towers.
 
 Collapsing the root along upward containment produces a module built from
 "towers": one infinite tower starting at the base level b = min chi, and a
@@ -176,7 +176,9 @@ def module_from_root(R: GradedRoot) -> TowerModule:
     other branch closes into a finite tower (origin, merge level - 1).  Ties
     between equally deep origins are closed preferring the larger leaf id
     (relabelling the leaves flips that; the resulting multiset is the same,
-    which the tests exercise).
+    which the tests exercise).  So the branch of the first vertex at the
+    lowest level wins every merge, and the one chain left starts at the
+    base level.
 
     A root with no vertices, or an edge with an end that is not a vertex or
     whose lower end is not open when its upper end is reached, raises
@@ -204,10 +206,7 @@ def module_from_root(R: GradedRoot) -> TowerModule:
             alive[v] = survivor
     if len(alive) != 1:
         raise ValidationError("root did not collapse to a single chain")
-    (origin, _leaf) = alive.popitem()[1]
-    base = min(chi.values())
-    if origin != base:
-        raise ValidationError("surviving branch does not start at the base level")
+    ((base, _leaf),) = alive.values()
     return TowerModule(base, tuple(sorted(towers)))
 
 

@@ -8,16 +8,16 @@ per level; the masks ANDed with their shifts give the base points C_m(n) of
 the cubes of K_n spanning the axes m, and chi(K_n) is an alternating sum of
 their popcounts.  With one or two branches K_n is planar, so
 b_1(n) = b_0(n) - chi(K_n): degree zero is the graded root, and only where
-b_1 is not zero is degree one read off the holes of K_n, flooded through the
-complements of the masks as n falls (Alexander and digital 4/8 duality,
-Garin et al. 2020; see ``lattice_cohomology``).  With three or more
-branches each level's new cubes C_m(n) & ~C_m(n - 1) are paired along the
-axes by word operations (Robins-Wood-Sheppard 2011); persistence over the
-rationals and Smith normal form read the critical cubes left, with their
-boundaries along gradient paths (Mischaikow-Nanda 2013), persistence through
-the Hilbert span's sparse echelon (``hilbert._add``).  The one-level
-``cohomology(W, n)`` reduces the unit pairs of the cubes of K_n alone
-instead.  A box point is its index in the grid's lexicographic order.
+b_1 is not zero is degree one read off the holes of K_n.  That hole sweep,
+flooding the complements of the masks as n falls, gives the top degree
+r - 1 for every r (``_hole_towers``).  With three or more branches each
+level's new cubes C_m(n) & ~C_m(n - 1) are paired along the axes by word
+operations (Robins-Wood-Sheppard 2011); persistence over the rationals reads
+the critical cubes left, with their boundaries along gradient paths
+(Mischaikow-Nanda 2013), through the Hilbert span's sparse echelon
+(``hilbert._add``), as Smith normal form does from four branches on.  The
+one-level ``cohomology(W, n)`` reduces the unit pairs of the cubes of K_n
+alone instead.  A box point is its index in the grid's lexicographic order.
 """
 from __future__ import annotations
 
@@ -472,16 +472,18 @@ def root_from_grid(W: WeightGrid, masks: list[int] | None = None) -> GradedRoot:
 
 
 def _hole_towers(grid: WeightGrid, masks: list[int]) -> tuple[tuple[int, int], ...]:
-    """Degree-1 towers of a two-branch grid: the merge tree of the holes of K_n.
+    """Top-degree towers, degree r - 1: the merge tree of the holes of K_n.
 
-    K_n joins points only along the axes, so the bounded components of
-    R^2 - K_n are the 8-connected components of U_n = box - S_n that hold no
-    point on the box's edge (Garin et al., SoCG 2020).  Walking n down from
-    max w0 to min w0 - 1, U_n gains the points of weight n + 1, read off the
-    level ``masks``.  The outside, the eldest component, takes the new points
-    on the edge, and every component floods into the new points by 8-neighbour
-    dilation (the ``_axis_moves`` shifts of one axis, then of the other) until
-    it reaches no more.  Components whose floods meet join by the elder rule:
+    By Alexander duality H^(r-1)(K_n) counts the bounded components of
+    R^r - K_n, and as K_n joins points only along the axes, those are the
+    (3^r - 1)-connected components of U_n = box - S_n with no point on the
+    box's edge (Bleile, Garin, Heiss, Maggs and Robins, "The persistent
+    homology of dual digital image constructions", 2022).  Walking n down
+    from max w0 to min w0 - 1, U_n gains the points of weight n + 1, read
+    off the level ``masks``.  The outside, the eldest component, takes the
+    new points on the edge, and every component floods into the new points
+    by dilation (the ``_axis_moves`` shifts of each axis in turn) until it
+    reaches no more.  Components whose floods meet join by the elder rule:
     the one born highest survives and each other closes as the hole
     (n + 1, its birth).  New points no component reaches are new holes born
     at n, one per cluster.  Cost: a few word operations on p-bit ints per
@@ -581,12 +583,12 @@ class LatticeCohomology:
     module: TowerModule
     per_q: tuple[QCohomology, ...]
     torsion: dict[tuple[int, int], tuple[int, ...]]
-    snf_levels: tuple[int, ...] = ()  # levels checked by Smith normal form: all when r >= 3
+    snf_levels: tuple[int, ...] = ()  # levels checked by Smith normal form: all when r >= 4
 
     def rank(self, q: int, n: int) -> int:
-        if 0 <= q < len(self.per_q):
-            return self.per_q[q].ranks.get(n, 1 if q == 0 and n > 1 else 0)
-        return 0
+        """Rank of H^q(K_n): the towers alive at n, and the everlasting class in degree 0."""
+        towers = self.per_q[q].towers if 0 <= q < len(self.per_q) else ()
+        return sum(1 for m, t in towers if m <= n <= t) + (q == 0 and n >= self.min_w0)
 
 
 def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
@@ -609,10 +611,14 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
     more branches ``_morse_matching`` pairs the new cubes of the same cube
     bases level by level, and persistence of the critical cubes, with their
     ``_morse_complex`` boundaries, gives every tower; its degree zero must be
-    the graded root's, with one everlasting class born at min w0, and Smith
-    normal form of those cubes checks every level (``snf_levels``) for
-    torsion.  chi counts every cube by popcounts, so the Euler check holds
-    the towers to the whole complex, not only to the critical cubes.
+    the graded root's, with one everlasting class born at min w0, and its
+    top degree r - 1 the hole sweep's.  With three branches K_n lies in R^3,
+    so by Alexander duality again H^3 = 0 and nothing has torsion: the root,
+    the sweep and the Euler check fix every rank.  From four branches on
+    Smith normal form of the critical cubes checks every level up to 1
+    (``snf_levels``) for torsion.  chi counts every cube by popcounts, so the
+    Euler check holds the towers to the whole complex, not only to the
+    critical cubes.
     """
     grid = weight_grid_extend(W)
     bottom, hi = grid.min_w0, max(grid.w0)
@@ -645,6 +651,8 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
         towers = {q: tuple((m, t) for d, m, t in bars if d == q) for q in range(grid.r)}
         if towers[0] != module.towers:
             raise ValidationError("cohomology routes disagree: filtration pairing vs graded root")
+        if towers[grid.r - 1] != _hole_towers(grid, masks):
+            raise ValidationError("cohomology routes disagree: filtration pairing vs hole sweep")
     alive = [0] * (len(chis) + 1)  # steps of the alternating count of towers of degree >= 1
     for q in range(1, grid.r):
         for m, t in towers.get(q, ()):
@@ -668,7 +676,7 @@ def lattice_cohomology(W: WeightGrid) -> LatticeCohomology:
 
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
     snf_levels: tuple[int, ...] = ()
-    if grid.r >= 3:
+    if grid.r >= 4:
         snf_levels = tuple(levels)
         for n in snf_levels:
             level = [cell for cell in columns.items() if weights[cell[0]] <= n]

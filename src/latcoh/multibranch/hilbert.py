@@ -186,10 +186,12 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> list[int]:
     """Exact h on the box in its lexicographic order, by one threshold sweep.
 
     h(l) = dim V - F(l), where F(l) is the dimension of the subspace of the
-    span V vanishing below l_j on every branch j.  The sweep fixes the
-    thresholds one axis at a time, in branch order, each from the top of the
-    box down, so that every axis only ever activates more rows.  Each step
-    is exact for these reasons.
+    span V vanishing below l_j on every branch j.  The box lies inside the
+    window, box_j < n_j: the one caller passes box = c + 1 after its room
+    check c_j + max(m_j, 2) <= n_j.  The sweep fixes the thresholds one axis
+    at a time, in branch order, each from the top of the box down, so that
+    every axis only ever activates more rows.  Each step is exact for these
+    reasons.
 
     - Axis 0 reads the natural echelon of V.  A row's leading index in
       block 0 is its order on branch 0, and a row leading in a later block
@@ -214,8 +216,6 @@ def _h_box(an: _Analysis, box: tuple[int, ...]) -> list[int]:
       l_last.  With one branch the echelon of V is that echelon already.
     """
     r, offs = len(an.bounds), an.offs
-    if any(b + 1 > n for b, n in zip(box, an.bounds)):
-        raise ValidationError("truncation not stabilized")
     block = {c: j for j in range(r) for c in range(offs[j], offs[j] + box[j])}  # box column -> j
 
     def last_axis(leads, free: int) -> list[int]:
@@ -549,8 +549,11 @@ class SeriesData:
 
     For one branch the numerator support is the value semigroup clipped to
     the conductor, with an implicit tail of ones past it; for several
-    branches the numerator is an honest polynomial supported inside the
-    conductor rectangle and the tail is zero.
+    branches the numerator is an honest polynomial supported below the
+    conductor on every axis, and the tail is zero.  ``WeightGrid`` holds
+    every step along axis j to exactly 1 from l_j = c_j on, so there the
+    difference along j is constant and, with r >= 2, the difference along
+    any other axis kills it on every conductor face.
     """
 
     r: int
@@ -580,10 +583,5 @@ def series(W: WeightGrid) -> SeriesData:
     coeffs: dict[tuple[int, ...], int] = {}
     for i, d in enumerate(diffs):
         if d:
-            l = box_point(i, strides)
-            if r >= 2 and any(l[j] == c[j] for j in range(r)):
-                raise ValidationError(
-                    "nonzero tail: numerator does not vanish at %r" % (l,)
-                )
-            coeffs[l] = sign * d
+            coeffs[box_point(i, strides)] = sign * d
     return SeriesData(r, c, coeffs, "ones-past-conductor" if r == 1 else "zero")

@@ -62,7 +62,11 @@ def initial_part(M: TowerModule) -> InitialPart:
 
     Scanning levels from 0 down to e, the rank at each level fixes how many
     elements live there ((rank - 1) / 2, except possibly at the base) and
-    the running offset fixes where they sit.
+    the running offset s fixes where they sit.  Every scanned rank is at
+    least 1, since e >= base puts the infinite tower in it.  delta is the
+    sum of the ranks from the base to 0, less 1, so no element exceeds it:
+    level n places elements up to s + rank(n) - 1, and s + rank(n) is at
+    most that sum.
 
     A branch module has base level min w0 >= 2 - c, so a base below
     -``_MAX_CONDUCTOR`` raises InputError naming the conductor ceiling
@@ -82,29 +86,17 @@ def initial_part(M: TowerModule) -> InitialPart:
     elements: list[int] = []
     for n in range(0, e - 1, -1):
         r = ranks[n - M.base]
-        if r <= 0:
-            raise ValidationError("inconsistent module: vanishing rank at level %d" % n)
-        k = r // 2
-        if n == e == M.base:
-            if r % 2 == 1:
-                count = k + 1
-                if s + 2 * k != delta:
-                    raise ValidationError(
-                        "inconsistent module: base level does not reach delta"
-                    )
-            else:
-                count = k
+        if n == M.base:
+            count = (r + 1) // 2
+        elif r % 2 == 0:
+            raise ValidationError("inconsistent module: rank parity off at level %d" % n)
         else:
-            if r % 2 == 0:
-                raise ValidationError("inconsistent module: rank parity off at level %d" % n)
-            count = k
+            count = r // 2
         elements.extend(s + 2 * j for j in range(count))
         s += r
     elements.sort()
     if not elements or elements[0] != 0:
         raise ValidationError("inconsistent module: 0 is not an initial element")
-    if elements[-1] > delta:
-        raise ValidationError("inconsistent module: initial element beyond delta")
     return InitialPart(e, tuple(elements), delta, M.base)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InputError, ValidationError, as_int
+from .errors import InputError, as_int
 from .semigroup import CofiniteSet
 
 
@@ -37,18 +37,14 @@ class WeightSequence:
 
 
 def weight_sequence(S: CofiniteSet) -> WeightSequence:
-    """w0 on [0, c] by the step recursion, checked at the conductor.
+    """w0 on [0, c] by the step recursion.
 
     Membership is read from ``S.membership`` below the conductor; every
-    point at or past it is a member.  The walk must end at
-    w0(c) = (c - delta) - delta, with delta the separately counted gaps.
+    point at or past it is a member.  The walk ends at w0(c) = c - 2 delta,
+    since delta counts the gaps of the same slice.
     """
     c = S.conductor
     vals = tuple(accumulate(map((-1, 1).__getitem__, S.membership[:c]), initial=0))
-    if vals[c] != c - 2 * S.delta:
-        raise ValidationError(
-            "weight walk ends at %d, but c - 2 delta is %d" % (vals[c], c - 2 * S.delta)
-        )
     return WeightSequence(vals, c, S)
 
 

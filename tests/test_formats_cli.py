@@ -398,6 +398,14 @@ def test_curve_dict_errors():
         formats.curve_from_dict({"branches": [{"coords": [[{"e": 2}]]}]})
     with pytest.raises(InputError):
         formats.curve_from_dict({"branches": [{"coords": [[{"c": "x", "e": 2}]]}]})
+    for branch, message in (
+        ({"coords": [[{"c": True, "e": 2}]]}, "curve.branches[0].coords[0][0].c: expected a number"),
+        ({"coords": {"x": []}}, "curve.branches[0].coords: expected a list"),
+        ({"coords": [{"c": 1, "e": 2}]}, "curve.branches[0].coords[0]: expected a list of terms"),
+    ):
+        with pytest.raises(InputError) as err:
+            formats.curve_from_dict({"branches": [branch]})
+        assert str(err.value) == message
 
 
 # Leaves and containers of every kind the canonical writer takes; the
@@ -583,6 +591,9 @@ def test_weight_tsv_one_branch():
     lines = text.strip().split("\n")
     assert lines[0] == "position\tmember\tw0"
     assert lines[1:] == ["0\t1\t0", "1\t0\t1", "2\t1\t0"]
+    with pytest.raises(InputError) as err:
+        formats.weights_tsv(object())
+    assert str(err.value) == "cannot tabulate object"
 
 
 def test_weight_tsv_grid_one_branch_matches_sequence():

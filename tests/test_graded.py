@@ -10,6 +10,7 @@ from latcoh import (
     GradedRoot,
     InputError,
     TowerModule,
+    ValidationError,
     WeightSequence,
     conjecture_sweep,
     enumerate_plane_branch_semigroups,
@@ -395,6 +396,14 @@ def test_forged_roots_raise_the_validate_message(name):
         R.validate()
     with pytest.raises(InputError, match="^%s$" % re.escape(str(expected.value))):
         reader(R)
+
+
+def test_root_with_two_chains_does_not_collapse():
+    # vertex 1 has no upward edge, so two branches stay open past the top
+    R = GradedRoot(((0, 0), (1, 0), (2, 1)), ((0, 2),), 1)
+    with pytest.raises(ValidationError) as err:
+        module_from_root(R)
+    assert str(err.value) == "root did not collapse to a single chain"
 
 
 def test_two_top_vertices_with_upward_edges_are_named():

@@ -221,6 +221,8 @@ def test_branch_multiplicity_and_orders():
     assert P.ambient_dim == 5
     assert P.branch_multiplicity(0) == 2
     assert P.branch_multiplicity(1) == 2
+    with pytest.raises(InputError, match="^zero branch: branch 0 has no nonzero coordinate$"):
+        BranchParametrization((((), ()),)).branch_multiplicity(0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,8 @@ def test_cusp_weight_sequence_round_trip():
     seq = W.to_weight_sequence()
     S = from_generators([2, 3])
     assert seq == weight_sequence(S)
+    with pytest.raises(InputError, match="^weight sequence requires a single branch$"):
+        hilbert_from_parametrization(curve(NODE)).to_weight_sequence()
 
 
 def test_weight_sequence_of_a_grid_past_its_semigroup_conductor():
@@ -552,6 +556,10 @@ def test_too_small_explicit_window_is_detected():
 # WeightGrid invariants
 
 def test_grid_validation():
+    with pytest.raises(InputError, match="^grid arity mismatch$"):
+        WeightGrid(2, (1,), (1, 1), [0] * 4)
+    with pytest.raises(InputError, match="^conductor entries must be nonnegative$"):
+        WeightGrid(1, (-1,), (0,), [0])
     with pytest.raises(InputError, match="^grid needs a list of 3 values, one per box point$"):
         WeightGrid(1, (2,), (2,), [0, 1])
     with pytest.raises(InputError, match="box must be the conductor rectangle or its one-step collar"):
@@ -815,13 +823,15 @@ def test_persistence_towers_match_the_plain_reduction_oracle(monkeypatch):
 
 
 def test_snf_levels_are_recorded():
-    # SNF checks every level of every grid with three or more branches and no
-    # level of a planar one, whatever its size
+    # SNF checks every reported level of every grid with four or more
+    # branches, where torsion can occur, and no level of a grid in R^2 or
+    # R^3, whatever its size
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     planar = [monomial_branch((6, 15, 31)), curve(CURVE_SIX_COORD), pair_family(4)[0]]
-    for P in (*planar, triple_point, formats.read_curve_file(str(THREE_BRANCH_IN))):
+    spatial = [triple_point, formats.read_curve_file(str(THREE_BRANCH_IN)), curve(FOUR_BRANCH)]
+    for P in (*planar, *spatial):
         H = lattice_cohomology(hilbert_from_parametrization(P))
-        assert H.snf_levels == (tuple(range(H.min_w0, 2)) if P.r >= 3 else ()), P.r
+        assert H.snf_levels == (tuple(range(H.min_w0, 2)) if P.r >= 4 else ()), P.r
 
 
 def test_snf_levels_match_the_cube_route():
@@ -943,25 +953,27 @@ def test_pair_across_weights_trips_the_snf_rank_check(monkeypatch):
         rank, invs = real_smith(rows)
         return rank + 1, invs
 
-    # SNF checks three or more branches only.  Persistence reads the critical
-    # cubes the forged pair leaves too, so its everlasting class or its
-    # degree-zero bars disagree first; a forged Smith rank trips the SNF rank
-    # check alone
+    # Persistence reads the critical cubes the forged pair leaves, so its
+    # everlasting class or its degree-zero bars disagree with the root.  SNF
+    # checks four or more branches only, and a forged Smith rank trips the
+    # SNF rank check alone
     triple_point = curve([[[(1, 1)], [], []], [[], [(1, 1)], []], [[], [], [(1, 1)]]])
     for P, message in (
         (triple_point, "everlasting class born at"),
         (formats.read_curve_file(str(THREE_BRANCH_IN)), "filtration pairing vs graded root"),
     ):
         W = hilbert_from_parametrization(P)
-        assert lattice_cohomology(W).snf_levels
+        assert lattice_cohomology(W).snf_levels == ()
         with monkeypatch.context() as m:
             m.setattr(complexes, "_morse_matching", forged)
             with pytest.raises(ValidationError, match=message):
                 lattice_cohomology(W)
-        with monkeypatch.context() as m:
-            m.setattr(complexes, "_smith_invariants", forged_rank)
-            with pytest.raises(ValidationError, match="rank at degree 0"):
-                lattice_cohomology(W)
+    W = hilbert_from_parametrization(curve(FOUR_BRANCH))
+    assert lattice_cohomology(W).snf_levels
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_smith_invariants", forged_rank)
+        with pytest.raises(ValidationError, match="rank at degree 0"):
+            lattice_cohomology(W)
 
 
 def test_three_branch_cohomology_builds_no_filtration(monkeypatch):
@@ -1043,6 +1055,29 @@ def test_forged_tower_trips_the_level_euler_check(monkeypatch):
             m.setattr(complexes, name, forged)
             with pytest.raises(ValidationError, match="Euler characteristic at level"):
                 lattice_cohomology(grid)
+
+
+def test_forged_top_degree_tower_trips_the_hole_sweep_check(monkeypatch):
+    # with three or more branches the hole sweep runs on every grid, and its
+    # towers must be persistence's top degree
+    real_holes = complexes._hole_towers
+
+    def dropped(grid, masks):
+        return real_holes(grid, masks)[1:]
+
+    def added(grid, masks):
+        return (*real_holes(grid, masks), (0, 0))
+
+    voided = _step_grid(sum, [[1, 0], [1, 0], [1, 0]])  # one void, at level 2
+    assert lattice_cohomology(voided).per_q[2].towers == ((2, 2),)
+    W = hilbert_from_parametrization(formats.read_curve_file(str(THREE_BRANCH_IN)))
+    assert lattice_cohomology(W).per_q[2].towers == ()
+    for grid, forged in ((voided, dropped), (W, added)):
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_hole_towers", forged)
+            with pytest.raises(ValidationError) as err:
+                lattice_cohomology(grid)
+        assert str(err.value) == "cohomology routes disagree: filtration pairing vs hole sweep"
 
 
 class _StubFiltration:
@@ -1212,10 +1247,13 @@ def _unit_step_grids(draw, least_r=1, most_r=3):
 @example(_step_grid(sum, [[1, 1, 0, 1, 0, 0], [1, 1, 0, 1, 1, 0, 0]]))  # a hole joins an elder hole
 @example(_ROOMS)
 @example(_RINGS)
+@example(_step_grid(sum, [[1, 0], [1, 0], [1, 0]]))  # a void in R^3
+@example(_step_grid(sum, [[1, 0], [1, 0], [1, 1, 0], [1, 1, 0]]))  # towers up to degree 3
 def test_level_masks_match_the_oracles_on_unit_step_grids(W):
-    # the root grown by dilation, chi by popcounts and, with two branches,
-    # the holes flooded in the complement masks, against a fresh breadth-first
-    # search, the explicit cube lists at every level and plain persistence
+    # the root grown by dilation, chi by popcounts and, with two or more
+    # branches, the holes flooded in the complement masks, against a fresh
+    # breadth-first search, the explicit cube lists at every level and plain
+    # persistence's top degree
     E = weight_grid_extend(W)
     w0 = by_point(E, E.w0)
     assert root_from_grid(W) == GradedRoot(*naive_grid_root(w0))
@@ -1225,9 +1263,24 @@ def test_level_masks_match_the_oracles_on_unit_step_grids(W):
     for n, chi in enumerate(chis, E.min_w0):
         cubes = naive_sublevel_cubes(w0, n)
         assert chi == sum((-1) ** q * len(cs) for q, cs in cubes.items()), n
-    if W.r == 2:
+    if W.r >= 2:
         towers, _unpaired = naive_persistence_towers(w0)
-        assert complexes._hole_towers(E, masks) == towers.get(1, ())
+        assert complexes._hole_towers(E, masks) == towers.get(W.r - 1, ())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_unit_step_grids(most_r=4))
+@example(_step_grid(sum, [[1], [1, 1, 1, 0]]))  # a degree-0 tower at level 2
+@example(_step_grid(sum, [[1, 0], [1, 0], [1, 0]]))  # a void at level 2
+def test_rank_matches_the_naive_betti_numbers_at_every_level(W):
+    # ranks are reported up to level 1, but rank(q, n) reads the towers, so
+    # it holds at every level, from below min w0 to past max w0
+    H = lattice_cohomology(W)
+    E = weight_grid_extend(W)
+    w0 = by_point(E, E.w0)
+    for n in range(E.min_w0 - 1, max(E.w0) + 2):
+        betti = naive_betti(naive_sublevel_cubes(w0, n), W.r)
+        assert {q: H.rank(q, n) for q in betti} == betti, n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

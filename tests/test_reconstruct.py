@@ -208,6 +208,9 @@ def test_rejects_structurally_sound_but_alien_modules():
     bad2 = TowerModule(-2, ((-2, 1),))
     with pytest.raises(ValidationError):
         reconstruct_semigroup(bad2)
+    # rank 1 at levels -1 and 0 puts the one initial element at 1
+    with pytest.raises(ValidationError, match="^inconsistent module: 0 is not an initial element$"):
+        initial_part(TowerModule(-1, ()))
 
 
 # Numerical semigroups of genus 0, 1, ..., 14 (Bras-Amoros, "Fibonacci-like

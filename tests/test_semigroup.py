@@ -276,6 +276,8 @@ def test_enumeration_above_its_ceiling_is_rejected_before_the_search():
         enumerate_plane_branch_semigroups(2000)
     with pytest.raises(InputError, match="above the enumeration ceiling"):
         enumerate_plane_branch_semigroups(ceiling + 1)
+    with pytest.raises(InputError, match="^max_conductor must be non-negative$"):
+        semigroup.plane_branch_chains(-1)
     assert time.monotonic() - start < 0.5
 
 
